@@ -2,9 +2,9 @@
  * @file
  * Bump-pointer scratch arena for die-population hot loops.
  *
- * Manufacturing one die allocates ~3 MB of short-lived scratch (the
- * m x m circulant noise plane plus Box-Muller staging buffers) that
- * was previously round-tripping operator new — and, for vectors,
+ * Manufacturing one die allocates megabytes of short-lived scratch
+ * (the m x m circulant noise plane) that was previously
+ * round-tripping operator new — and, for vectors,
  * paying a zero-fill the generator immediately overwrites. The arena
  * keeps its blocks alive across dies (thread-local, one per pool
  * worker), so steady-state manufacture does no allocation at all and

@@ -4,26 +4,32 @@
  *
  * PR 5 restructured the hot kernels as contiguous structure-of-arrays
  * sweeps so they *could* be vectorised; this header finishes the job
- * with explicit vector implementations behind a compile-time dispatch:
+ * with explicit vector implementations:
  *
- *   - AVX2+FMA (x86-64, enabled by -march=native / VARSCHED_NATIVE)
- *   - NEON (aarch64) for the mul/add kernels
+ *   - AVX2+FMA (x86-64), selected at run time: every vector body is a
+ *     separate `target("avx2,fma")` function, compiled whatever the
+ *     build flags, and enabled() dispatches to it when the CPU reports
+ *     both features (checked once per process)
+ *   - NEON (aarch64, baseline there, so selected at compile time) for
+ *     the dot kernel
  *   - scalar fallback everywhere else
  *
  * The scalar fallback is not a separate algorithm: it is the exact
- * pre-SIMD code path (libm calls in the original order), so a default
- * build without -m flags behaves bit-identically to the pre-PR7 tree.
+ * pre-SIMD code path (libm calls in the original order), kept in the
+ * un-attributed dispatching function so the compiler cannot contract
+ * it into FMAs; forced on, it is bit-identical to the pre-PR7 loops.
  * The vector paths replace libm's exp/log/sin/cos with inline
- * polynomial kernels (fdlibm-style coefficients); they agree with the
- * scalar fallback to <= 1e-12 relative — the same agreement contract
- * the PR 5 batched kernels carry against their scalar references —
- * and the property tests in tests/test_simd.cc pin that bound on both
- * the dispatched and the forced-scalar path.
+ * polynomial kernels (fdlibm-style coefficients); each agrees with
+ * the scalar oracle to <= 1e-12 relative — the same agreement
+ * contract the PR 5 batched kernels carry against their scalar
+ * references — and the property tests in tests/test_simd.cc pin that
+ * bound on both the dispatched and the forced-scalar path.
  *
  * Runtime override: VARSCHED_SIMD=scalar (or =off) forces the scalar
- * fallback even in a vector-capable build — this is what the
- * forced-scalar ctest configuration uses to keep the fallback green —
- * and tests can toggle the same switch with simd::setForceScalar().
+ * fallback on a vector-capable host — this is what the forced-scalar
+ * ctest configuration uses to keep the fallback green, and what A/B
+ * checks against the pre-vector numerics use — and tests can toggle
+ * the same switch with simd::setForceScalar().
  */
 
 #ifndef VARSCHED_RUNTIME_SIMD_HH
@@ -35,9 +41,12 @@
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define VARSCHED_SIMD_AVX2 1
 #include <immintrin.h>
+/** Compiles a vector body for AVX2+FMA regardless of the build flags;
+ *  only enabled() may route a call into one. */
+#define VARSCHED_AVX2_TARGET __attribute__((target("avx2,fma")))
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
 #define VARSCHED_SIMD_NEON 1
 #include <arm_neon.h>
@@ -52,15 +61,30 @@ namespace detail
 /** Process-wide test/CI override; see setForceScalar(). */
 inline bool forceScalarOverride = false;
 
+/**
+ * True when the vector path may run at all: the CPU has it (AVX2 and
+ * FMA on x86-64; NEON is baseline on aarch64) and VARSCHED_SIMD does
+ * not force the fallback. Decided once per process.
+ */
 inline bool
-envForcesScalar()
+vectorAvailable()
 {
-    static const bool forced = []() {
+    static const bool available = []() {
         const char *value = std::getenv("VARSCHED_SIMD");
-        return value != nullptr && (std::strcmp(value, "scalar") == 0 ||
-                                    std::strcmp(value, "off") == 0);
+        if (value != nullptr && (std::strcmp(value, "scalar") == 0 ||
+                                 std::strcmp(value, "off") == 0))
+            return false;
+#if defined(VARSCHED_SIMD_AVX2)
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") &&
+            __builtin_cpu_supports("fma");
+#elif defined(VARSCHED_SIMD_NEON)
+        return true;
+#else
+        return false;
+#endif
     }();
-    return forced;
+    return available;
 }
 
 } // namespace detail
@@ -76,15 +100,11 @@ setForceScalar(bool force)
     detail::forceScalarOverride = force;
 }
 
-/** True when the vector path is compiled in and not forced off. */
+/** True when the sweeps dispatch to the vector path. */
 inline bool
 enabled()
 {
-#if defined(VARSCHED_SIMD_AVX2) || defined(VARSCHED_SIMD_NEON)
-    return !detail::envForcesScalar() && !detail::forceScalarOverride;
-#else
-    return false;
-#endif
+    return detail::vectorAvailable() && !detail::forceScalarOverride;
 }
 
 /** Name of the instruction set the sweeps dispatch to right now. */
@@ -111,7 +131,7 @@ namespace detail
 // the 1e-12 agreement contract against libm.
 
 /** exp() on four lanes. Handles overflow/underflow/NaN via blends. */
-inline __m256d
+VARSCHED_AVX2_TARGET inline __m256d
 vexp(__m256d x)
 {
     const __m256d log2e = _mm256_set1_pd(1.4426950408889634074);
@@ -175,7 +195,7 @@ vexp(__m256d x)
  * uniforms). Subnormals are pre-normalised; 0/negative/NaN lanes are
  * not fixed up here — callers guarantee the domain.
  */
-inline __m256d
+VARSCHED_AVX2_TARGET inline __m256d
 vlog(__m256d x)
 {
     const __m256d ln2hi = _mm256_set1_pd(6.93147180369123816490e-01);
@@ -246,7 +266,7 @@ vlog(__m256d x)
  * (the sweeps pass Box-Muller angles in [0, 2pi)). fdlibm kernel
  * polynomials after Cody-Waite pi/2 reduction.
  */
-inline void
+VARSCHED_AVX2_TARGET inline void
 vsincos(__m256d x, __m256d &sinOut, __m256d &cosOut)
 {
     const __m256d twoOverPi =
@@ -323,6 +343,162 @@ vsincos(__m256d x, __m256d &sinOut, __m256d &cosOut)
     cosOut = cv;
 }
 
+// ---------------------------------------------------------------
+// AVX2 sweep bodies, one per public sweep below. Scalar tails run
+// here too, so they may be FMA-contracted like the vector lanes.
+
+VARSCHED_AVX2_TARGET inline void
+expSweepAvx2(const double *x, double *out, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        _mm256_storeu_pd(out + i, vexp(_mm256_loadu_pd(x + i)));
+    for (; i < n; ++i)
+        out[i] = std::exp(x[i]);
+}
+
+VARSCHED_AVX2_TARGET inline void
+powSweepAvx2(const double *x, double y, double *out, std::size_t n)
+{
+    const __m256d vy = _mm256_set1_pd(y);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256d lx = vlog(_mm256_loadu_pd(x + i));
+        _mm256_storeu_pd(out + i, vexp(_mm256_mul_pd(vy, lx)));
+    }
+    for (; i < n; ++i)
+        out[i] = std::pow(x[i], y);
+}
+
+VARSCHED_AVX2_TARGET inline void
+sinCosSweepAvx2(const double *x, double *sinOut, double *cosOut,
+                std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        __m256d s, c;
+        vsincos(_mm256_loadu_pd(x + i), s, c);
+        _mm256_storeu_pd(sinOut + i, s);
+        _mm256_storeu_pd(cosOut + i, c);
+    }
+    for (; i < n; ++i) {
+        sinOut[i] = std::sin(x[i]);
+        cosOut[i] = std::cos(x[i]);
+    }
+}
+
+VARSCHED_AVX2_TARGET inline void
+boxMullerSweepAvx2(const double *u1, const double *u2, double *cosOut,
+                   double *sinOut, std::size_t n)
+{
+    const __m256d minusTwo = _mm256_set1_pd(-2.0);
+    const __m256d twoPi =
+        _mm256_set1_pd(6.283185307179586476925286766559);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256d lu = vlog(_mm256_loadu_pd(u1 + i));
+        const __m256d mag = _mm256_sqrt_pd(_mm256_mul_pd(minusTwo, lu));
+        __m256d s, c;
+        vsincos(_mm256_mul_pd(twoPi, _mm256_loadu_pd(u2 + i)), s, c);
+        _mm256_storeu_pd(cosOut + i, _mm256_mul_pd(mag, c));
+        _mm256_storeu_pd(sinOut + i, _mm256_mul_pd(mag, s));
+    }
+    for (; i < n; ++i) {
+        const double mag = std::sqrt(-2.0 * std::log(u1[i]));
+        const double ang =
+            2.0 * 3.141592653589793238462643383279502884 * u2[i];
+        cosOut[i] = mag * std::cos(ang);
+        sinOut[i] = mag * std::sin(ang);
+    }
+}
+
+VARSCHED_AVX2_TARGET inline double
+dotAvx2(const double *a, const double *b, std::size_t n)
+{
+    __m256d acc = _mm256_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        acc = _mm256_fmadd_pd(_mm256_loadu_pd(a + k),
+                              _mm256_loadu_pd(b + k), acc);
+    }
+    const __m128d lo = _mm256_castpd256_pd128(acc);
+    const __m128d hi = _mm256_extractf128_pd(acc, 1);
+    // (s0 + s1) + (s2 + s3): same fold order as the scalar path.
+    const __m128d pair =
+        _mm_add_pd(_mm_unpacklo_pd(lo, hi), _mm_unpackhi_pd(lo, hi));
+    double s =
+        _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+    for (; k < n; ++k)
+        s += a[k] * b[k];
+    return s;
+}
+
+VARSCHED_AVX2_TARGET inline void
+axpyNegAvx2(double *y, double a, const double *x, std::size_t n)
+{
+    const __m256d va = _mm256_set1_pd(a);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        _mm256_storeu_pd(y + i,
+                         _mm256_fnmadd_pd(va, _mm256_loadu_pd(x + i),
+                                          _mm256_loadu_pd(y + i)));
+    }
+    for (; i < n; ++i)
+        y[i] -= a * x[i];
+}
+
+/** Two butterflies per iteration with the addsub complex multiply;
+ *  @pre half >= 2. */
+VARSCHED_AVX2_TARGET inline void
+butterflyStageAvx2(std::complex<double> *lo, std::complex<double> *hi,
+                   const std::complex<double> *tw, std::size_t stride,
+                   std::size_t half, bool inverse)
+{
+    const __m256d conjMask = inverse
+        ? _mm256_setr_pd(0.0, -0.0, 0.0, -0.0)
+        : _mm256_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 2 <= half; k += 2) {
+        // w = [w0.re, w0.im, w1.re, w1.im], conjugated if inverse.
+        __m256d w;
+        if (stride == 1) {
+            w = _mm256_loadu_pd(reinterpret_cast<const double *>(tw + k));
+        } else {
+            w = _mm256_set_m128d(
+                _mm_loadu_pd(reinterpret_cast<const double *>(
+                    tw + (k + 1) * stride)),
+                _mm_loadu_pd(
+                    reinterpret_cast<const double *>(tw + k * stride)));
+        }
+        w = _mm256_xor_pd(w, conjMask);
+
+        const __m256d h =
+            _mm256_loadu_pd(reinterpret_cast<const double *>(hi + k));
+        const __m256d u =
+            _mm256_loadu_pd(reinterpret_cast<const double *>(lo + k));
+        // Complex multiply h*w: (a+bi)(c+di) = (ac-bd)+(bc+ad)i.
+        const __m256d wr = _mm256_movedup_pd(w);      // [c, c]
+        const __m256d wi = _mm256_permute_pd(w, 0xF); // [d, d]
+        const __m256d hs = _mm256_permute_pd(h, 0x5); // [b, a]
+        const __m256d v =
+            _mm256_fmaddsub_pd(h, wr, _mm256_mul_pd(hs, wi));
+        _mm256_storeu_pd(reinterpret_cast<double *>(lo + k),
+                         _mm256_add_pd(u, v));
+        _mm256_storeu_pd(reinterpret_cast<double *>(hi + k),
+                         _mm256_sub_pd(u, v));
+    }
+    for (; k < half; ++k) {
+        const std::complex<double> &t = tw[k * stride];
+        const std::complex<double> w = inverse ? std::conj(t) : t;
+        const std::complex<double> u = lo[k];
+        const std::complex<double> v = std::complex<double>(
+            hi[k].real() * w.real() - hi[k].imag() * w.imag(),
+            hi[k].imag() * w.real() + hi[k].real() * w.imag());
+        lo[k] = u + v;
+        hi[k] = u - v;
+    }
+}
+
 } // namespace detail
 
 #endif // VARSCHED_SIMD_AVX2
@@ -336,13 +512,7 @@ expSweep(const double *x, double *out, std::size_t n)
 {
 #if defined(VARSCHED_SIMD_AVX2)
     if (enabled()) {
-        std::size_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            _mm256_storeu_pd(out + i,
-                             detail::vexp(_mm256_loadu_pd(x + i)));
-        }
-        for (; i < n; ++i)
-            out[i] = std::exp(x[i]);
+        detail::expSweepAvx2(x, out, n);
         return;
     }
 #endif
@@ -356,15 +526,7 @@ powSweep(const double *x, double y, double *out, std::size_t n)
 {
 #if defined(VARSCHED_SIMD_AVX2)
     if (enabled()) {
-        const __m256d vy = _mm256_set1_pd(y);
-        std::size_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            const __m256d lx = detail::vlog(_mm256_loadu_pd(x + i));
-            _mm256_storeu_pd(
-                out + i, detail::vexp(_mm256_mul_pd(vy, lx)));
-        }
-        for (; i < n; ++i)
-            out[i] = std::pow(x[i], y);
+        detail::powSweepAvx2(x, y, out, n);
         return;
     }
 #endif
@@ -379,17 +541,7 @@ sinCosSweep(const double *x, double *sinOut, double *cosOut,
 {
 #if defined(VARSCHED_SIMD_AVX2)
     if (enabled()) {
-        std::size_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            __m256d s, c;
-            detail::vsincos(_mm256_loadu_pd(x + i), s, c);
-            _mm256_storeu_pd(sinOut + i, s);
-            _mm256_storeu_pd(cosOut + i, c);
-        }
-        for (; i < n; ++i) {
-            sinOut[i] = std::sin(x[i]);
-            cosOut[i] = std::cos(x[i]);
-        }
+        detail::sinCosSweepAvx2(x, sinOut, cosOut, n);
         return;
     }
 #endif
@@ -413,27 +565,7 @@ boxMullerSweep(const double *u1, const double *u2, double *cosOut,
 {
 #if defined(VARSCHED_SIMD_AVX2)
     if (enabled()) {
-        const __m256d minusTwo = _mm256_set1_pd(-2.0);
-        const __m256d twoPi =
-            _mm256_set1_pd(6.283185307179586476925286766559);
-        std::size_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            const __m256d lu = detail::vlog(_mm256_loadu_pd(u1 + i));
-            const __m256d mag =
-                _mm256_sqrt_pd(_mm256_mul_pd(minusTwo, lu));
-            __m256d s, c;
-            detail::vsincos(
-                _mm256_mul_pd(twoPi, _mm256_loadu_pd(u2 + i)), s, c);
-            _mm256_storeu_pd(cosOut + i, _mm256_mul_pd(mag, c));
-            _mm256_storeu_pd(sinOut + i, _mm256_mul_pd(mag, s));
-        }
-        for (; i < n; ++i) {
-            const double mag = std::sqrt(-2.0 * std::log(u1[i]));
-            const double ang =
-                2.0 * 3.141592653589793238462643383279502884 * u2[i];
-            cosOut[i] = mag * std::cos(ang);
-            sinOut[i] = mag * std::sin(ang);
-        }
+        detail::boxMullerSweepAvx2(u1, u2, cosOut, sinOut, n);
         return;
     }
 #endif
@@ -449,34 +581,16 @@ boxMullerSweep(const double *u1, const double *u2, double *cosOut,
 /**
  * Dot product of two contiguous spans with the PR 5 register-blocked
  * reduction order: four stride-4 accumulators folded as
- * (s0+s1)+(s2+s3), tail appended serially. The vector path keeps the
- * four logical accumulators in the four lanes of one register, so
- * without FMA it is bit-identical to the scalar fallback; with FMA
- * (native builds) it differs only by contraction, like the
- * autovectorised code it replaces.
+ * (s0+s1)+(s2+s3), tail appended serially. The vector paths keep the
+ * four logical accumulators in vector lanes, so they differ from the
+ * scalar fallback only by FMA contraction.
  */
 inline double
 dot(const double *a, const double *b, std::size_t n)
 {
 #if defined(VARSCHED_SIMD_AVX2)
-    if (enabled()) {
-        __m256d acc = _mm256_setzero_pd();
-        std::size_t k = 0;
-        for (; k + 4 <= n; k += 4) {
-            acc = _mm256_fmadd_pd(_mm256_loadu_pd(a + k),
-                                  _mm256_loadu_pd(b + k), acc);
-        }
-        const __m128d lo = _mm256_castpd256_pd128(acc);
-        const __m128d hi = _mm256_extractf128_pd(acc, 1);
-        // (s0 + s1) + (s2 + s3): same fold order as the scalar path.
-        const __m128d pair =
-            _mm_add_pd(_mm_unpacklo_pd(lo, hi), _mm_unpackhi_pd(lo, hi));
-        double s = _mm_cvtsd_f64(
-            _mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-        for (; k < n; ++k)
-            s += a[k] * b[k];
-        return s;
-    }
+    if (enabled())
+        return detail::dotAvx2(a, b, n);
 #elif defined(VARSCHED_SIMD_NEON)
     if (enabled()) {
         // Lanes hold (s0, s1) and (s2, s3); fold as (s0+s1)+(s2+s3).
@@ -514,15 +628,7 @@ axpyNeg(double *y, double a, const double *x, std::size_t n)
 {
 #if defined(VARSCHED_SIMD_AVX2)
     if (enabled()) {
-        const __m256d va = _mm256_set1_pd(a);
-        std::size_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            _mm256_storeu_pd(
-                y + i, _mm256_fnmadd_pd(va, _mm256_loadu_pd(x + i),
-                                        _mm256_loadu_pd(y + i)));
-        }
-        for (; i < n; ++i)
-            y[i] -= a * x[i];
+        detail::axpyNegAvx2(y, a, x, n);
         return;
     }
 #endif
@@ -536,8 +642,7 @@ axpyNeg(double *y, double a, const double *x, std::size_t n)
  * with w_k = tw[k*stride] (conjugated for inverse transforms). The
  * scalar branch is the exact pre-SIMD loop from solver/fft.cc; the
  * AVX2 branch does two butterflies per iteration with the
- * addsub-based complex multiply (FMA-contracted in native builds,
- * same operations otherwise).
+ * addsub-based complex multiply.
  */
 inline void
 butterflyStage(std::complex<double> *lo, std::complex<double> *hi,
@@ -546,51 +651,7 @@ butterflyStage(std::complex<double> *lo, std::complex<double> *hi,
 {
 #if defined(VARSCHED_SIMD_AVX2)
     if (enabled() && half >= 2) {
-        const __m256d conjMask = inverse
-            ? _mm256_setr_pd(0.0, -0.0, 0.0, -0.0)
-            : _mm256_setzero_pd();
-        std::size_t k = 0;
-        for (; k + 2 <= half; k += 2) {
-            // w = [w0.re, w0.im, w1.re, w1.im], conjugated if inverse.
-            __m256d w;
-            if (stride == 1) {
-                w = _mm256_loadu_pd(
-                    reinterpret_cast<const double *>(tw + k));
-            } else {
-                w = _mm256_set_m128d(
-                    _mm_loadu_pd(reinterpret_cast<const double *>(
-                        tw + (k + 1) * stride)),
-                    _mm_loadu_pd(reinterpret_cast<const double *>(
-                        tw + k * stride)));
-            }
-            w = _mm256_xor_pd(w, conjMask);
-
-            const __m256d h = _mm256_loadu_pd(
-                reinterpret_cast<const double *>(hi + k));
-            const __m256d u = _mm256_loadu_pd(
-                reinterpret_cast<const double *>(lo + k));
-            // Complex multiply h*w: (a+bi)(c+di) = (ac-bd)+(bc+ad)i.
-            const __m256d wr = _mm256_movedup_pd(w);       // [c, c]
-            const __m256d wi = _mm256_permute_pd(w, 0xF);  // [d, d]
-            const __m256d hs = _mm256_permute_pd(h, 0x5);  // [b, a]
-            const __m256d v = _mm256_fmaddsub_pd(
-                h, wr, _mm256_mul_pd(hs, wi));
-            _mm256_storeu_pd(reinterpret_cast<double *>(lo + k),
-                             _mm256_add_pd(u, v));
-            _mm256_storeu_pd(reinterpret_cast<double *>(hi + k),
-                             _mm256_sub_pd(u, v));
-        }
-        for (; k < half; ++k) {
-            const std::complex<double> &t = tw[k * stride];
-            const std::complex<double> w = inverse ? std::conj(t) : t;
-            const std::complex<double> u = lo[k];
-            const std::complex<double> v =
-                std::complex<double>(
-                    hi[k].real() * w.real() - hi[k].imag() * w.imag(),
-                    hi[k].imag() * w.real() + hi[k].real() * w.imag());
-            lo[k] = u + v;
-            hi[k] = u - v;
-        }
+        detail::butterflyStageAvx2(lo, hi, tw, stride, half, inverse);
         return;
     }
 #endif

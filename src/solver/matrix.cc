@@ -16,7 +16,7 @@ namespace
  * Dot product of two contiguous spans, register-blocked: four
  * independent accumulators (vector lanes on the explicit-SIMD path)
  * hide the FP-add latency. simd::dot's scalar fallback is this exact
- * four-accumulator loop, so default builds are unchanged.
+ * four-accumulator loop, so the forced-scalar path is unchanged.
  */
 double
 dotBlocked(const double *a, const double *b, std::size_t n)

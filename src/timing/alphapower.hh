@@ -57,9 +57,9 @@ double gateDelay(double leff, double vthRef, double v, double tempC,
  * per-element transcendental is pow(overdrive, alpha). Because the
  * hoisted terms are the very same subexpressions the scalar path
  * computes, the batch result is bit-identical to calling gateDelay()
- * element by element; the documented agreement contract for callers
- * is <= 1e-12 relative, leaving headroom for future reassociating
- * (e.g. -march=native fma) builds.
+ * element by element on the scalar path; the documented agreement
+ * contract for callers is <= 1e-12 relative, which covers the
+ * dispatched vector pow sweep.
  *
  * @param leff  Array of n normalised effective gate lengths.
  * @param vth   Array of n threshold voltages at the 60 C reference.

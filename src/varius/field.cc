@@ -11,6 +11,7 @@
 #include <mutex>
 
 #include "runtime/arena.hh"
+#include "runtime/metrics.hh"
 #include "runtime/simd.hh"
 #include "solver/fft.hh"
 #include "solver/matrix.hh"
@@ -258,9 +259,9 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
     const double rescale = sp->rescale;
     const double *amp = sp->amp.data();
 
-    // The noise plane and Box-Muller staging are per-die scratch —
-    // several MB that the arena hands back without malloc or the
-    // zero-fill a std::vector resize would pay.
+    // The noise plane is per-die scratch — several MB that the arena
+    // hands back without malloc or the zero-fill a std::vector resize
+    // would pay.
     BumpArena &arena = dieScratchArena();
     const BumpArena::Scope scope(arena);
     std::complex<double> *spec = arena.alloc<std::complex<double>>(total);
@@ -273,22 +274,26 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
         // scalar branch's draw order below) — so the RNG leaves this
         // loop in the same state as the scalar path and every
         // downstream draw matches. Values agree with the scalar
-        // transform to <= 1e-12.
-        double *u1 = arena.alloc<double>(total);
-        double *u2 = arena.alloc<double>(total);
-        double *cosHalf = arena.alloc<double>(total);
-        double *sinHalf = arena.alloc<double>(total);
-        for (std::size_t i = 0; i < total; ++i) {
-            double a = 0.0;
-            while (a == 0.0)
-                a = rng.uniform();
-            u1[i] = a;
-            u2[i] = rng.uniform();
-        }
-        simd::boxMullerSweep(u1, u2, cosHalf, sinHalf, total);
-        for (std::size_t i = 0; i < total; ++i) {
-            spec[i] = std::complex<double>(amp[i] * sinHalf[i],
-                                           amp[i] * cosHalf[i]);
+        // transform to <= 1e-12. Staging goes through fixed blocks on
+        // the stack, so the vector path holds no more scratch than
+        // the scalar one.
+        constexpr std::size_t kBlock = 1024;
+        double u1[kBlock], u2[kBlock], cosHalf[kBlock], sinHalf[kBlock];
+        for (std::size_t base = 0; base < total; base += kBlock) {
+            const std::size_t len = std::min(kBlock, total - base);
+            for (std::size_t j = 0; j < len; ++j) {
+                double a = 0.0;
+                while (a == 0.0)
+                    a = rng.uniform();
+                u1[j] = a;
+                u2[j] = rng.uniform();
+            }
+            simd::boxMullerSweep(u1, u2, cosHalf, sinHalf, len);
+            for (std::size_t j = 0; j < len; ++j) {
+                const double scale = amp[base + j];
+                spec[base + j] = std::complex<double>(
+                    scale * sinHalf[j], scale * cosHalf[j]);
+            }
         }
     } else {
         for (std::size_t i = 0; i < total; ++i) {
@@ -370,6 +375,64 @@ std::mutex sampleCacheMutex;
 std::map<FieldSampleKey, FieldSampleEntry> sampleCache;
 std::deque<FieldSampleKey> sampleCacheOrder;
 
+/** Registry handles for the sample cache: hits and misses per lookup,
+ *  and the number of entries it holds. */
+struct SampleCacheMetrics
+{
+    metrics::Counter &hits;
+    metrics::Counter &misses;
+    metrics::Gauge &entries;
+};
+
+SampleCacheMetrics &
+sampleCacheMetrics()
+{
+    static SampleCacheMetrics handles{
+        metrics::Registry::global().counter("varius.field_cache.hits"),
+        metrics::Registry::global().counter("varius.field_cache.misses"),
+        metrics::Registry::global().gauge("varius.field_cache.entries")};
+    return handles;
+}
+
+/**
+ * Replay a cached generation for @p key: restore the post-generation
+ * RNG state and copy the field(s) out. False on a miss.
+ */
+bool
+replayCachedSample(const FieldSampleKey &key, Rng &rng,
+                   FieldSample &field, FieldSample *fieldB)
+{
+    std::lock_guard<std::mutex> lock(sampleCacheMutex);
+    const auto it = sampleCache.find(key);
+    if (it == sampleCache.end()) {
+        sampleCacheMetrics().misses.add();
+        return false;
+    }
+    sampleCacheMetrics().hits.add();
+    rng.restoreState(it->second.rngAfter);
+    field = it->second.field;
+    if (fieldB != nullptr)
+        *fieldB = it->second.fieldB;
+    return true;
+}
+
+void
+storeSample(const FieldSampleKey &key, FieldSampleEntry entry)
+{
+    std::lock_guard<std::mutex> lock(sampleCacheMutex);
+    // Two threads may have raced on the same die; insert-once keeps
+    // the FIFO order list consistent with the map.
+    if (sampleCache.emplace(key, std::move(entry)).second) {
+        sampleCacheOrder.push_back(key);
+        if (sampleCacheOrder.size() > kFieldSampleCacheCap) {
+            sampleCache.erase(sampleCacheOrder.front());
+            sampleCacheOrder.pop_front();
+        }
+    }
+    sampleCacheMetrics().entries.set(
+        static_cast<double>(sampleCache.size()));
+}
+
 } // namespace
 
 void
@@ -406,6 +469,7 @@ clearFieldSampleCache()
     std::lock_guard<std::mutex> lock(sampleCacheMutex);
     sampleCache.clear();
     sampleCacheOrder.clear();
+    sampleCacheMetrics().entries.set(0.0);
 }
 
 std::size_t
@@ -423,16 +487,10 @@ generateField(std::size_t n, double phi, Rng &rng, FieldMethod method)
 
     const FieldSampleKey key{rng.captureState(), n, phi,
                              static_cast<int>(method)};
-    {
-        std::lock_guard<std::mutex> lock(sampleCacheMutex);
-        const auto it = sampleCache.find(key);
-        if (it != sampleCache.end()) {
-            rng.restoreState(it->second.rngAfter);
-            return it->second.field;
-        }
-    }
-
     FieldSample field;
+    if (replayCachedSample(key, rng, field, nullptr))
+        return field;
+
     switch (method) {
       case FieldMethod::Cholesky:
         field = generateCholesky(n, phi, rng);
@@ -443,18 +501,8 @@ generateField(std::size_t n, double phi, Rng &rng, FieldMethod method)
         break;
     }
 
-    std::lock_guard<std::mutex> lock(sampleCacheMutex);
-    // Two threads may have raced on the same die; insert-once keeps
-    // the FIFO order list consistent with the map.
-    if (sampleCache.emplace(key, FieldSampleEntry{field, FieldSample{},
-                                                  rng.captureState()})
-            .second) {
-        sampleCacheOrder.push_back(key);
-        if (sampleCacheOrder.size() > kFieldSampleCacheCap) {
-            sampleCache.erase(sampleCacheOrder.front());
-            sampleCacheOrder.pop_front();
-        }
-    }
+    storeSample(key, FieldSampleEntry{field, FieldSample{},
+                                      rng.captureState()});
     return field;
 }
 
@@ -467,16 +515,8 @@ generateFieldPair(std::size_t n, double phi, Rng &rng, FieldMethod method,
 
     const FieldSampleKey key{rng.captureState(), n, phi,
                              static_cast<int>(method) | kPairMethodBit};
-    {
-        std::lock_guard<std::mutex> lock(sampleCacheMutex);
-        const auto it = sampleCache.find(key);
-        if (it != sampleCache.end()) {
-            rng.restoreState(it->second.rngAfter);
-            fieldA = it->second.field;
-            fieldB = it->second.fieldB;
-            return;
-        }
-    }
+    if (replayCachedSample(key, rng, fieldA, &fieldB))
+        return;
 
     switch (method) {
       case FieldMethod::Cholesky:
@@ -492,16 +532,7 @@ generateFieldPair(std::size_t n, double phi, Rng &rng, FieldMethod method,
         break;
     }
 
-    std::lock_guard<std::mutex> lock(sampleCacheMutex);
-    if (sampleCache.emplace(key, FieldSampleEntry{fieldA, fieldB,
-                                                  rng.captureState()})
-            .second) {
-        sampleCacheOrder.push_back(key);
-        if (sampleCacheOrder.size() > kFieldSampleCacheCap) {
-            sampleCache.erase(sampleCacheOrder.front());
-            sampleCacheOrder.pop_front();
-        }
-    }
+    storeSample(key, FieldSampleEntry{fieldA, fieldB, rng.captureState()});
 }
 
 } // namespace varsched

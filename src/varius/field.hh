@@ -131,7 +131,10 @@ std::size_t fieldSpectrumCacheSize();
  * from the cache bit-identically, including the post-generation RNG
  * state, instead of redoing the FFT synthesis. Bounded FIFO (a few
  * dozen fields) so paper-scale batches of distinct dies stream
- * through without accumulating memory. Thread-safe.
+ * through without accumulating memory. Thread-safe. Every lookup
+ * counts into the global metrics registry as
+ * `varius.field_cache.hits` or `varius.field_cache.misses`, and the
+ * `varius.field_cache.entries` gauge tracks the cache's size.
  */
 void clearFieldSampleCache();
 /** Number of field samples currently cached. */

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "solver/rng.hh"
 #include "solver/stats.hh"
@@ -174,6 +175,15 @@ struct CorrCase
     FieldMethod method;
     std::size_t lag;
 };
+
+/** gtest prints the parameter into the test's ctest name; without
+ *  this it would print the raw bytes, padding included. */
+void
+PrintTo(const CorrCase &c, std::ostream *os)
+{
+    *os << (c.method == FieldMethod::Cholesky ? "Cholesky" : "CirculantFFT")
+        << "_lag" << c.lag;
+}
 
 class FieldCorrelationTest : public ::testing::TestWithParam<CorrCase>
 {};

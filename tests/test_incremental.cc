@@ -27,6 +27,7 @@
 #include "core/system.hh"
 #include "solver/annealing.hh"
 #include "power/leakage.hh"
+#include "runtime/metrics.hh"
 #include "solver/rng.hh"
 #include "solver/simplex.hh"
 #include "varius/field.hh"
@@ -549,16 +550,30 @@ TEST(FieldSampleCache, ReplaysGenerationBitIdentically)
 {
     clearFieldSampleCache();
     ASSERT_EQ(fieldSampleCacheSize(), 0u);
+    metrics::Registry &reg = metrics::Registry::global();
+    const metrics::Counter &hits = reg.counter("varius.field_cache.hits");
+    const metrics::Counter &misses =
+        reg.counter("varius.field_cache.misses");
+    const metrics::Gauge &entries =
+        reg.gauge("varius.field_cache.entries");
+    const std::uint64_t hits0 = hits.value();
+    const std::uint64_t misses0 = misses.value();
+    EXPECT_EQ(entries.value(), 0.0);
 
     Rng a(0xF1E1D);
     const FieldSample first = generateField(96, 0.5, a);
     const double afterDrawA = a.uniform();
     EXPECT_EQ(fieldSampleCacheSize(), 1u);
+    EXPECT_EQ(hits.value() - hits0, 0u);
+    EXPECT_EQ(misses.value() - misses0, 1u);
+    EXPECT_EQ(entries.value(), 1.0);
 
     Rng b(0xF1E1D); // identical pre-generation state => cache hit
     const FieldSample second = generateField(96, 0.5, b);
     const double afterDrawB = b.uniform();
     EXPECT_EQ(fieldSampleCacheSize(), 1u);
+    EXPECT_EQ(hits.value() - hits0, 1u);
+    EXPECT_EQ(misses.value() - misses0, 1u);
 
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t r = 0; r < first.size(); ++r)
@@ -571,9 +586,13 @@ TEST(FieldSampleCache, ReplaysGenerationBitIdentically)
     const FieldSample third = generateField(96, 0.5, c);
     EXPECT_EQ(fieldSampleCacheSize(), 2u);
     EXPECT_NE(third.at(0, 0), first.at(0, 0));
+    EXPECT_EQ(hits.value() - hits0, 1u);
+    EXPECT_EQ(misses.value() - misses0, 2u);
+    EXPECT_EQ(entries.value(), 2.0);
 
     clearFieldSampleCache();
     EXPECT_EQ(fieldSampleCacheSize(), 0u);
+    EXPECT_EQ(entries.value(), 0.0);
 }
 
 // corePowerSampled on sampleCoreVth output is the exact fold

@@ -13,6 +13,7 @@
 #include <list>
 #include <map>
 #include <numbers>
+#include <ostream>
 
 #include "chip/sensors.hh"
 #include "cmpsim/cache.hh"
@@ -200,6 +201,14 @@ struct PmCase
     int seed;
     double ptarget20;
 };
+
+/** gtest prints the parameter into the test's ctest name; without
+ *  this it would print the raw bytes, padding included. */
+void
+PrintTo(const PmCase &c, std::ostream *os)
+{
+    *os << "seed" << c.seed << "_" << c.ptarget20 << "W";
+}
 
 class PmFeasibilityTest : public ::testing::TestWithParam<PmCase>
 {};

@@ -11,7 +11,9 @@
 
 #include "runtime/simd.hh"
 
+#include "chip/die.hh"
 #include "power/leakage.hh"
+#include "runtime/arena.hh"
 #include "solver/fft.hh"
 #include "solver/rng.hh"
 #include "timing/alphapower.hh"
@@ -21,8 +23,11 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <numbers>
+#include <thread>
 #include <vector>
 
 namespace varsched
@@ -80,9 +85,28 @@ TEST(SimdDispatch, ForcedScalarToggleControlsEnabled)
         EXPECT_STREQ(simd::activeIsa(), "scalar");
     }
     // With it off, enabled() may be true or false depending on the
-    // build (and VARSCHED_SIMD env) — but must be self-consistent.
+    // host CPU (and VARSCHED_SIMD env) — but must be self-consistent.
     const bool on = simd::enabled();
     EXPECT_EQ(on, std::string(simd::activeIsa()) != "scalar");
+}
+
+TEST(SimdDispatch, VectorPathOnCapableHost)
+{
+    // The AVX2/FMA bodies are selected at run time, so a default build
+    // must use them on any CPU that has both features.
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+        GTEST_SKIP() << "CPU lacks AVX2 or FMA";
+    const char *env = std::getenv("VARSCHED_SIMD");
+    if (env != nullptr &&
+        (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "off") == 0))
+        GTEST_SKIP() << "VARSCHED_SIMD forces the scalar fallback";
+    EXPECT_TRUE(simd::enabled());
+    EXPECT_STREQ(simd::activeIsa(), "avx2");
+#else
+    GTEST_SKIP() << "run-time AVX2 dispatch is x86-64 only";
+#endif
 }
 
 TEST(SimdExpSweep, MatchesStdExpOverRandomAndTailLengths)
@@ -391,39 +415,82 @@ TEST(SimdField, PairGenerationMatchesForcedScalarAndRngState)
 {
     // The vectorised Box-Muller fill must leave the RNG in exactly
     // the state the scalar fill leaves it in (same uniform stream),
-    // and the synthesised fields must agree within the contract.
-    const std::size_t n = 16;
-    const double phi = 0.4;
-
-    clearFieldSampleCache();
-    Rng rngA(0xF1E1D);
-    FieldSample a1, a2;
-    generateFieldPair(n, phi, rngA, FieldMethod::CirculantFFT, a1, a2);
-    const auto stateA = rngA.captureState();
-
-    clearFieldSampleCache();
-    Rng rngB(0xF1E1D);
-    FieldSample b1, b2;
+    // and the synthesised fields must agree within the contract. The
+    // grids cover the staging blocks: m² of 256 (under one block),
+    // 4096 (four) and 65536 (sixty-four).
+    struct Grid
     {
-        const ScalarGuard guard(true);
-        generateFieldPair(n, phi, rngB, FieldMethod::CirculantFFT, b1,
-                          b2);
-    }
-    // Live state must match: same xoshiro words (identical uniform
-    // consumption) and no pending spare on either side. Word 4 is the
-    // *dead* Box-Muller spare — the scalar path parks its last sin
-    // half there, the vector fill never touches it — so it is
-    // excluded: with haveSpare false it can never influence a draw.
-    const auto stateB = rngB.captureState();
-    for (const std::size_t w : {0u, 1u, 2u, 3u, 5u})
-        EXPECT_EQ(stateA[w], stateB[w]) << "state word " << w;
+        std::size_t n;
+        double phi;
+    };
+    for (const Grid grid : {Grid{4, 0.4}, Grid{16, 0.4}, Grid{64, 0.5}}) {
+        const std::size_t n = grid.n;
+        clearFieldSampleCache();
+        Rng rngA(0xF1E1D);
+        FieldSample a1, a2;
+        generateFieldPair(n, grid.phi, rngA, FieldMethod::CirculantFFT,
+                          a1, a2);
+        const auto stateA = rngA.captureState();
 
-    for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-            EXPECT_TRUE(agreesWithin(a1.at(r, c), b1.at(r, c), 1e-10));
-            EXPECT_TRUE(agreesWithin(a2.at(r, c), b2.at(r, c), 1e-10));
+        clearFieldSampleCache();
+        Rng rngB(0xF1E1D);
+        FieldSample b1, b2;
+        {
+            const ScalarGuard guard(true);
+            generateFieldPair(n, grid.phi, rngB,
+                              FieldMethod::CirculantFFT, b1, b2);
+        }
+        // Live state must match: same xoshiro words (identical
+        // uniform consumption) and no pending spare on either side.
+        // Word 4 is the *dead* Box-Muller spare — the scalar path
+        // parks its last sin half there, the vector fill never
+        // touches it — so it is excluded: with haveSpare false it can
+        // never influence a draw.
+        const auto stateB = rngB.captureState();
+        for (const std::size_t w : {0u, 1u, 2u, 3u, 5u})
+            EXPECT_EQ(stateA[w], stateB[w])
+                << "n=" << n << " state word " << w;
+
+        for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t c = 0; c < n; ++c) {
+                EXPECT_TRUE(
+                    agreesWithin(a1.at(r, c), b1.at(r, c), 1e-10))
+                    << "n=" << n;
+                EXPECT_TRUE(
+                    agreesWithin(a2.at(r, c), b2.at(r, c), 1e-10))
+                    << "n=" << n;
+            }
         }
     }
+    clearFieldSampleCache();
+}
+
+/** Scratch-arena capacity left behind by manufacturing one die on a
+ *  fresh thread (so a fresh thread-local arena) under @p forceScalar. */
+std::size_t
+arenaBytesAfterDie(bool forceScalar, std::uint64_t seed)
+{
+    clearFieldSampleCache(); // a cache hit would skip the synthesis
+    const ScalarGuard guard(forceScalar);
+    std::size_t bytes = 0;
+    std::thread worker([&]() {
+        const Die die(DieParams{}, seed);
+        bytes = dieScratchArena().capacityBytes();
+    });
+    worker.join();
+    return bytes;
+}
+
+TEST(SimdField, VectorDieHoldsNoMoreScratchThanScalar)
+{
+    // The vector Box-Muller path stages through fixed stack blocks,
+    // so the per-worker arena keeps only the noise plane — exactly
+    // what the scalar path keeps.
+    const std::size_t scalarBytes = arenaBytesAfterDie(true, 0xA7E4A);
+    const std::size_t dispatchedBytes =
+        arenaBytesAfterDie(false, 0xA7E4A);
+    EXPECT_GT(scalarBytes, 0u);
+    EXPECT_EQ(dispatchedBytes, scalarBytes);
     clearFieldSampleCache();
 }
 

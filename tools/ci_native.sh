@@ -1,24 +1,23 @@
 #!/bin/sh
-# CI-style smoke of the VARSCHED_NATIVE configuration: configure a
-# separate host-tuned build, build it, run the fast test tiers (unit
-# tests + bench smokes, including the simd_forced_scalar fallback
-# configuration and the sampling_guard sampled-vs-exact tier), then
-# run the perf-gated benches at full paper scale — the four
-# manufacture-bound ones plus the phase-sampled system benches
-# (fig13/fig14/longhorizon) — and gate them against the committed
-# BENCH_PR9.json baseline — a hard (non-informational) regression
-# gate, so a perf regression on the SIMD/runtime/sampling path fails
-# this script. A trailing observability tier then enforces the tracer
-# contract: disabled trace sites cost <1% on fig13, and a traced run
-# emits the expected span families. Keeps the default build directory
-# untouched. Usage:
-#   tools/ci_native.sh [build-dir]        # default: build-native
+# CI-style full pass in its own build directory: configure and build a
+# separate tree, run the fast test tiers (unit tests + bench smokes,
+# including the simd_forced_scalar fallback rerun and the
+# sampling_guard sampled-vs-exact tier), then run the perf-gated
+# benches at full paper scale — the four manufacture-bound ones plus
+# the phase-sampled system benches (fig13/fig14/longhorizon) — and
+# gate them against the committed BENCH_PR9.json baseline — a hard
+# (non-informational) regression gate, so a perf regression on the
+# SIMD/runtime/sampling path fails this script. A trailing
+# observability tier then enforces the tracer contract: disabled trace
+# sites cost <1% on fig13, and a traced run emits the expected span
+# families. Keeps the default build directory untouched. Usage:
+#   tools/ci_native.sh [build-dir]        # default: build-ci
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-build=${1:-"$repo/build-native"}
+build=${1:-"$repo/build-ci"}
 
-cmake -B "$build" -S "$repo" -DVARSCHED_NATIVE=ON
+cmake -B "$build" -S "$repo"
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j
 
