@@ -278,6 +278,7 @@ class PhaseSampler
     bool
     beginEpochEvaluate()
     {
+        verifying_ = false;
         if (config_.exactReference || config_.errorBudget <= 0.0 ||
             state_ != State::Steady ||
             warmup_ < config_.warmupEpochs) {
@@ -288,7 +289,9 @@ class PhaseSampler
             ++stats_.evaluatedEpochs;
             return true;
         }
-        if (++sinceEval_ >= period_) {
+        if (verifyNext_ || ++sinceEval_ >= period_) {
+            verifying_ = verifyNext_;
+            verifyNext_ = false;
             sinceEval_ = 0;
             epochExtrapolate_ = false;
             extrapolating_ = false;
@@ -323,6 +326,7 @@ class PhaseSampler
         period_ = std::max(1, config_.samplePeriodEpochs);
         sinceEval_ = 0;
         warmup_ = 0;
+        verifyNext_ = false;
     }
 
     /**
@@ -341,10 +345,10 @@ class PhaseSampler
      * drift stays under half the budget, x2 while it stays within the
      * budget — and halves when it crosses the budget, so
      * noisy-but-stationary phases keep sampling, just shallower. Only
-     * drift past
-     * kPhaseHardBudgetFactor x budget drops the basis outright (back
-     * to Unstable, warmup re-runs): extrapolation that wrong means
-     * the phase must re-earn steadiness, not keep sampling.
+     * drift past kPhaseHardBudgetFactor x budget drops the basis
+     * outright (back to Unstable, warmup re-runs): extrapolation that
+     * wrong means the phase must re-earn steadiness. A verification
+     * epoch (verifyNextEpoch) adapts nothing.
      */
     void
     checkpoint(double estErr, double ctlErr, bool boundary)
@@ -352,7 +356,7 @@ class PhaseSampler
         stats_.estErrSum +=
             estErr * static_cast<double>(ticksSinceCheckpoint_);
         ticksSinceCheckpoint_ = 0;
-        if (state_ != State::Steady || !boundary)
+        if (state_ != State::Steady || !boundary || verifying_)
             return;
         if (ctlErr > kPhaseHardBudgetFactor * config_.errorBudget) {
             invalidate(PhaseInvalidation::BudgetExceeded);
@@ -409,6 +413,10 @@ class PhaseSampler
             extrapolating_ = true;
     }
 
+    /** Evaluate the next epoch whatever the period, to check a basis
+     *  just reseeded from one decision. */
+    void verifyNextEpoch() { verifyNext_ = true; }
+
     /** Count one tick extrapolated from the frozen basis. */
     void
     noteExtrapolatedTick()
@@ -433,6 +441,8 @@ class PhaseSampler
     double churnTol_;
     int period_;
     int sinceEval_ = 0;
+    bool verifyNext_ = false;
+    bool verifying_ = false;
     int matchTicks_ = 0;
     int warmup_ = 0;
     State state_ = State::Unstable;

@@ -168,25 +168,18 @@ generateCholesky(std::size_t n, double phi, Rng &rng)
 
 /**
  * The die-independent half of circulant-embedding generation: the
- * embedding size, the square-root eigenvalue amplitudes (already
- * scaled for the unnormalised inverse FFT), and the unit-variance
- * rescale. Every die of a batch shares it, so it is cached keyed by
- * (n, phi) like the Cholesky factors — this removes the covariance
- * fill and the *forward* FFT from the per-die cost entirely.
+ * square-root eigenvalue amplitudes, already scaled for the
+ * unnormalised inverse FFT. Every die of a batch shares them, so they
+ * are cached keyed by (n, phi) like the Cholesky factors — this
+ * removes the covariance fill and the *forward* FFT from the per-die
+ * cost entirely.
  */
-struct CirculantSpectrum
-{
-    std::size_t m;           ///< Embedding torus side (power of two).
-    std::vector<double> amp; ///< Per-mode noise amplitude, m*m.
-    double rescale;          ///< Restores unit point variance.
-};
-
 std::mutex spectrumCacheMutex;
 std::map<std::pair<std::size_t, double>,
-         std::shared_ptr<const CirculantSpectrum>> spectrumCache;
+         std::shared_ptr<const std::vector<double>>> spectrumCache;
 
-std::shared_ptr<const CirculantSpectrum>
-circulantSpectrum(std::size_t n, double phi)
+std::shared_ptr<const std::vector<double>>
+circulantAmplitudes(std::size_t n, double phi)
 {
     const std::pair<std::size_t, double> key{n, phi};
     {
@@ -196,47 +189,17 @@ circulantSpectrum(std::size_t n, double phi)
             return it->second;
     }
 
-    const double step = n > 1 ? 1.0 / static_cast<double>(n - 1) : 1.0;
-    // The torus must be wide enough that the min-image distance across
-    // the wrap exceeds the correlation range phi for all cropped pairs.
-    const std::size_t m =
-        nextPowerOfTwo(2 * n + static_cast<std::size_t>(
-                                   std::ceil(phi / step)) + 2);
-
-    std::vector<std::complex<double>> spec(m * m);
-    for (std::size_t r = 0; r < m; ++r) {
-        const double drGrid = static_cast<double>(std::min(r, m - r));
-        for (std::size_t c = 0; c < m; ++c) {
-            const double dcGrid = static_cast<double>(std::min(c, m - c));
-            const double dist = std::hypot(drGrid, dcGrid) * step;
-            spec[r * m + c] = sphericalRho(dist, phi);
-        }
+    auto amp = std::make_shared<std::vector<double>>(
+        circulantEigenvalues(n, phi));
+    const double invTot = 1.0 / static_cast<double>(amp->size());
+    for (double &a : *amp) {
+        assert(a >= 0.0);
+        a = std::sqrt(a * invTot);
     }
-
-    fft2d(spec, m, m, false);
-
-    // Slightly negative eigenvalues from an imperfect embedding are
-    // clamped; clamping inflates the total variance a little, so the
-    // deterministic rescale below restores unit point variance — this
-    // preserves the natural die-to-die fluctuation of the sample
-    // variance, unlike normalising by each sample's own stddev.
-    auto entry = std::make_shared<CirculantSpectrum>();
-    entry->m = m;
-    entry->amp.resize(m * m);
-    const double invTot = 1.0 / static_cast<double>(m * m);
-    double sumLambda = 0.0;
-    for (std::size_t i = 0; i < m * m; ++i) {
-        const double lambda = std::max(0.0, spec[i].real());
-        sumLambda += lambda;
-        entry->amp[i] = std::sqrt(lambda * invTot);
-    }
-    const double pointVar = sumLambda * invTot;
-    entry->rescale =
-        pointVar > 1e-12 ? 1.0 / std::sqrt(pointVar) : 1.0;
 
     std::lock_guard<std::mutex> lock(spectrumCacheMutex);
     // Keep the first insertion if two threads raced on the same key.
-    return spectrumCache.emplace(key, std::move(entry)).first->second;
+    return spectrumCache.emplace(key, std::move(amp)).first->second;
 }
 
 /**
@@ -252,16 +215,15 @@ FieldSample
 generateCirculant(std::size_t n, double phi, Rng &rng,
                   FieldSample *second = nullptr)
 {
-    const std::shared_ptr<const CirculantSpectrum> sp =
-        circulantSpectrum(n, phi);
-    const std::size_t m = sp->m;
+    const std::shared_ptr<const std::vector<double>> amps =
+        circulantAmplitudes(n, phi);
+    const std::size_t m = circulantEmbeddingSize(n, phi);
     const std::size_t total = m * m;
-    const double rescale = sp->rescale;
-    const double *amp = sp->amp.data();
+    const double *amp = amps->data();
 
-    // The noise plane is per-die scratch — several MB that the arena
-    // hands back without malloc or the zero-fill a std::vector resize
-    // would pay.
+    // The noise plane is per-die scratch — 1 MiB at the default size
+    // — that the arena hands back without malloc or the zero-fill a
+    // std::vector resize would pay.
     BumpArena &arena = dieScratchArena();
     const BumpArena::Scope scope(arena);
     std::complex<double> *spec = arena.alloc<std::complex<double>>(total);
@@ -314,19 +276,16 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
     // for the kept corner).
     fft2dCorner(spec, m, m, false, n, n);
 
-    std::vector<double> values(n * n);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            values[r * n + c] = spec[r * m + c].real() * rescale;
-
-    if (second != nullptr) {
-        std::vector<double> valuesB(n * n);
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c)
-                valuesB[r * n + c] = spec[r * m + c].imag() * rescale;
-        *second = FieldSample(n, std::move(valuesB));
+    std::vector<double> values(n * n), valuesB(second ? n * n : 0);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+            values[r * n + c] = spec[r * m + c].real();
+            if (second != nullptr)
+                valuesB[r * n + c] = spec[r * m + c].imag();
+        }
     }
-
+    if (second != nullptr)
+        *second = FieldSample(n, std::move(valuesB));
     return FieldSample(n, std::move(values));
 }
 
@@ -433,7 +392,71 @@ storeSample(const FieldSampleKey &key, FieldSampleEntry entry)
         static_cast<double>(sampleCache.size()));
 }
 
+/**
+ * One generation through the sample cache: replay a hit, else draw
+ * @p fieldA (and @p fieldB for a pair) and store the result.
+ */
+void
+generateCached(std::size_t n, double phi, Rng &rng, FieldMethod method,
+               FieldSample &fieldA, FieldSample *fieldB)
+{
+    assert(n >= 2);
+    assert(phi > 0.0);
+
+    const int pairBit = fieldB != nullptr ? kPairMethodBit : 0;
+    const FieldSampleKey key{rng.captureState(), n, phi,
+                             static_cast<int>(method) | pairBit};
+    if (replayCachedSample(key, rng, fieldA, fieldB))
+        return;
+
+    if (method == FieldMethod::Cholesky) {
+        // Exact path: a pair is two sequential draws, the same stream
+        // as two generateField() calls.
+        fieldA = generateCholesky(n, phi, rng);
+        if (fieldB != nullptr)
+            *fieldB = generateCholesky(n, phi, rng);
+    } else {
+        // One synthesis; a pair takes its Re and Im planes.
+        fieldA = generateCirculant(n, phi, rng, fieldB);
+    }
+
+    storeSample(key, FieldSampleEntry{fieldA,
+                                      fieldB ? *fieldB : FieldSample{},
+                                      rng.captureState()});
+}
+
 } // namespace
+
+std::size_t
+circulantEmbeddingSize(std::size_t n, double phi)
+{
+    assert(n >= 2);
+    const double step = 1.0 / static_cast<double>(n - 1);
+    const auto range = static_cast<std::size_t>(std::ceil(phi / step));
+    return nextPowerOfTwo(std::max(2 * (n - 1), 2 * range));
+}
+
+std::vector<double>
+circulantEigenvalues(std::size_t n, double phi)
+{
+    const std::size_t m = circulantEmbeddingSize(n, phi);
+    const double step = 1.0 / static_cast<double>(n - 1);
+    std::vector<std::complex<double>> spec(m * m);
+    for (std::size_t r = 0; r < m; ++r) {
+        const double drGrid = static_cast<double>(std::min(r, m - r));
+        for (std::size_t c = 0; c < m; ++c) {
+            const double dcGrid = static_cast<double>(std::min(c, m - c));
+            const double dist = std::hypot(drGrid, dcGrid) * step;
+            spec[r * m + c] = sphericalRho(dist, phi);
+        }
+    }
+    fft2d(spec, m, m, false);
+
+    std::vector<double> lambda(m * m);
+    for (std::size_t i = 0; i < m * m; ++i)
+        lambda[i] = spec[i].real();
+    return lambda;
+}
 
 void
 clearFieldFactorCache()
@@ -482,27 +505,8 @@ fieldSampleCacheSize()
 FieldSample
 generateField(std::size_t n, double phi, Rng &rng, FieldMethod method)
 {
-    assert(n >= 2);
-    assert(phi > 0.0);
-
-    const FieldSampleKey key{rng.captureState(), n, phi,
-                             static_cast<int>(method)};
     FieldSample field;
-    if (replayCachedSample(key, rng, field, nullptr))
-        return field;
-
-    switch (method) {
-      case FieldMethod::Cholesky:
-        field = generateCholesky(n, phi, rng);
-        break;
-      case FieldMethod::CirculantFFT:
-      default:
-        field = generateCirculant(n, phi, rng);
-        break;
-    }
-
-    storeSample(key, FieldSampleEntry{field, FieldSample{},
-                                      rng.captureState()});
+    generateCached(n, phi, rng, method, field, nullptr);
     return field;
 }
 
@@ -510,29 +514,7 @@ void
 generateFieldPair(std::size_t n, double phi, Rng &rng, FieldMethod method,
                   FieldSample &fieldA, FieldSample &fieldB)
 {
-    assert(n >= 2);
-    assert(phi > 0.0);
-
-    const FieldSampleKey key{rng.captureState(), n, phi,
-                             static_cast<int>(method) | kPairMethodBit};
-    if (replayCachedSample(key, rng, fieldA, &fieldB))
-        return;
-
-    switch (method) {
-      case FieldMethod::Cholesky:
-        // Exact path: two sequential draws, identical stream to two
-        // generateField() calls.
-        fieldA = generateCholesky(n, phi, rng);
-        fieldB = generateCholesky(n, phi, rng);
-        break;
-      case FieldMethod::CirculantFFT:
-      default:
-        // One synthesis, two independent realisations (Re and Im).
-        fieldA = generateCirculant(n, phi, rng, &fieldB);
-        break;
-    }
-
-    storeSample(key, FieldSampleEntry{fieldA, fieldB, rng.captureState()});
+    generateCached(n, phi, rng, method, fieldA, &fieldB);
 }
 
 } // namespace varsched

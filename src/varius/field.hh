@@ -79,8 +79,7 @@ enum class FieldMethod { Cholesky, CirculantFFT };
  * @param rng Seeded generator; each die forks its own stream.
  * @param method Back-end; Cholesky is O(n^6) in memory/time and only
  *        sensible for n <= ~48.
- * @return Unit-variance sample (variance is exact for Cholesky and
- *         renormalised for the clamped circulant spectrum).
+ * @return Unit-variance sample (exact for both back-ends).
  */
 FieldSample generateField(std::size_t n, double phi, Rng &rng,
                           FieldMethod method = FieldMethod::CirculantFFT);
@@ -101,6 +100,17 @@ void generateFieldPair(std::size_t n, double phi, Rng &rng,
                        FieldSample &fieldB);
 
 /**
+ * Circulant torus side for an n x n grid: the smallest power of two m
+ * with m >= 2(n-1) (every cropped lag is its own minimum image) and
+ * m >= 2*ceil(phi/step) (the compact correlogram misses its periodic
+ * images, so every eigenvalue is >= 0: Dietrich & Newsam).
+ */
+std::size_t circulantEmbeddingSize(std::size_t n, double phi);
+
+/** The m*m embedding eigenvalues; their mean is the point variance. */
+std::vector<double> circulantEigenvalues(std::size_t n, double phi);
+
+/**
  * The Cholesky back-end caches grid-covariance factors keyed by
  * (n, phi): the covariance is die-independent, so a 200-die batch
  * factors once. The cache is thread-safe and only ever holds a few
@@ -113,8 +123,8 @@ std::size_t fieldFactorCacheSize();
 
 /**
  * The circulant back-end likewise caches the die-independent part of
- * the synthesis — embedding size, square-root eigenvalue amplitudes,
- * and the unit-variance rescale — keyed by (n, phi), so the per-die
+ * the synthesis — embedding size and square-root eigenvalue
+ * amplitudes — keyed by (n, phi), so the per-die
  * cost is one noise colouring plus one inverse FFT (the covariance
  * fill and the forward FFT run once per batch).
  */

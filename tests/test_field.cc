@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <vector>
 
 #include "solver/rng.hh"
 #include "solver/stats.hh"
@@ -174,6 +176,9 @@ struct CorrCase
 {
     FieldMethod method;
     std::size_t lag;
+    std::size_t n = 24;
+    double phi = 0.5;
+    int dies = 60;
 };
 
 /** gtest prints the parameter into the test's ctest name; without
@@ -191,13 +196,11 @@ class FieldCorrelationTest : public ::testing::TestWithParam<CorrCase>
 TEST_P(FieldCorrelationTest, MatchesSphericalCorrelogram)
 {
     const auto param = GetParam();
-    const std::size_t n = 24;
-    const double phi = 0.5;
-    const double step = 1.0 / static_cast<double>(n - 1);
+    const double step = 1.0 / static_cast<double>(param.n - 1);
     const double expected =
-        sphericalRho(static_cast<double>(param.lag) * step, phi);
+        sphericalRho(static_cast<double>(param.lag) * step, param.phi);
     const double measured = empiricalCorrelation(
-        param.method, n, phi, param.lag, 60, 4242);
+        param.method, param.n, param.phi, param.lag, param.dies, 4242);
     EXPECT_NEAR(measured, expected, 0.12);
 }
 
@@ -210,6 +213,46 @@ INSTANTIATE_TEST_SUITE_P(
                       CorrCase{FieldMethod::CirculantFFT, 4},
                       CorrCase{FieldMethod::CirculantFFT, 10},
                       CorrCase{FieldMethod::CirculantFFT, 20}));
+
+// n = 32 at phi = 1.0 embeds on a 64-point torus, 2(n-1) = 62 rounded
+// up to a power of two. Lag 31 is the wrap edge: on a 32-point torus it
+// would alias onto lag 1. A die-wide range leaves few independent
+// samples per die, hence the larger lot.
+INSTANTIATE_TEST_SUITE_P(
+    MinimalEmbedding, FieldCorrelationTest,
+    ::testing::Values(CorrCase{FieldMethod::CirculantFFT, 1, 32, 1.0, 400},
+                      CorrCase{FieldMethod::CirculantFFT, 10, 32, 1.0, 400},
+                      CorrCase{FieldMethod::CirculantFFT, 31, 32, 1.0,
+                               400}));
+
+TEST(Field, CirculantEmbeddingIsMinimalAndExact)
+{
+    for (std::size_t n : {16, 24, 32, 48, 64, 128, 256}) {
+        for (double phi : {0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " phi=" << phi);
+            const double step = 1.0 / static_cast<double>(n - 1);
+            const auto need = std::max<std::size_t>(
+                2 * (n - 1),
+                2 * static_cast<std::size_t>(std::ceil(phi / step)));
+            const std::size_t m = circulantEmbeddingSize(n, phi);
+            EXPECT_EQ(m & (m - 1), 0u) << "m=" << m;
+            EXPECT_GE(m, need);
+            EXPECT_LT(m / 2, need);
+
+            const std::vector<double> lambda =
+                circulantEigenvalues(n, phi);
+            ASSERT_EQ(lambda.size(), m * m);
+            double sum = 0.0, lowest = lambda[0];
+            for (double l : lambda) {
+                sum += l;
+                lowest = std::min(lowest, l);
+            }
+            EXPECT_GE(lowest, 0.0);
+            EXPECT_NEAR(sum / static_cast<double>(m * m), 1.0, 1e-12);
+        }
+    }
+}
 
 TEST(Field, DeterministicGivenSeed)
 {
