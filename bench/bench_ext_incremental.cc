@@ -3,9 +3,9 @@
  * Incremental-evaluation guard bench (extension, PR 3): runs one
  * Fig 13-style system batch twice — warmStartThermal on and off —
  * and fails when any paper-facing metric diverges beyond tolerance.
- * The warm-started leakage-temperature fixed point converges to the
- * same solution as the cold start within its 0.05 C tolerance, so the
- * run-averaged metrics must agree to well under 0.5%; a larger gap
+ * The warm- and cold-seeded leakage-temperature settles stop within
+ * the same 0.01 C residual of one fixed point, so the run-averaged
+ * metrics must agree to well under 0.5%; a larger gap
  * means the warm start changed the physics, not just the iteration
  * count. Run under VARSCHED_BENCH_COMPARE=1 (as the smoke CTest
  * does), each batch additionally verifies that the parallel runner is
@@ -65,7 +65,7 @@ main()
     const auto warmRes = perf.run(batch, threads, configs);
     const auto coldRes = perf.run(batch, threads, cold);
 
-    // The fixed point tolerance is 0.05 C on ~70 C temperatures;
+    // The settle's residual is 0.01 C on ~70 C temperatures;
     // after averaging over hundreds of ticks the metric-level impact
     // is far below the paper-fidelity bar of 0.5%.
     const double tol = 5e-3;

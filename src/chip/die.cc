@@ -95,15 +95,15 @@ Die::Die(const DieParams &params, std::uint64_t dieSeed)
     staticTable_.assign(numCores(),
                         std::vector<double>(numLevels(), 0.0));
     for (std::size_t c = 0; c < numCores(); ++c) {
+        const CoreLeakageKernel kernel =
+            leakageKernel(c, params_.leakage.refTempC);
         for (std::size_t l = 0; l < numLevels(); ++l) {
             const double v = voltage(l);
             const double raw =
                 timing_[c].fmax(v, params_.critPath.binTempC);
             freqTable_[c][l] =
                 std::floor(raw / params_.freqStepHz) * params_.freqStepHz;
-            staticTable_[c][l] = leakModel_.corePowerSampled(
-                vthSamples_[c], map_.vthSigmaRandom(), v,
-                params_.leakage.refTempC, vthBias_[c]);
+            staticTable_[c][l] = leakModel_.corePowerAt(kernel, v);
         }
     }
 }
@@ -115,20 +115,6 @@ Die::uniformFreq() const
     for (std::size_t c = 1; c < numCores(); ++c)
         f = std::min(f, freqTable_[c][maxLevel()]);
     return f;
-}
-
-double
-Die::leakagePower(std::size_t core, double v, double tempC) const
-{
-    return leakModel_.corePowerSampled(vthSamples_[core],
-                                       map_.vthSigmaRandom(), v, tempC,
-                                       vthBias_[core]);
-}
-
-double
-Die::l2LeakagePower(std::size_t idx, double v, double tempC) const
-{
-    return leakModel_.l2BlockPower(map_, plan_, idx, v, tempC);
 }
 
 std::vector<Die>

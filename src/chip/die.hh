@@ -110,18 +110,29 @@ class Die
     { return staticTable_[core][level]; }
 
     /** Live leakage power of a core at arbitrary (V, T). */
-    double leakagePower(std::size_t core, double v, double tempC) const;
+    double leakagePower(std::size_t core, double v, double tempC) const
+    { return leakModel_.corePowerAt(leakageKernel(core, tempC), v); }
+
+    /** Core @p core's leakage kernel at @p tempC (all levels). */
+    CoreLeakageKernel leakageKernel(std::size_t core, double tempC) const
+    {
+        return leakModel_.coreKernel(vthSamples_[core], map_.vthSigmaRandom(),
+                                     tempC, vthBias_[core]);
+    }
 
     /** Body-bias Vth shift applied to core @p core (0 without ABB). */
     double vthBias(std::size_t core) const { return vthBias_[core]; }
 
-    /** Leakage of L2 block @p idx at (V, T). */
-    double l2LeakagePower(std::size_t idx, double v, double tempC) const;
+    /** Leakage of L2 block @p idx at (V, T); optional dP/dT out. */
+    double l2LeakagePower(std::size_t idx, double v, double tempC,
+                          double *dPdT = nullptr) const
+    { return leakModel_.l2BlockPower(map_, plan_, idx, v, tempC, dPdT); }
 
     /** Underlying models and geometry. */
     const Floorplan &floorplan() const { return plan_; }
     const VariationMap &variationMap() const { return map_; }
     const DieParams &params() const { return params_; }
+    const LeakageModel &leakageModel() const { return leakModel_; }
     const DynamicPowerModel &dynamicModel() const { return dynModel_; }
     const ThermalModel &thermalModel() const { return thermalModel_; }
 

@@ -4,10 +4,17 @@
 #include <cassert>
 #include <cmath>
 
+#include "runtime/metrics.hh"
+#include "runtime/simd.hh"
+
 namespace varsched
 {
 
-ChipEvaluator::ChipEvaluator(const Die &die) : die_(&die)
+ChipEvaluator::ChipEvaluator(const Die &die)
+    : die_(&die), response_(die.thermalModel().blockResponse()),
+      t0_(die.thermalModel().zeroPowerTemps()), phi_(t0_.size()),
+      step_(response_.cols()),
+      jacobian_(response_.cols(), response_.cols())
 {
 }
 
@@ -20,39 +27,107 @@ ChipEvaluator::ipcOf(const AppProfile &app, const CoreWork &work,
     return cpi > 0.0 ? 1.0 / cpi : 0.0;
 }
 
-const ActivityVector &
-ChipEvaluator::calibratedActivity(const AppProfile &app) const
+double
+ChipEvaluator::nominalDynamicPower(const AppProfile &app) const
 {
     for (std::size_t i = 0; i < actKeys_.size(); ++i) {
         if (actKeys_[i].first == &app &&
             actKeys_[i].second == app.dynPowerW)
             return actVals_[i];
     }
+    const DynamicPowerModel &model = die_->dynamicModel();
     actKeys_.emplace_back(&app, app.dynPowerW);
-    actVals_.push_back(die_->dynamicModel().calibrateActivity(
-        app.activityShape, app.dynPowerW));
+    actVals_.push_back(model.corePower(
+        model.calibrateActivity(app.activityShape, app.dynPowerW),
+        model.params().nominalVdd, model.params().nominalFreqHz));
     return actVals_.back();
 }
 
 double
-ChipEvaluator::dynamicPower(const CoreWork &work, double v, double f) const
+ChipEvaluator::operatingPoint(ChipCondition &out,
+                              const std::vector<CoreWork> &work,
+                              const std::vector<int> &levels,
+                              double freqCapHz) const
 {
-    assert(work.app != nullptr);
-    return die_->dynamicModel().corePower(calibratedActivity(*work.app),
-                                          v, f) *
-        work.activityScale;
+    const std::size_t n = die_->numCores();
+    assert(work.size() == n && levels.size() == n);
+    out.coreFreqHz.assign(n, 0.0);
+    out.coreIpc.assign(n, 0.0);
+    out.coreMips.assign(n, 0.0);
+    dynW_.assign(n, 0.0);
+    double l2AccessesPerSec = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+        if (work[c].app == nullptr)
+            continue;
+        const auto level = static_cast<std::size_t>(levels[c]);
+        double f = die_->freqAt(c, level);
+        if (freqCapHz > 0.0)
+            f = std::min(f, freqCapHz);
+        out.coreFreqHz[c] = f;
+        out.coreIpc[c] = ipcOf(*work[c].app, work[c], f);
+        out.coreMips[c] = out.coreIpc[c] * f / 1.0e6;
+        dynW_[c] = dynamicPower(work[c], die_->voltage(level), f);
+        l2AccessesPerSec += work[c].app->l2Mpi * work[c].missScale *
+            out.coreIpc[c] * f;
+    }
+    return die_->dynamicModel().l2Power(l2AccessesPerSec);
 }
 
-ChipCondition
-ChipEvaluator::evaluate(const std::vector<CoreWork> &work,
-                        const std::vector<int> &levels,
-                        double freqCapHz,
-                        const ChipCondition *warmStart) const
+void
+ChipEvaluator::blockPowers(const std::vector<CoreWork> &work,
+                           const std::vector<int> &levels,
+                           double l2DynW) const
 {
-    ChipCondition cond;
-    evaluateInto(cond, work, levels, freqCapHz, warmStart);
-    return cond;
+    const std::size_t n = die_->numCores();
+    power_.assign(temps_.size(), 0.0); // idle cores are power-gated
+    slope_.assign(temps_.size(), 0.0);
+    for (std::size_t c = 0; c < n; ++c) {
+        if (work[c].app == nullptr)
+            continue;
+        power_[c] = dynW_[c] +
+            die_->leakageModel().corePowerAt(
+                die_->leakageKernel(c, temps_[c]),
+                die_->voltage(static_cast<std::size_t>(levels[c])),
+                &slope_[c]);
+    }
+    for (std::size_t b = n; b < temps_.size(); ++b) {
+        power_[b] = l2DynW / static_cast<double>(temps_.size() - n) +
+            die_->l2LeakagePower(b - n, 1.0, temps_[b], &slope_[b]);
+    }
 }
+
+namespace
+{
+
+/**
+ * Solve J·x = b in place (@p b becomes x) by Gaussian elimination
+ * without pivoting. J is a Z-matrix (off-diagonals <= 0), which is a
+ * nonsingular M-matrix exactly when every pivot is positive; on a
+ * pivot that is not, this returns false instead of a solution.
+ */
+bool
+solveMMatrix(Matrix &j, std::vector<double> &b)
+{
+    const std::size_t n = b.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        if (!(j(k, k) > 1e-9))
+            return false;
+        for (std::size_t i = k + 1; i < n; ++i) {
+            const double factor = j(i, k) / j(k, k);
+            for (std::size_t c = k + 1; factor != 0.0 && c < n; ++c)
+                j(i, c) -= factor * j(k, c);
+            b[i] -= factor * b[k];
+        }
+    }
+    for (std::size_t k = n; k-- > 0;) {
+        for (std::size_t c = k + 1; c < n; ++c)
+            b[k] -= j(k, c) * b[c];
+        b[k] /= j(k, k);
+    }
+    return true;
+}
+
+} // namespace
 
 void
 ChipEvaluator::evaluateInto(ChipCondition &out,
@@ -62,130 +137,87 @@ ChipEvaluator::evaluateInto(ChipCondition &out,
                             const ChipCondition *warmStart) const
 {
     const std::size_t n = die_->numCores();
-    assert(work.size() == n && levels.size() == n);
+    const std::size_t blocks = response_.cols(); // cores, then L2s
 
-    // Seed the fixed point before touching `out` — warmStart may
-    // alias it. A warm seed starts the iteration from the previous
-    // settled temperatures; the cold seed is the leakage reference.
-    std::vector<double> &coreTemps = coreTempScratch_;
-    std::vector<double> &l2Temps = l2TempScratch_;
-    bool warmSeeded = false;
+    // Seed the block temperatures before touching `out` — warmStart
+    // may alias it — from the previous settled temperatures (warm) or
+    // the leakage reference (cold).
     if (warmStart != nullptr && warmStart->coreTempC.size() == n &&
-        warmStart->l2TempC.size() == 2) {
-        coreTemps.assign(warmStart->coreTempC.begin(),
-                         warmStart->coreTempC.end());
-        l2Temps.assign(warmStart->l2TempC.begin(),
-                       warmStart->l2TempC.end());
-        warmSeeded = true;
+        warmStart->l2TempC.size() == blocks - n) {
+        temps_ = warmStart->coreTempC;
+        temps_.insert(temps_.end(), warmStart->l2TempC.begin(),
+                      warmStart->l2TempC.end());
     } else {
-        coreTemps.assign(n, die_->params().leakage.refTempC);
-        l2Temps.assign(2, die_->params().leakage.refTempC);
+        temps_.assign(blocks, die_->params().leakage.refTempC);
     }
+    const double l2DynW = operatingPoint(out, work, levels, freqCapHz);
 
-    out.corePowerW.assign(n, 0.0);
-    out.coreTempC.assign(n, die_->params().thermal.ambientC);
-    out.coreFreqHz.assign(n, 0.0);
-    out.coreIpc.assign(n, 0.0);
-    out.coreMips.assign(n, 0.0);
-    out.totalPowerW = 0.0;
-    out.totalMips = 0.0;
-
-    // Frequency, IPC, and dynamic power are temperature-independent
-    // in the model (frequency was binned hot); only leakage couples
-    // to temperature, so the fixed point iterates leakage <-> thermal.
-    std::vector<double> &dynW = dynWScratch_;
-    dynW.assign(n, 0.0);
-    double l2AccessesPerSec = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-        if (work[c].app == nullptr)
-            continue;
-        const auto level = static_cast<std::size_t>(levels[c]);
-        const double v = die_->voltage(level);
-        double f = die_->freqAt(c, level);
-        if (freqCapHz > 0.0)
-            f = std::min(f, freqCapHz);
-        out.coreFreqHz[c] = f;
-        out.coreIpc[c] = ipcOf(*work[c].app, work[c], f);
-        out.coreMips[c] = out.coreIpc[c] * f / 1.0e6;
-        dynW[c] = dynamicPower(work[c], v, f);
-        l2AccessesPerSec += work[c].app->l2Mpi * work[c].missScale *
-            out.coreIpc[c] * f;
-    }
-    const double l2DynW =
-        die_->dynamicModel().l2Power(l2AccessesPerSec);
-
-    // Leakage-temperature fixed point (Su et al.).
-    std::vector<double> &corePowers = corePowerScratch_;
-    std::vector<double> &l2Powers = l2PowerScratch_;
-    corePowers.assign(n, 0.0);
-    l2Powers.assign(2, 0.0);
-    double spreaderC = die_->params().thermal.ambientC;
-    double sinkC = die_->params().thermal.ambientC;
-
-    for (int iter = 0; iter < 25; ++iter) {
-        for (std::size_t c = 0; c < n; ++c) {
-            if (work[c].app == nullptr) {
-                corePowers[c] = 0.0; // power-gated when idle
-                continue;
-            }
-            const auto level = static_cast<std::size_t>(levels[c]);
-            corePowers[c] = dynW[c] +
-                die_->leakagePower(c, die_->voltage(level),
-                                   coreTemps[c]);
+    // Leakage-temperature fixed point (Su et al.) T = min(Φ(T), 150),
+    // Φ(T) = t0 + R·P(T), the clamp standing in for every real chip's
+    // thermal throttle. A round evaluates P and dP/dT at T and stops
+    // within 0.01 C, so the reported powers are those of the reported
+    // temperatures.
+    constexpr double kMaxJunctionC = 150.0;
+    int rounds = 0;
+    for (;;) {
+        ++rounds;
+        blockPowers(work, levels, l2DynW);
+        double residual = 0.0;
+        for (std::size_t i = 0; i < phi_.size(); ++i) {
+            phi_[i] = t0_[i];
+            for (std::size_t j = 0; j < blocks; ++j)
+                phi_[i] += response_(i, j) * power_[j];
+            if (i < blocks)
+                residual = std::max(residual, std::abs(std::min(
+                    phi_[i], kMaxJunctionC) - temps_[i]));
         }
-        for (std::size_t b = 0; b < 2; ++b) {
-            l2Powers[b] = l2DynW / 2.0 +
-                die_->l2LeakagePower(b, 1.0, l2Temps[b]);
-        }
-
-        const ThermalResult thermal =
-            die_->thermalModel().solve(corePowers, l2Powers);
-        spreaderC = thermal.spreaderC;
-        sinkC = thermal.sinkC;
-
-        // Under-relaxed update with a hard junction clamp: keeps the
-        // leakage-temperature iteration stable even at operating
-        // points that would physically run away (the clamp plays the
-        // role of the thermal throttle every real chip has).
-        constexpr double kRelax = 0.7;
-        constexpr double kMaxJunctionC = 150.0;
-        double maxDelta = 0.0;
-        for (std::size_t c = 0; c < n; ++c) {
-            const double target =
-                std::min(thermal.coreTempC[c], kMaxJunctionC);
-            const double next =
-                coreTemps[c] + kRelax * (target - coreTemps[c]);
-            maxDelta = std::max(maxDelta, std::abs(next - coreTemps[c]));
-            coreTemps[c] = next;
-        }
-        for (std::size_t b = 0; b < 2; ++b) {
-            const double target =
-                std::min(thermal.l2TempC[b], kMaxJunctionC);
-            const double next =
-                l2Temps[b] + kRelax * (target - l2Temps[b]);
-            maxDelta = std::max(maxDelta, std::abs(next - l2Temps[b]));
-            l2Temps[b] = next;
-        }
-        // A cold start approaches the fixed point from the reference
-        // temperature side; a warm seed can approach from the other
-        // side (e.g. hot previous operating point), so stopping at the
-        // same threshold would leave twice the gap between the two
-        // answers. The tighter warm threshold (one or two extra
-        // iterations, still far below the ~25 cold ones) keeps warm
-        // results within 0.1 C / 0.1% power of the cold fixed point.
-        if (maxDelta < (warmSeeded ? 0.01 : 0.05))
+        if (residual <= 0.01 || rounds == 25)
             break;
-    }
 
-    out.corePowerW = corePowers;
-    out.coreTempC = coreTemps;
-    out.l2TempC = l2Temps;
-    out.spreaderC = spreaderC;
-    out.sinkC = sinkC;
-    out.l2PowerW = l2Powers[0] + l2Powers[1];
+        // Newton on T - min(Φ(T), 150): Jacobian I - R·diag(dP/dT), a
+        // clamped node's row reduced to T_i = 150, the step projected
+        // onto [t0, 150]. Past a loop gain of 1 (thermal runaway) the
+        // Jacobian is no M-matrix and Newton would seek the unstable
+        // root, so a plain fixed-point step heads for the clamp.
+        for (std::size_t i = 0; i < blocks; ++i) {
+            const bool clamped = phi_[i] > kMaxJunctionC;
+            for (std::size_t j = 0; j < blocks; ++j)
+                jacobian_(i, j) = clamped ? 0.0 : -response_(i, j) * slope_[j];
+            jacobian_(i, i) += 1.0;
+            step_[i] = std::min(phi_[i], kMaxJunctionC) - temps_[i];
+        }
+        const bool newton = solveMMatrix(jacobian_, step_);
+        for (std::size_t i = 0; i < blocks; ++i)
+            temps_[i] = newton
+                ? std::clamp(temps_[i] + step_[i], t0_[i], kMaxJunctionC)
+                : std::min(phi_[i], kMaxJunctionC);
+    }
+    static metrics::Counter &calls =
+        metrics::Registry::global().counter("chip.settle.calls");
+    static metrics::Counter &roundCount =
+        metrics::Registry::global().counter("chip.settle.rounds");
+    calls.add();
+    roundCount.add(static_cast<std::uint64_t>(rounds));
+
+    out.coreTempC.assign(temps_.begin(), temps_.begin() + n);
+    out.l2TempC.assign(temps_.begin() + n, temps_.end());
+    out.spreaderC = phi_[blocks];
+    out.sinkC = phi_[blocks + 1];
+    reportPowers(out);
+}
+
+void
+ChipEvaluator::reportPowers(ChipCondition &out) const
+{
+    const std::size_t n = die_->numCores();
+    out.corePowerW.assign(power_.begin(), power_.begin() + n);
+    out.l2PowerW = 0.0;
+    for (std::size_t b = n; b < power_.size(); ++b)
+        out.l2PowerW += power_[b];
     out.totalPowerW = out.l2PowerW;
+    out.totalMips = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
-        out.totalPowerW += corePowers[c];
+        out.totalPowerW += out.corePowerW[c];
         out.totalMips += out.coreMips[c];
     }
 }
@@ -197,79 +229,36 @@ ChipEvaluator::evaluateTransient(const std::vector<CoreWork> &work,
                                  double dtMs, double freqCapHz) const
 {
     const std::size_t n = die_->numCores();
-    assert(work.size() == n && levels.size() == n);
     assert(previous.coreTempC.size() == n);
 
     ChipCondition cond;
-    cond.corePowerW.assign(n, 0.0);
-    cond.coreFreqHz.assign(n, 0.0);
-    cond.coreIpc.assign(n, 0.0);
-    cond.coreMips.assign(n, 0.0);
+    const double l2DynW = operatingPoint(cond, work, levels, freqCapHz);
 
-    // Performance and dynamic power at the commanded point.
-    std::vector<double> dynW(n, 0.0);
-    double l2AccessesPerSec = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-        if (work[c].app == nullptr)
-            continue;
-        const auto level = static_cast<std::size_t>(levels[c]);
-        const double v = die_->voltage(level);
-        double f = die_->freqAt(c, level);
-        if (freqCapHz > 0.0)
-            f = std::min(f, freqCapHz);
-        cond.coreFreqHz[c] = f;
-        cond.coreIpc[c] = ipcOf(*work[c].app, work[c], f);
-        cond.coreMips[c] = cond.coreIpc[c] * f / 1.0e6;
-        dynW[c] = dynamicPower(work[c], v, f);
-        l2AccessesPerSec += work[c].app->l2Mpi * work[c].missScale *
-            cond.coreIpc[c] * f;
-    }
-    const double l2DynW =
-        die_->dynamicModel().l2Power(l2AccessesPerSec);
+    // Powers at the *previous* temperatures (leakage lags thermally),
+    // then one RC step from the previous thermal state.
+    const double ambientC = die_->params().thermal.ambientC;
+    temps_ = previous.coreTempC;
+    if (previous.l2TempC.size() == 2)
+        temps_.insert(temps_.end(), previous.l2TempC.begin(),
+                            previous.l2TempC.end());
+    else
+        temps_.resize(n + 2, ambientC);
+    blockPowers(work, levels, l2DynW);
+    reportPowers(cond);
 
-    // Powers at the *previous* temperatures (leakage lags thermally).
-    std::vector<double> corePowers(n, 0.0);
-    std::vector<double> l2Powers(2, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-        if (work[c].app == nullptr)
-            continue;
-        const auto level = static_cast<std::size_t>(levels[c]);
-        corePowers[c] = dynW[c] +
-            die_->leakagePower(c, die_->voltage(level),
-                               previous.coreTempC[c]);
-    }
-    const std::vector<double> prevL2 = previous.l2TempC.size() == 2
-        ? previous.l2TempC
-        : std::vector<double>(2, die_->params().thermal.ambientC);
-    for (std::size_t b = 0; b < 2; ++b) {
-        l2Powers[b] = l2DynW / 2.0 +
-            die_->l2LeakagePower(b, 1.0, prevL2[b]);
-    }
-
-    // Advance the thermal RC network from the previous state.
     ThermalResult state;
     state.coreTempC = previous.coreTempC;
-    state.l2TempC = prevL2;
-    state.spreaderC = previous.spreaderC > 0.0
-        ? previous.spreaderC
-        : die_->params().thermal.ambientC;
-    state.sinkC = previous.sinkC > 0.0
-        ? previous.sinkC
-        : die_->params().thermal.ambientC;
-    die_->thermalModel().transientStep(state, corePowers, l2Powers,
-                                       dtMs);
-
-    cond.corePowerW = corePowers;
-    cond.coreTempC = state.coreTempC;
-    cond.l2TempC = state.l2TempC;
+    state.l2TempC.assign(temps_.begin() + n, temps_.end());
+    state.spreaderC =
+        previous.spreaderC > 0.0 ? previous.spreaderC : ambientC;
+    state.sinkC = previous.sinkC > 0.0 ? previous.sinkC : ambientC;
+    l2Power_.assign(power_.begin() + n, power_.end());
+    die_->thermalModel().transientStep(state, cond.corePowerW,
+                                       l2Power_, dtMs);
+    cond.coreTempC = std::move(state.coreTempC);
+    cond.l2TempC = std::move(state.l2TempC);
     cond.spreaderC = state.spreaderC;
     cond.sinkC = state.sinkC;
-    cond.l2PowerW = l2Powers[0] + l2Powers[1];
-    cond.totalPowerW = cond.l2PowerW;
-    for (std::size_t c = 0; c < n; ++c) {
-        cond.totalPowerW += corePowers[c];
-        cond.totalMips += cond.coreMips[c];
-    }
     return cond;
 }
 
@@ -329,15 +318,31 @@ buildSnapshot(const ChipEvaluator &evaluator,
               double pcoreMaxW, Rng *noise, SensorTamper *tamper)
 {
     const Die &die = evaluator.die();
+    const std::size_t numLevels = die.numLevels();
     ChipSnapshot snap;
     snap.ptargetW = ptargetW;
     snap.pcoreMaxW = pcoreMaxW;
     snap.uncorePowerW = current.l2PowerW;
-    for (std::size_t l = 0; l < die.numLevels(); ++l)
+    for (std::size_t l = 0; l < numLevels; ++l)
         snap.voltage.push_back(die.voltage(l));
 
-    auto jitter = [&](double x) {
-        return noise ? x * (1.0 + 0.01 * noise->normal()) : x;
+    const std::size_t active = static_cast<std::size_t>(
+        std::count_if(work.begin(), work.end(),
+                      [](const CoreWork &w) { return w.app != nullptr; }));
+    snap.cores.reserve(active);
+
+    // Sensor noise, one batch: an IPC then a power draw per (core,
+    // level), in that order.
+    static thread_local std::vector<double> draws;
+    const std::size_t readings = noise ? numLevels * active : 0;
+    draws.resize(2 * readings);
+    const double *ipcNoise = draws.data();
+    const double *powerNoise = draws.data() + readings;
+    if (noise)
+        simd::normalPairSweep(*noise, draws.data(), draws.data() + readings,
+                              readings);
+    auto jitter = [&](double x, const double *&draw) {
+        return noise ? x * (1.0 + 0.01 * *draw++) : x;
     };
 
     std::size_t threadId = 0;
@@ -348,16 +353,28 @@ buildSnapshot(const ChipEvaluator &evaluator,
         cs.coreId = c;
         cs.threadId = threadId++;
         cs.refMips = work[c].app->ipcAt4GHz * 4.0e9 / 1.0e6;
-        for (std::size_t l = 0; l < die.numLevels(); ++l) {
+        cs.freqHz.reserve(numLevels);
+        cs.ipc.reserve(numLevels);
+        cs.powerW.reserve(numLevels);
+        // Sensor power: dynamic + leakage at the *current* (frozen)
+        // temperature of this core, so one leakage kernel and one
+        // effective capacitance serve every level.
+        const CoreLeakageKernel kernel =
+            die.leakageKernel(c, current.coreTempC[c]);
+        const double nominalDynW = evaluator.nominalDynamicPower(*work[c].app);
+        for (std::size_t l = 0; l < numLevels; ++l) {
             const double v = die.voltage(l);
             const double f = die.freqAt(c, l);
             cs.freqHz.push_back(f);
             cs.ipc.push_back(
-                jitter(ChipEvaluator::ipcOf(*work[c].app, work[c], f)));
-            // Sensor power: dynamic + leakage at the *current*
-            // (frozen) temperature of this core.
-            double p = jitter(evaluator.dynamicPower(work[c], v, f) +
-                die.leakagePower(c, v, current.coreTempC[c]));
+                jitter(ChipEvaluator::ipcOf(*work[c].app, work[c], f),
+                       ipcNoise));
+            const double dynW =
+                die.dynamicModel().scaleToPoint(nominalDynW, v, f) *
+                work[c].activityScale;
+            double p =
+                jitter(dynW + die.leakageModel().corePowerAt(kernel, v),
+                       powerNoise);
             if (tamper)
                 p = tamper->tamperPower(c, l, p);
             cs.powerW.push_back(p);

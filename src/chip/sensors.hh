@@ -83,18 +83,21 @@ class ChipEvaluator
      *        cores run at the slowest core's maximum.
      * @param warmStart Optional previous settled condition whose
      *        temperatures seed the leakage-temperature fixed point
-     *        instead of the cold refTempC start. The iteration
-     *        converges to the same fixed point within its 0.05 C
-     *        tolerance in a fraction of the iterations (typically
-     *        2-3 instead of ~25 when the operating point barely
-     *        moved). Pass nullptr for the cold, bit-reproducible
-     *        pre-warm-start behaviour.
+     *        instead of the cold refTempC start. Both seeds reach the
+     *        same fixed point within the 0.01 C residual; the warm one
+     *        typically takes 2 power evaluations instead of 3-4 when
+     *        the operating point barely moved. Pass nullptr for the
+     *        cold, history-free settle.
      */
     ChipCondition evaluate(const std::vector<CoreWork> &work,
                            const std::vector<int> &levels,
                            double freqCapHz = 0.0,
-                           const ChipCondition *warmStart
-                           = nullptr) const;
+                           const ChipCondition *warmStart = nullptr) const
+    {
+        ChipCondition cond;
+        evaluateInto(cond, work, levels, freqCapHz, warmStart);
+        return cond;
+    }
 
     /**
      * Allocation-free variant of evaluate(): settles the chip into
@@ -130,31 +133,53 @@ class ChipEvaluator
     static double ipcOf(const AppProfile &app, const CoreWork &work,
                         double freqHz);
 
-    /** Dynamic core power of @p work at (v, f). */
-    double dynamicPower(const CoreWork &work, double v, double f) const;
+    /** Dynamic core power of @p work (not idle) at (v, f). */
+    double dynamicPower(const CoreWork &work, double v, double f) const
+    {
+        return die_->dynamicModel().scaleToPoint(
+                   nominalDynamicPower(*work.app), v, f) *
+            work.activityScale;
+    }
 
     const Die &die() const { return *die_; }
 
+    /**
+     * Dynamic power of @p app at nominal (V, f), memoised per profile
+     * address and dynPowerW (profiles are immutable during a run).
+     */
+    double nominalDynamicPower(const AppProfile &app) const;
+
   private:
     /**
-     * Memoised calibrateActivity(app.activityShape, app.dynPowerW) —
-     * a pure function of the profile, but previously recomputed per
-     * core per tick and per (core, level) in every buildSnapshot.
-     * Keyed on the profile's address and dynPowerW (profiles are
-     * immutable for the lifetime of a run).
+     * Temperature-independent frequency, IPC and MIPS into @p out and
+     * dynamic power into dynW_; returns the L2 dynamic power.
      */
-    const ActivityVector &calibratedActivity(const AppProfile &app) const;
+    double operatingPoint(ChipCondition &out,
+                          const std::vector<CoreWork> &work,
+                          const std::vector<int> &levels,
+                          double freqCapHz) const;
+
+    /** Block powers and their dP/dT at temps_, into power_, slope_. */
+    void blockPowers(const std::vector<CoreWork> &work,
+                     const std::vector<int> &levels, double l2DynW) const;
+
+    /** Copy power_ and the chip totals into @p out. */
+    void reportPowers(ChipCondition &out) const;
 
     const Die *die_;
+    Matrix response_;         ///< ThermalModel::blockResponse() R.
+    std::vector<double> t0_;  ///< ThermalModel::zeroPowerTemps().
 
-    // Scratch reused across evaluate() calls (see class comment).
-    mutable std::vector<double> dynWScratch_;
-    mutable std::vector<double> corePowerScratch_;
-    mutable std::vector<double> l2PowerScratch_;
-    mutable std::vector<double> coreTempScratch_;
-    mutable std::vector<double> l2TempScratch_;
+    // Scratch reused across evaluate() calls (see class comment); the
+    // block vectors hold the cores, then the L2s.
+    mutable std::vector<double> dynW_;
+    mutable std::vector<double> l2Power_;
+    mutable std::vector<double> temps_, power_, slope_;
+    mutable std::vector<double> phi_; ///< t0 + R·P, every node.
+    mutable std::vector<double> step_;
+    mutable Matrix jacobian_;
     mutable std::vector<std::pair<const AppProfile *, double>> actKeys_;
-    mutable std::vector<ActivityVector> actVals_;
+    mutable std::vector<double> actVals_;
 };
 
 /** Per-(thread, core) slice of the sensor/profile snapshot. */

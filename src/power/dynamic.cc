@@ -17,21 +17,14 @@ double
 DynamicPowerModel::unitPower(CoreUnit unit, double activity, double v,
                              double f) const
 {
-    const double vScale = (v * v) /
-        (params_.nominalVdd * params_.nominalVdd);
-    const double fScale = f / params_.nominalFreqHz;
-    return params_.unitMaxW[static_cast<std::size_t>(unit)] * activity *
-        vScale * fScale;
+    return scaleToPoint(
+        params_.unitMaxW[static_cast<std::size_t>(unit)] * activity, v, f);
 }
 
 double
 DynamicPowerModel::corePower(const ActivityVector &activity, double v,
                              double f) const
 {
-    const double vScale = (v * v) /
-        (params_.nominalVdd * params_.nominalVdd);
-    const double fScale = f / params_.nominalFreqHz;
-
     double sum = params_.clockTreeW;
     if (simd::enabled()) {
         sum += simd::dot(params_.unitMaxW.data(), activity.data(),
@@ -40,7 +33,16 @@ DynamicPowerModel::corePower(const ActivityVector &activity, double v,
         for (std::size_t u = 0; u < kNumCoreUnits; ++u)
             sum += params_.unitMaxW[u] * activity[u];
     }
-    return sum * vScale * fScale;
+    return scaleToPoint(sum, v, f);
+}
+
+double
+DynamicPowerModel::scaleToPoint(double nominalW, double v, double f) const
+{
+    const double vScale = (v * v) /
+        (params_.nominalVdd * params_.nominalVdd);
+    const double fScale = f / params_.nominalFreqHz;
+    return nominalW * vScale * fScale;
 }
 
 double

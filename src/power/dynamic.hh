@@ -62,6 +62,9 @@ class DynamicPowerModel
     double corePower(const ActivityVector &activity, double v,
                      double f) const;
 
+    /** Scale a power drawn at nominal (V, f) to (v, f). */
+    double scaleToPoint(double nominalW, double v, double f) const;
+
     /** Dynamic power of one unit (excludes the clock tree). */
     double unitPower(CoreUnit unit, double activity, double v,
                      double f) const;

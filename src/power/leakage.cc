@@ -33,23 +33,6 @@ LeakageModel::LeakageModel(const LeakageParams &params) : params_(params)
     norm_ = params_.nominalCoreSubthresholdW / kernel;
 }
 
-double
-LeakageModel::expArg(double vth60, double v, double tempC) const
-{
-    const double vth = vth60 - params_.vthTempCoeff *
-        (tempC - params_.refTempC);
-    return (-vth + params_.dibl * v) /
-        (params_.slopeFactor * thermalVoltage(tempC));
-}
-
-double
-LeakageModel::subthresholdCoreEquivalent(double vth60, double v,
-                                         double tempC) const
-{
-    const double tK = tempC + 273.15;
-    return norm_ * v * tK * tK * std::exp(expArg(vth60, v, tempC));
-}
-
 std::vector<double>
 LeakageModel::sampleCoreVth(const VariationMap &map, const Floorplan &plan,
                             std::size_t coreId) const
@@ -83,98 +66,93 @@ LeakageModel::corePower(const VariationMap &map, const Floorplan &plan,
                             map.vthSigmaRandom(), v, tempC, vthShift);
 }
 
-double
-LeakageModel::corePowerSampled(const std::vector<double> &vthSamples,
-                               double sigmaRandom, double v, double tempC,
-                               double vthShift) const
+CoreLeakageKernel
+LeakageModel::coreKernel(const std::vector<double> &vthSamples,
+                         double sigmaRandom, double tempC,
+                         double vthShift) const
 {
-    // Analytic fold of the per-transistor random component:
-    // E[exp(dV/(n vT))] = exp(sigma^2 / (2 (n vT)^2)).
-    const double nvt = params_.slopeFactor * thermalVoltage(tempC);
-    const double randomBoost =
-        std::exp(sigmaRandom * sigmaRandom / (2.0 * nvt * nvt));
-
-    // Batched fold: every (V, T)-invariant of the per-sample kernel is
-    // hoisted, the exp arguments are computed as one contiguous
-    // (autovectorizable) sweep, and only the exp() fold itself runs
-    // through libm. Each subexpression keeps the exact shape of
-    // expArg()/subthresholdCoreEquivalent(), and the summation order
-    // is unchanged, so the result is bit-identical to the scalar
-    // reference (corePowerSampledRef).
     const std::size_t n = vthSamples.size();
+    const double nvt = params_.slopeFactor * thermalVoltage(tempC);
     const double dVth =
         params_.vthTempCoeff * (tempC - params_.refTempC);
-    const double dibl = params_.dibl * v;
-    const double tK = tempC + 273.15;
-    const double pref = norm_ * v * tK * tK;
 
+    // One contiguous sweep of x_i = -(vth_i + shift - dVth(T))/(n vT).
+    // Its exps give A_c = sum exp(x_i) and, since n vT is proportional
+    // to T, dx_i/dT = c/(n vT) - x_i/T gives
+    // dA_c/dT = c·A_c/(n vT) - sum x_i exp(x_i) / T.
     static thread_local std::vector<double> args;
     static thread_local std::vector<double> expValues;
     args.resize(n);
     expValues.resize(n);
-    const double *vthData = vthSamples.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        const double vth = (vthData[i] + vthShift) - dVth;
-        args[i] = (-vth + dibl) / nvt;
-    }
-    // simd::expSweep's scalar fallback is the same std::exp loop this
-    // fold always ran, and the single-accumulator summation order is
-    // unchanged either way.
+    for (std::size_t i = 0; i < n; ++i)
+        args[i] = -((vthSamples[i] + vthShift) - dVth) / nvt;
     simd::expSweep(args.data(), expValues.data(), n);
     double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += pref * expValues[i];
-    const double subthreshold =
-        randomBoost * sum / static_cast<double>(n);
+    double moment = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        sum += expValues[i];
+        moment += args[i] * expValues[i];
+    }
 
+    // Analytic fold of the per-transistor random component:
+    // E[exp(dV/(n vT))] = exp(sigma^2 / (2 (n vT)^2)).
+    const double sigma2 = sigmaRandom * sigmaRandom / (nvt * nvt);
+    const double tK = tempC + 273.15;
+    const double pref = std::exp(sigma2 / 2.0) * norm_ * tK * tK /
+        static_cast<double>(n);
+    CoreLeakageKernel kernel;
+    kernel.scale = pref * sum;
+    // d ln(randomBoost · T²)/dT = (2 - sigma²/(n vT)²) / T.
+    kernel.dScale = kernel.scale * (2.0 - sigma2) / tK +
+        pref * (params_.vthTempCoeff * sum / nvt - moment / tK);
+    kernel.invNvt = 1.0 / nvt;
+    kernel.tempK = tK;
+    return kernel;
+}
+
+double
+LeakageModel::corePowerAt(const CoreLeakageKernel &kernel, double v,
+                          double *dPdT) const
+{
+    const double diblArg = params_.dibl * v * kernel.invNvt;
+    const double perScale = v * std::exp(diblArg);
+    // d(1/(n vT))/dT = -1/(n vT · T).
+    if (dPdT != nullptr)
+        *dPdT = perScale *
+            (kernel.dScale - kernel.scale * diblArg / kernel.tempK);
     // Gate (tunnelling) leakage falls very steeply with voltage;
     // model it as V^4 (between the V^4-V^5 dependence of thin-oxide
     // tunnelling models).
     const double vr = v / params_.nominalVdd;
     const double gate = params_.nominalCoreGateW * vr * vr * vr * vr;
 
-    return subthreshold + gate;
-}
-
-double
-LeakageModel::corePowerSampledRef(const std::vector<double> &vthSamples,
-                                  double sigmaRandom, double v,
-                                  double tempC, double vthShift) const
-{
-    const double nvt = params_.slopeFactor * thermalVoltage(tempC);
-    const double randomBoost =
-        std::exp(sigmaRandom * sigmaRandom / (2.0 * nvt * nvt));
-
-    double sum = 0.0;
-    for (const double vth : vthSamples)
-        sum += subthresholdCoreEquivalent(vth + vthShift, v, tempC);
-    const double subthreshold =
-        randomBoost * sum / static_cast<double>(vthSamples.size());
-
-    const double vr = v / params_.nominalVdd;
-    const double gate = params_.nominalCoreGateW * vr * vr * vr * vr;
-
-    return subthreshold + gate;
+    return kernel.scale * perScale + gate;
 }
 
 double
 LeakageModel::l2BlockPower(const VariationMap &map, const Floorplan &plan,
-                           std::size_t l2Index, double v, double tempC) const
+                           std::size_t l2Index, double v, double tempC,
+                           double *dPdT) const
 {
     const std::size_t blockIdx = plan.l2Blocks().at(l2Index);
     const Rect &r = plan.blocks()[blockIdx].rect;
 
-    // Sample the systematic field at the block centre and scale the
-    // L2 anchor wattage by the subthreshold kernel's ratio between the
-    // local operating point and the calibration corner; L2 arrays use
-    // high-Vth cells, which the (smaller) anchor wattage reflects.
-    const double vthLocal = map.vthAt(r.cx(), r.cy());
-    const double here =
-        subthresholdCoreEquivalent(vthLocal, v, tempC);
-    const double anchor =
-        subthresholdCoreEquivalent(params_.nominalVth, params_.nominalVdd,
-                                   params_.refTempC);
-    return params_.nominalL2BlockW * here / anchor;
+    // Scale the L2 anchor wattage by the subthreshold kernel
+    // norm·V·T²·exp(x), x = (-vth(T) + eta·V)/(n vT), at the block
+    // centre's Vth over its value at the calibration corner (the core
+    // anchor wattage); L2 arrays use high-Vth cells, which the
+    // (smaller) anchor wattage reflects.
+    const double nvt = params_.slopeFactor * thermalVoltage(tempC);
+    const double x = (-(map.vthAt(r.cx(), r.cy()) -
+                        params_.vthTempCoeff * (tempC - params_.refTempC)) +
+                      params_.dibl * v) / nvt;
+    const double tK = tempC + 273.15;
+    const double power = params_.nominalL2BlockW /
+        params_.nominalCoreSubthresholdW * norm_ * v * tK * tK * std::exp(x);
+    // d ln(T² exp(x))/dT = (2 - x + c·T/(n vT)) / T, since n vT ∝ T.
+    if (dPdT != nullptr)
+        *dPdT = power * (2.0 - x + params_.vthTempCoeff * tK / nvt) / tK;
+    return power;
 }
 
 } // namespace varsched

@@ -63,20 +63,20 @@ struct LeakageParams
     std::size_t samplesPerEdge = 6;
 };
 
+/** A core's leakage at one temperature; see LeakageModel::coreKernel. */
+struct CoreLeakageKernel
+{
+    double scale = 0.0;  ///< randomBoost·norm·T²·A_c(T)/N, W/V.
+    double dScale = 0.0; ///< d(scale)/dT, W/(V K).
+    double invNvt = 0.0; ///< 1/(n vT) at the kernel's temperature.
+    double tempK = 0.0;  ///< The kernel's temperature, kelvin.
+};
+
 /** Leakage evaluator bound to a parameter set. */
 class LeakageModel
 {
   public:
     explicit LeakageModel(const LeakageParams &params = {});
-
-    /**
-     * Subthreshold power of a *uniform* region with the given local
-     * Vth (60 C value), normalised so that vth == nominalVth at
-     * (nominalVdd, refTempC) yields exactly
-     * nominalCoreSubthresholdW — i.e. units of "one core".
-     */
-    double subthresholdCoreEquivalent(double vth60, double v,
-                                      double tempC) const;
 
     /**
      * Total static power of core @p coreId on die @p map: integrates
@@ -104,43 +104,47 @@ class LeakageModel
                                       const Floorplan &plan,
                                       std::size_t coreId) const;
 
-    /**
-     * corePower() on pre-sampled Vth values — bit-identical to the
-     * sampling overload given sampleCoreVth() output and the map's
-     * vthSigmaRandom().
-     *
-     * The fold runs as one contiguous sweep over the samples with the
-     * per-(V, T) invariants (temperature-shifted Vth offset, thermal
-     * voltage, T^2 prefactor) hoisted out of the loop, leaving exp()
-     * as the only per-sample transcendental. The pre-batching
-     * per-sample evaluation is kept as corePowerSampledRef(); the
-     * sweep must agree with it within 1e-12 relative (bit-identical
-     * today — the hoisting only names loop-invariant subexpressions).
-     */
+    /** corePower() on pre-sampled Vth values. */
     double corePowerSampled(const std::vector<double> &vthSamples,
                             double sigmaRandom, double v, double tempC,
-                            double vthShift = 0.0) const;
+                            double vthShift = 0.0) const
+    {
+        return corePowerAt(
+            coreKernel(vthSamples, sigmaRandom, tempC, vthShift), v);
+    }
 
     /**
-     * Scalar reference for corePowerSampled(): per-sample
-     * subthresholdCoreEquivalent() calls in the same order. For the
-     * batched-kernel agreement tests.
+     * A core's subthreshold leakage at one temperature from one exp
+     * sweep over its Vth samples. Only -vth_i/(n vT) varies across
+     * samples, so Psub(V, T) = scale(T) · V · exp(eta·V/(n vT)) with
+     *   scale(T) = randomBoost(T) · norm · T² · A_c(T) / N,
+     *   A_c(T) = sum_i exp(-(vth_i + vthShift - dVth(T))/(n vT)),
+     * and every voltage level reuses the kernel.
      */
-    double corePowerSampledRef(const std::vector<double> &vthSamples,
-                               double sigmaRandom, double v, double tempC,
-                               double vthShift = 0.0) const;
+    CoreLeakageKernel coreKernel(const std::vector<double> &vthSamples,
+                                 double sigmaRandom, double tempC,
+                                 double vthShift = 0.0) const;
 
-    /** Static power of one L2 block at the given operating point. */
+    /**
+     * Static power (subthreshold + gate) of a core at supply @p v
+     * from its kernel; @p dPdT, when non-null, receives the
+     * temperature slope dP/dT in W/K.
+     */
+    double corePowerAt(const CoreLeakageKernel &kernel, double v,
+                       double *dPdT = nullptr) const;
+
+    /**
+     * Static power of one L2 block at the given operating point;
+     * @p dPdT, when non-null, receives its temperature slope, W/K.
+     */
     double l2BlockPower(const VariationMap &map, const Floorplan &plan,
-                        std::size_t l2Index, double v, double tempC) const;
+                        std::size_t l2Index, double v, double tempC,
+                        double *dPdT = nullptr) const;
 
     /** Parameters in use. */
     const LeakageParams &params() const { return params_; }
 
   private:
-    /** exp-argument helper: (-vth(T) + eta*v) / (n*vT(T)). */
-    double expArg(double vth60, double v, double tempC) const;
-
     LeakageParams params_;
     double norm_; ///< Normalisation so nominal core == anchor watts.
 };

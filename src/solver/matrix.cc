@@ -132,47 +132,4 @@ fitLine(const std::vector<double> &x, const std::vector<double> &y)
     return {b, c};
 }
 
-std::vector<double>
-solveCG(const Matrix &a, const std::vector<double> &b, double tol,
-        std::size_t maxIter)
-{
-    assert(a.rows() == a.cols() && a.rows() == b.size());
-    const std::size_t n = b.size();
-    if (maxIter == 0)
-        maxIter = 10 * n + 100;
-
-    std::vector<double> x(n, 0.0), r = b, p = b, ap(n);
-    double rr = 0.0;
-    for (double v : r)
-        rr += v * v;
-    const double rr0 = rr > 0.0 ? rr : 1.0;
-
-    for (std::size_t it = 0; it < maxIter && rr / rr0 > tol * tol; ++it) {
-        for (std::size_t i = 0; i < n; ++i) {
-            double s = 0.0;
-            for (std::size_t j = 0; j < n; ++j)
-                s += a(i, j) * p[j];
-            ap[i] = s;
-        }
-        double pap = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            pap += p[i] * ap[i];
-        if (std::abs(pap) < 1e-300)
-            break;
-        const double alpha = rr / pap;
-        for (std::size_t i = 0; i < n; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        double rrNew = 0.0;
-        for (double v : r)
-            rrNew += v * v;
-        const double beta = rrNew / rr;
-        for (std::size_t i = 0; i < n; ++i)
-            p[i] = r[i] + beta * p[i];
-        rr = rrNew;
-    }
-    return x;
-}
-
 } // namespace varsched

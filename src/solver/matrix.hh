@@ -84,18 +84,6 @@ std::vector<double> choleskySolve(const Matrix &l,
 std::pair<double, double> fitLine(const std::vector<double> &x,
                                   const std::vector<double> &y);
 
-/**
- * Solve the symmetric positive-definite system A·x = b by conjugate
- * gradients (used by the thermal solver on larger networks).
- *
- * @param a System matrix (assumed SPD).
- * @param b Right-hand side.
- * @param tol Relative residual tolerance.
- * @param maxIter Iteration cap (0 means 10·n).
- */
-std::vector<double> solveCG(const Matrix &a, const std::vector<double> &b,
-                            double tol = 1e-10, std::size_t maxIter = 0);
-
 } // namespace varsched
 
 #endif // VARSCHED_SOLVER_MATRIX_HH

@@ -8,16 +8,15 @@
  * the scheduling experiments, so the network solves G*T = P directly.
  *
  * The leakage <-> temperature fixed point of Su et al. (temperature
- * raises leakage raises temperature ...) is iterated by the caller
- * (chip/die.cc), which owns the leakage model.
+ * raises leakage raises temperature ...) is solved by the caller
+ * (chip/sensors.cc), which owns the leakage model, on the linear map
+ * T = t0 + R·P that blockResponse() and zeroPowerTemps() give.
  */
 
 #ifndef VARSCHED_THERMAL_THERMAL_HH
 #define VARSCHED_THERMAL_THERMAL_HH
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "floorplan/floorplan.hh"
@@ -96,6 +95,18 @@ class ThermalModel
                        const std::vector<double> &l2PowerW,
                        double dtMs) const;
 
+    /** System matrix G of G·T = P (cores, L2s, spreader, sink). */
+    const Matrix &conductance() const { return conductance_; }
+
+    /**
+     * Response R of every node (rows) to one watt in each block
+     * (cores, then L2s): the block columns of G⁻¹, so T = t0 + R·P.
+     */
+    Matrix blockResponse() const;
+
+    /** Per-node steady state with every block unpowered (t0). */
+    std::vector<double> zeroPowerTemps() const;
+
     /** Per-node heat capacities (cores, L2s, spreader, sink), J/K. */
     const std::vector<double> &capacities() const { return capacity_; }
 
@@ -117,13 +128,6 @@ class ThermalModel
      * walks these lists instead of a dense O(n²) row product.
      */
     std::vector<std::vector<std::pair<std::size_t, double>>> neighbors_;
-
-    /// Debug builds cross-check the cached factor against solveCG on
-    /// the first solve() call (self-checking refactor). Unconditional
-    /// member so the class layout does not depend on NDEBUG; behind a
-    /// unique_ptr because std::once_flag would delete the move ctor.
-    mutable std::unique_ptr<std::once_flag> selfCheck_ =
-        std::make_unique<std::once_flag>();
 };
 
 } // namespace varsched

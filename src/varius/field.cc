@@ -228,46 +228,19 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
     const BumpArena::Scope scope(arena);
     std::complex<double> *spec = arena.alloc<std::complex<double>>(total);
 
-    if (simd::enabled() && !rng.hasNormalSpare()) {
-        // Vectorised Box-Muller: stage the uniforms with the exact
-        // draw order of Rng::normal() — one rejected-zero u1 and one
-        // u2 per complex point, each point consuming exactly one
-        // Box-Muller pair (cos half = Im, sin half = Re, matching the
-        // scalar branch's draw order below) — so the RNG leaves this
-        // loop in the same state as the scalar path and every
-        // downstream draw matches. Values agree with the scalar
-        // transform to <= 1e-12. Staging goes through fixed blocks on
-        // the stack, so the vector path holds no more scratch than
-        // the scalar one.
-        constexpr std::size_t kBlock = 1024;
-        double u1[kBlock], u2[kBlock], cosHalf[kBlock], sinHalf[kBlock];
-        for (std::size_t base = 0; base < total; base += kBlock) {
-            const std::size_t len = std::min(kBlock, total - base);
-            for (std::size_t j = 0; j < len; ++j) {
-                double a = 0.0;
-                while (a == 0.0)
-                    a = rng.uniform();
-                u1[j] = a;
-                u2[j] = rng.uniform();
-            }
-            simd::boxMullerSweep(u1, u2, cosHalf, sinHalf, len);
-            for (std::size_t j = 0; j < len; ++j) {
-                const double scale = amp[base + j];
-                spec[base + j] = std::complex<double>(
-                    scale * sinHalf[j], scale * cosHalf[j]);
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < total; ++i) {
-            // Drawn imaginary-half first: the committed golden fields
-            // bake in the evaluation order the original
-            //   complex(amp * normal(), amp * normal())
-            // constructor call produced (right-to-left on this
-            // toolchain), so the order is now explicit. The first
-            // normal of a Box-Muller pair is the cos half.
-            const double im = amp[i] * rng.normal();
-            const double re = amp[i] * rng.normal();
-            spec[i] = std::complex<double>(re, im);
+    // One Box-Muller pair per point through stack blocks, imaginary
+    // (cos) half first: the committed golden fields bake in the
+    // right-to-left evaluation of complex(amp * normal(), amp *
+    // normal()) on this toolchain.
+    constexpr std::size_t kBlock = 1024;
+    double imHalf[kBlock], reHalf[kBlock];
+    for (std::size_t base = 0; base < total; base += kBlock) {
+        const std::size_t len = std::min(kBlock, total - base);
+        simd::normalPairSweep(rng, imHalf, reHalf, len);
+        for (std::size_t j = 0; j < len; ++j) {
+            const double scale = amp[base + j];
+            spec[base + j] = std::complex<double>(scale * reHalf[j],
+                                                  scale * imHalf[j]);
         }
     }
 

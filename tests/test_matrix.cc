@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "solver/matrix.hh"
+#include "tests/cg_reference.hh"
 #include "solver/rng.hh"
 
 namespace varsched

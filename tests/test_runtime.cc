@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -24,6 +25,7 @@
 #include "core/system.hh"
 #include "runtime/threadpool.hh"
 #include "solver/matrix.hh"
+#include "tests/cg_reference.hh"
 #include "thermal/thermal.hh"
 #include "varius/field.hh"
 
@@ -499,15 +501,57 @@ TEST(CachedFactor, ThermalSolveMatchesCG)
 {
     const Floorplan plan(20, 340.0);
     const ThermalModel model(plan);
+    const Matrix &g = model.conductance();
+    const std::size_t n = g.rows();
+    const Matrix response = model.blockResponse();
+    const std::size_t blocks = response.cols();
+    ASSERT_EQ(blocks, 22u);
+    ASSERT_EQ(response.rows(), n);
 
+    const auto agree = [](double got, double want) {
+        return std::abs(got - want) <= 1e-9 * std::max(1.0, std::abs(want));
+    };
+    const auto rhsFor = [&](const std::vector<double> &blockPower) {
+        std::vector<double> rhs(n, 0.0);
+        std::copy(blockPower.begin(), blockPower.end(), rhs.begin());
+        rhs[n - 1] = model.params().ambientC / model.params().sinkToAmbientR;
+        return rhs;
+    };
+
+    // solve() on the cached factor against CG on the same matrix.
     std::vector<double> corePower(20, 3.0);
     corePower[7] = 9.0; // asymmetric map
     const std::vector<double> l2Power = {2.5, 4.0};
     const ThermalResult direct = model.solve(corePower, l2Power);
+    std::vector<double> blockPower = corePower;
+    blockPower.insert(blockPower.end(), l2Power.begin(), l2Power.end());
+    const std::vector<double> cg = solveCG(g, rhsFor(blockPower), 1e-12);
+    for (std::size_t c = 0; c < 20; ++c)
+        EXPECT_TRUE(agree(direct.coreTempC[c], cg[c])) << "core " << c;
+    for (std::size_t l = 0; l < 2; ++l)
+        EXPECT_TRUE(agree(direct.l2TempC[l], cg[20 + l])) << "L2 " << l;
+    EXPECT_TRUE(agree(direct.spreaderC, cg[n - 2]));
+    EXPECT_TRUE(agree(direct.sinkC, cg[n - 1]));
 
-    // The model does not expose its matrix; check the direct solution
-    // against the physics invariant CG converged to: total power in
-    // equals total power out through the sink.
+    // t0 is the unpowered CG solution; column j of R is the CG
+    // response to one watt in block j.
+    const std::vector<double> zero(blocks, 0.0);
+    const std::vector<double> t0 = solveCG(g, rhsFor(zero), 1e-12);
+    const std::vector<double> zeroPower = model.zeroPowerTemps();
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(agree(zeroPower[i], t0[i])) << "node " << i;
+    for (std::size_t j = 0; j < blocks; ++j) {
+        std::vector<double> unit(n, 0.0);
+        unit[j] = 1.0;
+        const std::vector<double> column = solveCG(g, unit, 1e-12);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_TRUE(agree(response(i, j), column[i]))
+                << "R(" << i << ", " << j << ")";
+    }
+
+    // And the physics invariant: total power in leaves through the
+    // sink, with every block above the spreader, the spreader above
+    // the sink and the sink above ambient.
     double totalPowerW = 2.5 + 4.0;
     for (double p : corePower)
         totalPowerW += p;
@@ -515,9 +559,6 @@ TEST(CachedFactor, ThermalSolveMatchesCG)
         (direct.sinkC - model.params().ambientC) /
         model.params().sinkToAmbientR;
     EXPECT_NEAR(sinkFlowW, totalPowerW, 1e-6 * totalPowerW);
-
-    // And every block must sit above the spreader, which sits above
-    // the sink, which sits above ambient.
     for (double t : direct.coreTempC)
         EXPECT_GT(t, direct.spreaderC);
     EXPECT_GT(direct.spreaderC, direct.sinkC);

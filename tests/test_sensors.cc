@@ -185,5 +185,41 @@ TEST_F(SensorsFixture, SensorNoiseIsSmall)
     }
 }
 
+TEST_F(SensorsFixture, SensorNoiseFollowsSequentialDrawOrder)
+{
+    // Per (core, level): an IPC draw, then a power draw, in
+    // Rng::normal() order, whether the batch starts pair-aligned or
+    // with a Box-Muller spare pending. The batched draws equal the
+    // sequential ones within 1e-12 (bit for bit on the scalar path)
+    // and leave the generator in the same state.
+    std::vector<CoreWork> work = fullLoad();
+    work[3].app = nullptr; // an idle core draws nothing
+    const auto cond = evaluator_.evaluate(work, levelsAll(8));
+    const auto clean =
+        buildSnapshot(evaluator_, work, cond, 75.0, 7.5, nullptr);
+    for (const bool spare : {false, true}) {
+        Rng noise(5), sequential(5);
+        if (spare) {
+            (void)noise.normal();
+            (void)sequential.normal();
+        }
+        const auto noisy =
+            buildSnapshot(evaluator_, work, cond, 75.0, 7.5, &noise);
+        ASSERT_EQ(noisy.cores.size(), clean.cores.size());
+        for (std::size_t i = 0; i < clean.cores.size(); ++i) {
+            for (std::size_t l = 0; l < die_.numLevels(); ++l) {
+                const double ipc = clean.cores[i].ipc[l] *
+                    (1.0 + 0.01 * sequential.normal());
+                const double power = clean.cores[i].powerW[l] *
+                    (1.0 + 0.01 * sequential.normal());
+                EXPECT_NEAR(noisy.cores[i].ipc[l], ipc, 1e-12 * ipc);
+                EXPECT_NEAR(noisy.cores[i].powerW[l], power,
+                            1e-12 * power);
+            }
+        }
+        EXPECT_EQ(noise.next(), sequential.next()) << "spare " << spare;
+    }
+}
+
 } // namespace
 } // namespace varsched

@@ -126,7 +126,7 @@ TEST(TransientChip, EvaluateTransientApproachesSteadyState)
     EXPECT_NEAR(cond.totalPowerW, steady.totalPowerW,
                 0.03 * steady.totalPowerW);
     // All-cores-at-max runs this die near thermal runaway, where the
-    // steady solver's under-relaxed fixed point and the transient
+    // steady solver's Newton fixed point and the transient
     // integration's leakage lag settle a few degrees apart; a 4 C
     // band at ~125 C is agreement for this regime.
     for (std::size_t c = 0; c < die.numCores(); ++c)

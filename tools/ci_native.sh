@@ -1,11 +1,11 @@
 #!/bin/sh
 # CI-style full pass in its own build directory: configure and build a
 # separate tree, run the fast test tiers (unit tests + bench smokes,
-# including the simd_forced_scalar fallback rerun and the
-# sampling_guard sampled-vs-exact tier), then run the perf-gated
-# benches at full paper scale — the four manufacture-bound ones plus
-# the phase-sampled system benches (fig13/fig14/longhorizon) — and
-# gate them against the committed BENCH_PR9.json baseline — a hard
+# including the simd_forced_scalar fallback rerun, the sampling_guard
+# sampled-vs-exact tier and the physics_contract tier), then run the
+# perf-gated benches at full paper scale — the four manufacture-bound
+# ones plus the phase-sampled system benches (fig13/fig14/longhorizon) —
+# and gate them against the committed BENCH_PR9.json baseline — a hard
 # (non-informational) regression gate, so a perf regression on the
 # SIMD/runtime/sampling path fails this script. A trailing
 # observability tier then enforces the tracer contract: disabled trace
@@ -25,6 +25,10 @@ ctest --test-dir "$build" --output-on-failure -j
 # bench re-runs against its exact reference (VARSCHED_BENCH_COMPARE=1
 # aborts beyond the error budget).
 ctest --test-dir "$build" -L sampling_guard --output-on-failure
+
+# Physics contracts: the leakage kernel against its per-sample oracle
+# (1e-12) and the settle's 0.01 C residual and round-count pins.
+ctest --test-dir "$build" -L physics_contract --output-on-failure
 
 # Full-scale perf gate: the mfg-bound benches write a fresh JSON which
 # must validate and must not have regressed against the committed
