@@ -41,6 +41,8 @@ struct CoreWork
     double missScale = 1.0;
     /** Phase multiplier on dynamic-power activity. */
     double activityScale = 1.0;
+
+    bool operator==(const CoreWork &) const = default;
 };
 
 /** Physically-settled chip state. */

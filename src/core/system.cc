@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -483,24 +484,26 @@ SystemSimulator::runImpl(RunMode mode)
     std::vector<int> cachedLevels;
     bool cacheValid = false;
 
-    const auto sameWork = [](const std::vector<CoreWork> &a,
-                             const std::vector<CoreWork> &b) {
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            if (a[i].app != b[i].app || a[i].cpiScale != b[i].cpiScale ||
-                a[i].missScale != b[i].missScale ||
-                a[i].activityScale != b[i].activityScale)
-                return false;
+    // Set when cond, work or levels change: the tick's metric
+    // contributions are recomputed then and re-added on other ticks.
+    bool tickDirty = true;
+    // cond is an untouched copy of *condFrom (nullptr: of nothing, as
+    // after a transient step or a transition stall); holding the same
+    // source again skips the copy.
+    const ChipCondition *condFrom = nullptr;
+    const auto hold = [&](const ChipCondition &src) {
+        if (condFrom != &src) {
+            cond = src;
+            condFrom = &src;
+            tickDirty = true;
         }
-        return true;
     };
 
     // True when the settle replaced an earlier one.
     const auto settleSteady = [&]() {
         if (cacheValid && coreLevels == cachedLevels &&
-            sameWork(work, cachedWork)) {
-            cond = steady;
+            work == cachedWork) {
+            hold(steady);
             return false;
         }
         TRACE_SCOPE("physics.settle");
@@ -510,7 +513,8 @@ SystemSimulator::runImpl(RunMode mode)
         std::swap(steady, prevSteady);
         cachedWork = work;
         cachedLevels = coreLevels;
-        cond = steady;
+        condFrom = nullptr;
+        hold(steady);
         return std::exchange(cacheValid, true);
     };
 
@@ -578,6 +582,13 @@ SystemSimulator::runImpl(RunMode mode)
     const WearoutModel wearoutModel;
     WearoutTracker wearout(wearoutModel, numCores);
     std::vector<double> coreVdd(numCores, 0.0);
+    double tickMinThread = 0.0, tickWeighted = 0.0, tickProgress = 0.0,
+           tickFreq = 0.0, tickDev = 0.0;
+
+    // Core failures are polled from the first scheduled one on.
+    double firstFailureMs = std::numeric_limits<double>::infinity();
+    for (const CoreFailureSpec &f : config_.faults.coreFailures)
+        firstFailureMs = std::min(firstFailureMs, f.atMs);
 
     const auto totalTicks = static_cast<std::size_t>(
         std::llround(config_.durationMs / config_.tickMs));
@@ -599,7 +610,8 @@ SystemSimulator::runImpl(RunMode mode)
     for (std::size_t tick = 0; tick < totalTicks; ++tick) {
         const double nowMs = static_cast<double>(tick) * config_.tickMs;
         injector.advanceTo(nowMs);
-        for (std::size_t c = 0; c < numCores; ++c) {
+        for (std::size_t c = 0; nowMs >= firstFailureMs && c < numCores;
+             ++c) {
             if (coreOk[c] && injector.coreFailed(c)) {
                 coreOk[c] = false;
                 workDirty = true;
@@ -645,6 +657,7 @@ SystemSimulator::runImpl(RunMode mode)
             refreshWork();
             workDirty = false;
             sigDirty = true;
+            tickDirty = true;
         }
         if (!haveCondition) {
             // First tick: settle once before the power manager reads
@@ -653,6 +666,7 @@ SystemSimulator::runImpl(RunMode mode)
             if (config_.transientThermal) {
                 TRACE_SCOPE("physics.settle");
                 cond = evaluator_.evaluate(work, coreLevels, uniFreq);
+                tickDirty = true;
             } else {
                 settleSteady();
             }
@@ -726,6 +740,7 @@ SystemSimulator::runImpl(RunMode mode)
                 sigDirty = sigDirty || applied != coreLevels[core];
                 coreLevels[core] = applied;
             }
+            tickDirty = tickDirty || decisionSteps > 0;
             const auto steps = static_cast<double>(decisionSteps);
             transitionSteps += steps;
             meanDecisionSteps +=
@@ -752,11 +767,13 @@ SystemSimulator::runImpl(RunMode mode)
                 TRACE_SCOPE("physics.transient");
                 cond = evaluator_.evaluateTransient(
                     work, coreLevels, cond, config_.tickMs, uniFreq);
+                tickDirty = true;
             } else {
                 resettled = settleSteady();
             }
             physicsSec += Sec(now() - t0).count();
             if (sampledMode) {
+                TRACE_SCOPE("phase.basis");
                 const auto rel = [](double a, double b) {
                     const double den =
                         std::max(std::abs(a), std::abs(b));
@@ -883,11 +900,10 @@ SystemSimulator::runImpl(RunMode mode)
                 }
             }
         } else {
-            // Replay the statistical basis. It is pristine, so this
-            // also undoes any transition-stall mutation left on cond
-            // by the last evaluated tick, exactly as settleSteady's
-            // cache hit would have.
-            cond = extrapCond;
+            // Replay the statistical basis, which changes only on
+            // evaluated ticks. It is pristine, so a fresh copy also
+            // undoes any transition-stall mutation left on cond.
+            hold(extrapCond);
             sampler.noteExtrapolatedTick();
         }
 
@@ -906,29 +922,41 @@ SystemSimulator::runImpl(RunMode mode)
                     static_cast<double>(numThreads));
             transitionLostMipsMs += cond.totalMips * stallMs;
             cond.totalMips *= 1.0 - stallMs / config_.tickMs;
+            condFrom = nullptr;
         }
         transitionSteps = 0.0;
 
-        double minThread = 1e300;
-        for (std::size_t c = 0; c < numCores; ++c) {
-            if (work[c].app != nullptr)
-                minThread = std::min(minThread, cond.coreMips[c]);
+        // None of these reads the stalled totalMips.
+        if (tickDirty) {
+            tickDirty = false;
+            tickMinThread = 1e300;
+            for (std::size_t c = 0; c < numCores; ++c) {
+                result.maxCoreTempC =
+                    std::max(result.maxCoreTempC, cond.coreTempC[c]);
+                coreVdd[c] = 0.0;
+                if (work[c].app == nullptr)
+                    continue;
+                tickMinThread = std::min(tickMinThread, cond.coreMips[c]);
+                coreVdd[c] =
+                    die_.voltage(static_cast<std::size_t>(coreLevels[c]));
+            }
+            tickWeighted = weightedThroughput(cond, work);
+            tickProgress = weightedProgress(cond, work);
+            tickFreq = averageActiveFrequency(cond, work);
+            if (config_.pm != PmKind::None)
+                tickDev = std::abs(cond.totalPowerW - config_.ptargetW) /
+                    config_.ptargetW;
+            wearout.accumulate(cond.coreTempC, coreVdd, config_.tickMs);
+        } else {
+            wearout.repeat(config_.tickMs);
         }
-        sumMinThread += minThread;
-
-        const double weighted = weightedThroughput(cond, work);
+        sumMinThread += tickMinThread;
         sumMips += cond.totalMips;
-        sumWeighted += weighted;
-        sumProgress += weightedProgress(cond, work);
+        sumWeighted += tickWeighted;
+        sumProgress += tickProgress;
         sumPower += cond.totalPowerW;
-        sumFreq += averageActiveFrequency(cond, work);
-        for (std::size_t c = 0; c < numCores; ++c)
-            result.maxCoreTempC = std::max(result.maxCoreTempC,
-                                           cond.coreTempC[c]);
-        if (config_.pm != PmKind::None) {
-            sumDev += std::abs(cond.totalPowerW - config_.ptargetW) /
-                config_.ptargetW;
-        }
+        sumFreq += tickFreq;
+        sumDev += tickDev;
 
         // Close the guard's loop on the settled (regulator-side)
         // power and track its tier for the recovery metrics.
@@ -955,14 +983,6 @@ SystemSimulator::runImpl(RunMode mode)
         else
             ++exactTickCount;
         wasExtrapolating = extrap;
-
-        // Wearout accounting at the settled operating point.
-        for (std::size_t c = 0; c < numCores; ++c) {
-            coreVdd[c] = work[c].app != nullptr
-                ? die_.voltage(static_cast<std::size_t>(coreLevels[c]))
-                : 0.0;
-        }
-        wearout.accumulate(cond.coreTempC, coreVdd, config_.tickMs);
 
         // Phase drift.
         for (auto &seq : phases) {

@@ -35,9 +35,7 @@ WearoutModel::agingRate(double tempC, double v) const
 
 WearoutTracker::WearoutTracker(const WearoutModel &model,
                                std::size_t numCores)
-    : model_(&model), damageMs_(numCores, 0.0),
-      lastTempC_(numCores, 0.0), lastVdd_(numCores, 0.0),
-      lastRate_(numCores, 0.0)
+    : model_(&model), damageMs_(numCores, 0.0), lastRate_(numCores, 0.0)
 {
 }
 
@@ -48,16 +46,16 @@ WearoutTracker::accumulate(const std::vector<double> &coreTempC,
 {
     assert(coreTempC.size() == damageMs_.size());
     assert(coreVdd.size() == damageMs_.size());
-    for (std::size_t c = 0; c < damageMs_.size(); ++c) {
-        if (!memoValid_ || coreTempC[c] != lastTempC_[c] ||
-            coreVdd[c] != lastVdd_[c]) {
-            lastTempC_[c] = coreTempC[c];
-            lastVdd_[c] = coreVdd[c];
-            lastRate_[c] = model_->agingRate(coreTempC[c], coreVdd[c]);
-        }
+    for (std::size_t c = 0; c < damageMs_.size(); ++c)
+        lastRate_[c] = model_->agingRate(coreTempC[c], coreVdd[c]);
+    repeat(dtMs);
+}
+
+void
+WearoutTracker::repeat(double dtMs)
+{
+    for (std::size_t c = 0; c < damageMs_.size(); ++c)
         damageMs_[c] += lastRate_[c] * dtMs;
-    }
-    memoValid_ = true;
     elapsedMs_ += dtMs;
 }
 

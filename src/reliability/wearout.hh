@@ -82,6 +82,12 @@ class WearoutTracker
                     const std::vector<double> &coreVdd, double dtMs);
 
     /**
+     * accumulate() at the operating point of the last accumulate()
+     * call, which must exist: the same per-core adds, bit for bit.
+     */
+    void repeat(double dtMs);
+
+    /**
      * Consumed reference-lifetime per core, as a fraction of the
      * tracked wall-time (i.e. the time-averaged aging rate).
      */
@@ -100,14 +106,7 @@ class WearoutTracker
     const WearoutModel *model_;
     std::vector<double> damageMs_; ///< rate-weighted milliseconds
     double elapsedMs_ = 0.0;
-    // agingRate is an exp + pow per core per tick, but (temp, vdd)
-    // only changes when the operating point does — memoise the last
-    // rate per core. Exact (keyed on bitwise equality), so results
-    // are unchanged.
-    std::vector<double> lastTempC_;
-    std::vector<double> lastVdd_;
-    std::vector<double> lastRate_;
-    bool memoValid_ = false;
+    std::vector<double> lastRate_; ///< Per core, of the last accumulate.
 };
 
 } // namespace varsched

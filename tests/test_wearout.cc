@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "reliability/wearout.hh"
 
 namespace varsched
@@ -90,6 +92,36 @@ TEST(Wearout, LifetimeInverseOfWorstRate)
     hot.accumulate({60.0}, {1.0}, 5.0);
     EXPECT_NEAR(hot.projectedLifetimeYears(),
                 model.params().nominalLifetimeYears, 1e-9);
+}
+
+TEST(Wearout, RepeatMatchesAccumulateBitForBit)
+{
+    // The tick loop's repeat path must add exactly what accumulate()
+    // adds at an unchanged operating point, across operating-point
+    // changes, odd tick lengths and gated cores.
+    WearoutModel model;
+    WearoutTracker accumulated(model, 3), repeated(model, 3);
+    const std::vector<std::vector<double>> temps = {
+        {61.3, 88.25, 45.0}, {97.125, 70.5, 45.0}, {52.0, 52.0, 130.75}};
+    const std::vector<std::vector<double>> vdds = {
+        {0.85, 1.0, 0.0}, {1.0, 0.6, 0.0}, {0.0, 0.95, 0.7}};
+    for (std::size_t point = 0; point < temps.size(); ++point) {
+        for (int tick = 0; tick < 37; ++tick) {
+            const double dtMs = tick % 3 ? 0.1 : 0.3;
+            accumulated.accumulate(temps[point], vdds[point], dtMs);
+            if (tick == 0)
+                repeated.accumulate(temps[point], vdds[point], dtMs);
+            else
+                repeated.repeat(dtMs);
+        }
+    }
+    const auto want = accumulated.averageRates();
+    const auto got = repeated.averageRates();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t c = 0; c < want.size(); ++c)
+        EXPECT_EQ(want[c], got[c]) << "core " << c;
+    EXPECT_EQ(accumulated.projectedLifetimeYears(),
+              repeated.projectedLifetimeYears());
 }
 
 TEST(Wearout, EmptyTrackerIsNominal)
