@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "runtime/metrics.hh"
+
 namespace varsched
 {
 
@@ -84,8 +86,12 @@ Die::Die(const DieParams &params, std::uint64_t dieSeed)
     // integration points once; the tick loop queries leakage millions
     // of times per run and folds these instead of re-interpolating.
     vthSamples_.reserve(numCores());
-    for (std::size_t c = 0; c < numCores(); ++c)
+    leakTables_.reserve(numCores());
+    for (std::size_t c = 0; c < numCores(); ++c) {
         vthSamples_.push_back(leakModel_.sampleCoreVth(map_, plan_, c));
+        leakTables_.push_back(leakModel_.fitKernel(
+            vthSamples_[c], map_.vthSigmaRandom(), vthBias_[c]));
+    }
 
     // Bin the (voltage, frequency) table at the binning temperature
     // and quantise down to the frequency step (a core is never clocked
@@ -106,6 +112,18 @@ Die::Die(const DieParams &params, std::uint64_t dieSeed)
             staticTable_[c][l] = leakModel_.corePowerAt(kernel, v);
         }
     }
+}
+
+CoreLeakageKernel
+Die::leakageKernel(std::size_t core, double tempC) const
+{
+    if (CoreLeakageTable::covers(tempC))
+        return leakModel_.tableKernel(leakTables_[core], tempC);
+    static metrics::Counter &sweeps =
+        metrics::Registry::global().counter("power.leak_kernel.sweeps");
+    sweeps.add();
+    return leakModel_.coreKernel(vthSamples_[core], map_.vthSigmaRandom(),
+                                 tempC, vthBias_[core]);
 }
 
 double

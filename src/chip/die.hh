@@ -113,12 +113,12 @@ class Die
     double leakagePower(std::size_t core, double v, double tempC) const
     { return leakModel_.corePowerAt(leakageKernel(core, tempC), v); }
 
-    /** Core @p core's leakage kernel at @p tempC (all levels). */
-    CoreLeakageKernel leakageKernel(std::size_t core, double tempC) const
-    {
-        return leakModel_.coreKernel(vthSamples_[core], map_.vthSigmaRandom(),
-                                     tempC, vthBias_[core]);
-    }
+    /**
+     * Core @p core's leakage kernel at @p tempC (all levels): from the
+     * core's table inside its range, else from a sweep over the core's
+     * Vth samples (counted by the power.leak_kernel.sweeps counter).
+     */
+    CoreLeakageKernel leakageKernel(std::size_t core, double tempC) const;
 
     /** Body-bias Vth shift applied to core @p core (0 without ABB). */
     double vthBias(std::size_t core) const { return vthBias_[core]; }
@@ -157,6 +157,7 @@ class Die
      * die, unlike a pointer-keyed cache would.
      */
     std::vector<std::vector<double>> vthSamples_;
+    std::vector<CoreLeakageTable> leakTables_; ///< Fitted per core.
     std::vector<std::vector<double>> freqTable_;   ///< [core][level]
     std::vector<std::vector<double>> staticTable_; ///< [core][level]
 };
