@@ -24,7 +24,7 @@ using namespace varsched;
 namespace
 {
 
-/** Whole-binary wall clock into BENCH_PR2.json (no batch here). */
+/** Whole-binary wall clock into the bench ledger (no batch here). */
 bench::PerfRecorder perf("bench_fig15_linopt_time");
 
 /** Snapshot cache shared by all benchmark repetitions. */

@@ -9,12 +9,12 @@
  *
  * Every bench owns a PerfRecorder, which times its runBatch() calls
  * (or, for benches that do not run batches, the whole binary) and
- * merges a per-bench entry into BENCH_PR5.json — the repo's
- * perf-trajectory record — under an advisory file lock, so benches
+ * merges a per-bench entry into bench_smoke.json (path override:
+ * VARSCHED_BENCH_JSON) under an advisory file lock, so benches
  * running concurrently (ctest -j) cannot drop each other's entries.
- * Entries carry the per-phase wall-clock breakdown (physics /
- * power-manager / scheduler seconds, and mfg_s for the die-population
- * manufacture phase) reported by the runs. With
+ * Entries carry the wall time, mfg_s for the die-population
+ * manufacture phase, and the metrics registry; the per-phase split of
+ * the tick loop comes from the tracer's spans (VARSCHED_TRACE). With
  * VARSCHED_BENCH_COMPARE=1 each batch is re-run serially to measure
  * the speedup and to verify that the parallel runner's metrics are
  * bit-identical to the serial path; die-population fan-outs
@@ -128,7 +128,7 @@ identicalBatchResult(const BatchResult &a, const BatchResult &b)
 
 /**
  * Per-bench wall-clock recorder. Times every batch routed through
- * run() and merges one entry into BENCH_PR3.json (path override:
+ * run() and merges one entry into bench_smoke.json (path override:
  * VARSCHED_BENCH_JSON) at destruction. Benches without batches
  * record their whole lifetime instead.
  */
@@ -154,26 +154,8 @@ class PerfRecorder
     {
         const double t0 = nowSeconds();
         BatchResult result = runBatch(batch, numThreads, configs);
-        const double wall = nowSeconds() - t0;
-        parallelSec_ += wall;
+        parallelSec_ += nowSeconds() - t0;
         ranBatch_ = true;
-
-        // The per-run phase counters are CPU seconds summed across
-        // workers, so on an N-thread batch their total can exceed the
-        // batch's wall time N-fold. Record the raw CPU sums, and also
-        // attribute each phase a share of this batch's wall clock
-        // proportional to its CPU share (scale == 1 on serial runs,
-        // where the phases are disjoint slices of the wall).
-        physicsCpuSec_ += result.physicsSec;
-        pmCpuSec_ += result.pmSec;
-        schedCpuSec_ += result.schedSec;
-        const double cpuTotal =
-            result.physicsSec + result.pmSec + result.schedSec;
-        const double scale =
-            cpuTotal > wall && cpuTotal > 0.0 ? wall / cpuTotal : 1.0;
-        physicsSec_ += result.physicsSec * scale;
-        pmSec_ += result.pmSec * scale;
-        schedSec_ += result.schedSec * scale;
         exactTicks_ += result.exactTicks;
         sampledTicks_ += result.sampledTicks;
         if (result.estErrMax > estErr_)
@@ -249,16 +231,11 @@ class PerfRecorder
             head, sizeof head,
             "{\"bench\": \"%s\", \"threads\": %zu, "
             "\"parallel_s\": %.6f, \"serial_s\": %s, "
-            "\"speedup\": %s, \"physics_s\": %.6f, "
-            "\"pm_s\": %.6f, \"sched_s\": %.6f, "
-            "\"physics_cpu_s\": %.6f, \"pm_cpu_s\": %.6f, "
-            "\"sched_cpu_s\": %.6f, "
-            "\"mfg_s\": %s, "
+            "\"speedup\": %s, \"mfg_s\": %s, "
             "\"exact_ticks\": %llu, \"sampled_ticks\": %llu, "
-            "\"est_err\": %.6f, \"cg_free_thermal\": true",
+            "\"est_err\": %.6f",
             name_.c_str(), configuredThreads(), parallel, serial,
-            speedup, physicsSec_, pmSec_, schedSec_, physicsCpuSec_,
-            pmCpuSec_, schedCpuSec_, mfg,
+            speedup, mfg,
             static_cast<unsigned long long>(exactTicks_),
             static_cast<unsigned long long>(sampledTicks_), estErr_);
         // The process-wide registry carries everything the
@@ -289,7 +266,7 @@ class PerfRecorder
      * lock the orphaned inode. Without the lock, benches running
      * concurrently (ctest -j, parallel make targets) interleave their
      * read and rename steps and silently drop each other's entries —
-     * exactly how BENCH_PR2.json ended up with 1 of 24 benches.
+     * exactly how an early ledger ended up with 1 of 24 benches.
      *
      * A truncated or otherwise corrupt existing file (e.g. a bench
      * killed mid-write on a filesystem where rename is not atomic, or
@@ -304,7 +281,7 @@ class PerfRecorder
     mergeJson(const std::string &entry) const
     {
         const char *env = std::getenv("VARSCHED_BENCH_JSON");
-        const std::string path = env ? env : "BENCH_PR5.json";
+        const std::string path = env ? env : "bench_smoke.json";
 
         const int lockFd = acquireSidecarLock(path);
 
@@ -379,15 +356,6 @@ class PerfRecorder
     double parallelSec_ = 0.0;
     double serialSec_ = 0.0;
     double mfgSec_ = 0.0;
-    // Phase breakdown from the primary (parallel) runs: wall-clock
-    // attribution (each batch's wall split by CPU share, so the three
-    // never sum past parallel_s) and the raw cross-thread CPU sums.
-    double physicsSec_ = 0.0;
-    double pmSec_ = 0.0;
-    double schedSec_ = 0.0;
-    double physicsCpuSec_ = 0.0;
-    double pmCpuSec_ = 0.0;
-    double schedCpuSec_ = 0.0;
     // Phase-sampling telemetry: summed tick counts, worst est_err.
     std::uint64_t exactTicks_ = 0;
     std::uint64_t sampledTicks_ = 0;

@@ -163,9 +163,6 @@ runBatch(const BatchConfig &batch, std::size_t numThreads,
             abs.deviation.add(runs[k].powerDeviation);
             abs.worstAging.add(runs[k].worstAgingRate);
             abs.lifetimeYears.add(runs[k].projectedLifetimeYears);
-            result.physicsSec += runs[k].physicsSec;
-            result.pmSec += runs[k].pmSec;
-            result.schedSec += runs[k].schedSec;
             result.exactTicks += runs[k].exactTicks;
             result.sampledTicks += runs[k].sampledTicks;
             result.estErrMax =

@@ -118,18 +118,10 @@ struct BatchResult
     std::vector<ConfigMetrics> absolute;
     std::vector<RelativeMetrics> relative;
 
-    // Wall-clock breakdown summed over every run in the batch
-    // (seconds of worker time, not elapsed time). Diagnostic only:
-    // excluded from bit-identity comparisons, since timing varies
-    // run to run.
-    double physicsSec = 0.0; ///< Chip-evaluation time.
-    double pmSec = 0.0;      ///< Power-manager time.
-    double schedSec = 0.0;   ///< Scheduler time.
-
-    // Phase-sampling telemetry summed/maxed over every run (zero when
-    // sampling is off). Deterministic for a given batch config, but
-    // excluded from the bit-identity comparison like the timings, so
-    // toggling sampling telemetry never masks a metric divergence.
+    // Phase-sampling telemetry summed/maxed over every run. Deterministic
+    // for a given batch config, but excluded from the bit-identity
+    // comparison, so toggling sampling telemetry never masks a metric
+    // divergence.
     std::uint64_t exactTicks = 0;   ///< Ticks settled exactly.
     std::uint64_t sampledTicks = 0; ///< Ticks extrapolated.
     double estErrMax = 0.0;         ///< Worst run-level est_err.

@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -468,10 +467,6 @@ SystemSimulator::runImpl(RunMode mode)
     ChipCondition cond;
     bool haveCondition = false;
 
-    const auto now = []() { return std::chrono::steady_clock::now(); };
-    using Sec = std::chrono::duration<double>;
-    double physicsSec = 0.0, pmSec = 0.0, schedSec = 0.0;
-
     // Steady-state condition cache: `steady` holds the pristine
     // solution of the last settled (work, levels) pair. When the
     // inputs are unchanged since that solve, the solution is reused
@@ -628,7 +623,6 @@ SystemSimulator::runImpl(RunMode mode)
         // Threads on cores that failed since the last interval are
         // remapped here (failed cores are masked out of the pools).
         if (tick % osPeriod == 0) {
-            const auto t0 = now();
             TRACE_SCOPE("sched.place");
             if (config_.sched == SchedAlgo::ThermalAware &&
                 haveCondition) {
@@ -638,7 +632,6 @@ SystemSimulator::runImpl(RunMode mode)
                 assignment = scheduleThreads(config_.sched, die_,
                                              apps_, rng, &coreOk);
             }
-            schedSec += Sec(now() - t0).count();
             workDirty = true;
             // A remap moves heat and work across cores: the frozen
             // basis no longer describes the chip. The workload mix is
@@ -662,7 +655,6 @@ SystemSimulator::runImpl(RunMode mode)
         if (!haveCondition) {
             // First tick: settle once before the power manager reads
             // its sensors.
-            const auto t0 = now();
             if (config_.transientThermal) {
                 TRACE_SCOPE("physics.settle");
                 cond = evaluator_.evaluate(work, coreLevels, uniFreq);
@@ -671,7 +663,6 @@ SystemSimulator::runImpl(RunMode mode)
                 settleSteady();
             }
             haveCondition = true;
-            physicsSec += Sec(now() - t0).count();
         }
 
         // Epoch decision first, then the per-tick signature: a forced
@@ -708,11 +699,8 @@ SystemSimulator::runImpl(RunMode mode)
                 preBasisPowerW = cond.totalPowerW;
                 preBasisMips = cond.totalMips;
                 haveBasisForEst = true;
-                const auto ts = now();
                 settleSteady();
-                physicsSec += Sec(now() - ts).count();
             }
-            const auto t0 = now();
             TRACE_SCOPE("pm.decide");
             TRACE_INSTANT("pm.epoch", "epoch",
                           static_cast<double>(epochIndex));
@@ -745,7 +733,6 @@ SystemSimulator::runImpl(RunMode mode)
             transitionSteps += steps;
             meanDecisionSteps +=
                 samplerCfg.basisBlend * (steps - meanDecisionSteps);
-            pmSec += Sec(now() - t0).count();
             // No level-swing criterion: an optimiser on a degenerate
             // manifold walks cores across levels while the settled
             // output barely moves. The jump detector below judges the
@@ -761,7 +748,6 @@ SystemSimulator::runImpl(RunMode mode)
             const double preMips =
                 haveBasisForEst ? preBasisMips : cond.totalMips;
             haveBasisForEst = false;
-            const auto t0 = now();
             bool resettled = false;
             if (config_.transientThermal) {
                 TRACE_SCOPE("physics.transient");
@@ -771,7 +757,6 @@ SystemSimulator::runImpl(RunMode mode)
             } else {
                 resettled = settleSteady();
             }
-            physicsSec += Sec(now() - t0).count();
             if (sampledMode) {
                 TRACE_SCOPE("phase.basis");
                 const auto rel = [](double a, double b) {
@@ -1014,9 +999,6 @@ SystemSimulator::runImpl(RunMode mode)
     result.capViolationFraction = config_.pm != PmKind::None
         ? capViolationFraction(result.powerTrace, config_.ptargetW)
         : 0.0;
-    result.physicsSec = physicsSec;
-    result.pmSec = pmSec;
-    result.schedSec = schedSec;
     result.exactTicks = exactTickCount;
     result.sampledTicks = sampledTickCount;
     const PhaseSamplerStats &sstats = sampler.stats();

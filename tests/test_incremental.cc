@@ -231,11 +231,6 @@ TEST(SystemIncremental, WarmOnMatchesWarmOffWithinHalfPercent)
     EXPECT_NEAR(warm.avgWeightedIpc, cold.avgWeightedIpc,
                 0.005 * cold.avgWeightedIpc);
     EXPECT_NEAR(warm.energyJ, cold.energyJ, 0.005 * cold.energyJ);
-
-    // The phase timers must account for actual work.
-    EXPECT_GT(warm.physicsSec, 0.0);
-    EXPECT_GT(warm.pmSec, 0.0);
-    EXPECT_GT(warm.schedSec, 0.0);
 }
 
 TEST(SystemIncremental, RunsAreDeterministic)

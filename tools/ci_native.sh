@@ -71,5 +71,5 @@ VARSCHED_TRACE="$trace_json" VARSCHED_THREADS=2 \
     VARSCHED_BENCH_JSON="$build/BENCH_TRACED.json" \
     "$build/bench/bench_fig13_weighted" > /dev/null
 "$build/tools/trace_summarize" "$trace_json" \
-    --expect physics. --expect pm.decide --expect sched.place \
+    --expect physics.settle --expect pm.decide --expect sched.place \
     --expect pool.task --expect experiment.trial

@@ -3,7 +3,11 @@
 # emitted Chrome trace with trace_summarize (well-formed event array,
 # expected span families present), and prove the bench's printed
 # simulation results are byte-identical to an untraced run — tracing
-# must observe, never perturb. Usage:
+# must observe, never perturb. The check runs twice, once per mode of
+# the tick engine: phase-sampled (the bench default) and exact
+# (VARSCHED_PHASE_SAMPLING=0). The spans are the only phase clock, so
+# each pass must carry the settle, decision and placement spans.
+# Usage:
 #   trace_smoke_test.sh BENCH_BINARY TRACE_SUMMARIZE_BINARY WORK_DIR
 set -eu
 
@@ -12,22 +16,33 @@ summarize=$2
 dir=$3
 
 mkdir -p "$dir"
-trace="$dir/fig13.trace.json"
-rm -f "$trace"
 
-VARSCHED_TRACE="$trace" VARSCHED_BENCH_JSON="$dir/BENCH_TRACED.json" \
-    "$bench" > "$dir/traced.out"
-VARSCHED_BENCH_JSON="$dir/BENCH_UNTRACED.json" \
-    "$bench" > "$dir/untraced.out"
+# smoke_pass NAME SAMPLING: one traced and one untraced run of the
+# bench with VARSCHED_PHASE_SAMPLING=SAMPLING.
+smoke_pass() {
+    name=$1
+    trace="$dir/$name.trace.json"
+    rm -f "$trace"
 
-# Simulation output must not depend on whether tracing is on.
-cmp "$dir/traced.out" "$dir/untraced.out"
+    VARSCHED_PHASE_SAMPLING=$2 VARSCHED_TRACE="$trace" \
+        VARSCHED_BENCH_JSON="$dir/BENCH_TRACED.json" \
+        "$bench" > "$dir/$name.traced.out"
+    VARSCHED_PHASE_SAMPLING=$2 \
+        VARSCHED_BENCH_JSON="$dir/BENCH_UNTRACED.json" \
+        "$bench" > "$dir/$name.untraced.out"
 
-# The trace must hold the span families the instrumented stack
-# promises: physics settles, PM decisions, scheduler placements, and
-# worker-pool task spans.
-"$summarize" "$trace" \
-    --expect physics. \
-    --expect pm.decide \
-    --expect sched.place \
-    --expect pool.task
+    # Simulation output must not depend on whether tracing is on.
+    cmp "$dir/$name.traced.out" "$dir/$name.untraced.out"
+
+    # The trace must hold the span families the instrumented stack
+    # promises: physics settles, PM decisions, scheduler placements,
+    # and worker-pool task spans.
+    "$summarize" "$trace" \
+        --expect physics.settle \
+        --expect pm.decide \
+        --expect sched.place \
+        --expect pool.task
+}
+
+smoke_pass fig13 1
+smoke_pass fig13_exact 0

@@ -1,7 +1,7 @@
 /**
  * @file
- * Schema validator for BENCH_PR5.json, the per-bench perf-trajectory
- * record the bench binaries emit (see bench/common.hh). Used by the
+ * Schema validator for the per-bench perf-trajectory record the bench
+ * binaries emit (bench_smoke.json; see bench/common.hh). Used by the
  * bench_smoke CTest label: after every bench has run at tiny batch
  * sizes, this tool checks the merged file so a malformed emitter
  * fails CI instead of silently corrupting the perf history.
@@ -12,13 +12,6 @@
  *   parallel_s     number >= 0
  *   serial_s       number >= 0, or null when not measured
  *   speedup        number > 0, or null when not measured
- *   physics_s      number >= 0 (chip-evaluation wall seconds)
- *   pm_s           number >= 0 (power-manager wall seconds)
- *   sched_s        number >= 0 (scheduler wall seconds)
- *   physics_cpu_s  number >= 0 (chip-evaluation CPU seconds summed
- *                  across workers; >= physics_s by construction)
- *   pm_cpu_s       number >= 0 (power-manager CPU seconds)
- *   sched_cpu_s    number >= 0 (scheduler CPU seconds)
  *   mfg_s          number >= 0 (die-manufacture seconds), or null;
  *                  must be non-null for the die-population benches
  *                  (they route their lots through runDies())
@@ -27,7 +20,6 @@
  *                  phase-sampled engine; 0 when sampling is off)
  *   est_err        number in [0, 1] (worst run-level estimated
  *                  relative error introduced by extrapolation)
- *   cg_free_thermal  true
  *   metrics        object (PR 9+): counters and gauges as finite
  *                  non-negative numbers keyed by name, histograms as
  *                  nested {"count", "sum", "min", "max", "p50",
@@ -38,7 +30,8 @@
  *                  whenever count > 0, NaN/Inf/negative rejected
  *                  everywhere, and a "peak_rss_kb" gauge present.
  *
- * Exit 0 when every entry conforms (and at least one exists).
+ * Usage: validate_bench_json PATH. Exit 0 when every entry conforms
+ * (and at least one exists).
  */
 
 #include <cctype>
@@ -437,32 +430,6 @@ validateEntry(std::size_t index, const std::string &object,
         return fail(index, "serial_s and speedup must both be set "
                            "or both null");
 
-    // Per-phase breakdown (PR 3+ entries). As of PR 7 the plain *_s
-    // keys are wall-attributed (a batch's wall clock split by CPU
-    // share) and the raw cross-thread CPU sums moved to *_cpu_s; the
-    // wall phases must therefore fit inside the measured wall time.
-    if (!isNumber(rawValue(object, "physics_s"), false, true))
-        return fail(index, "\"physics_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "pm_s"), false, true))
-        return fail(index, "\"pm_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "sched_s"), false, true))
-        return fail(index, "\"sched_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "physics_cpu_s"), false, true))
-        return fail(index, "\"physics_cpu_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "pm_cpu_s"), false, true))
-        return fail(index, "\"pm_cpu_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "sched_cpu_s"), false, true))
-        return fail(index, "\"sched_cpu_s\" must be a number >= 0");
-    const double wallPhases =
-        std::strtod(rawValue(object, "physics_s").c_str(), nullptr) +
-        std::strtod(rawValue(object, "pm_s").c_str(), nullptr) +
-        std::strtod(rawValue(object, "sched_s").c_str(), nullptr);
-    const double parallelS =
-        std::strtod(rawValue(object, "parallel_s").c_str(), nullptr);
-    if (wallPhases > parallelS * 1.01 + 1e-3)
-        return fail(index, "wall-attributed phases exceed parallel_s "
-                           "(per-thread CPU sums leaked into *_s?)");
-
     // Die-manufacture phase (PR 5+ entries): null for benches that
     // never run a die population, required for the four that do.
     if (!isNumber(rawValue(object, "mfg_s"), true, true))
@@ -494,9 +461,6 @@ validateEntry(std::size_t index, const std::string &object,
     if (std::strtod(rawValue(object, "est_err").c_str(), nullptr) > 1.0)
         return fail(index, "\"est_err\" must be <= 1");
 
-    if (rawValue(object, "cg_free_thermal") != "true")
-        return fail(index, "\"cg_free_thermal\" must be true");
-
     // Observability payload (PR 9+ entries).
     return validateMetrics(index, object);
 }
@@ -506,7 +470,11 @@ validateEntry(std::size_t index, const std::string &object,
 int
 main(int argc, char **argv)
 {
-    const char *path = argc > 1 ? argv[1] : "BENCH_PR5.json";
+    if (argc != 2) {
+        std::fprintf(stderr, "usage: validate_bench_json PATH\n");
+        return 2;
+    }
+    const char *path = argv[1];
     std::FILE *in = std::fopen(path, "r");
     if (in == nullptr) {
         std::fprintf(stderr, "cannot open %s\n", path);
