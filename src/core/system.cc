@@ -283,18 +283,18 @@ SystemResult
 SystemSimulator::run()
 {
     if (!config_.phaseSampling.enabled)
-        return runImpl(RunMode::Legacy);
-    SystemResult sampled = runImpl(RunMode::Sampled);
+        return runImpl(false);
+    SystemResult sampled = runImpl(true);
 
-    // Exact-vs-sampled guard (PR 2 idiom): under
-    // VARSCHED_BENCH_COMPARE=1, re-run unsampled on the same
-    // per-epoch RNG streams and require the headline metrics to land
+    // Exact-vs-sampled guard: under VARSCHED_BENCH_COMPARE=1, re-run
+    // with sampling off (the exact engine, on the same per-epoch RNG
+    // streams) and require the headline metrics to land
     // within the error budget. Managers are rebuilt on both sides so
     // warm internal state cannot leak between the runs.
     const char *cmp = std::getenv("VARSCHED_BENCH_COMPARE");
     if (cmp != nullptr && std::string(cmp) == "1") {
         rebuildManager();
-        const SystemResult exact = runImpl(RunMode::ExactReference);
+        const SystemResult exact = runImpl(false);
         rebuildManager();
         const double budget =
             std::max(config_.phaseSampling.errorBudget, 0.0);
@@ -385,30 +385,28 @@ constexpr double kJumpFloorSigma = 5.0;
 } // namespace
 
 SystemResult
-SystemSimulator::runImpl(RunMode mode)
+SystemSimulator::runImpl(bool sampledMode)
 {
     const std::size_t numCores = die_.numCores();
     const std::size_t numThreads = apps_.size();
 
-    // Legacy draws sensor noise from one sequential stream; the
-    // sampled engine (and its exact reference) derive a fresh stream
-    // per DVFS epoch and announce the epoch to the manager, so each
-    // epoch's decision is a pure function of (config, epoch,
-    // snapshot) no matter which other epochs were evaluated.
-    const bool legacyMode = mode == RunMode::Legacy;
-    const bool sampledMode = mode == RunMode::Sampled;
-
+    // Sensor noise comes from a fresh stream per DVFS epoch, and each
+    // epoch is announced to the manager, so each epoch's decision is
+    // a pure function of (config, epoch, snapshot) no matter which
+    // other epochs were evaluated.
     PhaseSamplingConfig samplerCfg = config_.phaseSampling;
-    if (mode == RunMode::ExactReference)
-        samplerCfg.exactReference = true;
     // Cheap controllers are never worth sampling: their decision
     // costs nothing to run, and skipping it freezes the dither a
     // quantised controller needs to explore adjacent fixpoints (see
-    // PowerManager::cheapDecision). Demote the run to the exact
-    // epoch stream — bit-identical to the reference, zero est_err.
+    // PowerManager::cheapDecision). Demote the run to a zero budget,
+    // which never extrapolates — bit-identical to the exact engine,
+    // zero est_err — keeping the churn tolerance the budget implied,
+    // so the sampler's telemetry still reports the phase churn.
     if (sampledMode && config_.pm != PmKind::None &&
-        manager_ != nullptr && manager_->cheapDecision())
-        samplerCfg.exactReference = true;
+        manager_ != nullptr && manager_->cheapDecision()) {
+        samplerCfg.maxChurnFraction = phaseChurnTolerance(samplerCfg);
+        samplerCfg.errorBudget = 0.0;
+    }
     PhaseSampler sampler(samplerCfg, numCores);
     std::vector<std::uint64_t> sig(numCores, 0);
     std::vector<std::size_t> basisAssignment;
@@ -439,7 +437,9 @@ SystemSimulator::runImpl(RunMode mode)
     bool haveBasisForEst = false;
 
     Rng rng(config_.seed);
-    Rng noiseRng = rng.fork(0xDEAD);
+    // The retired sequential sensor-noise stream's fork: the draw
+    // stays so placements and phases keep their streams.
+    (void)rng.fork(0xDEAD);
     // Seeded independently of the main stream so enabling a fault
     // schedule does not perturb placement/phase/noise draws.
     FaultInjector injector(config_.faults,
@@ -704,18 +704,11 @@ SystemSimulator::runImpl(RunMode mode)
             TRACE_SCOPE("pm.decide");
             TRACE_INSTANT("pm.epoch", "epoch",
                           static_cast<double>(epochIndex));
-            Rng epochNoise(legacyMode
-                               ? 0
-                               : deriveSeed(config_.seed, 0x4E01,
-                                            epochIndex));
-            Rng *noisePtr = nullptr;
-            if (config_.sensorNoise)
-                noisePtr = legacyMode ? &noiseRng : &epochNoise;
-            if (!legacyMode)
-                manager_->beginEpoch(epochIndex);
+            Rng epochNoise(deriveSeed(config_.seed, 0x4E01, epochIndex));
+            manager_->beginEpoch(epochIndex);
             const ChipSnapshot snap = buildSnapshot(
                 evaluator_, work, cond, config_.ptargetW, pcoreMax,
-                noisePtr, &injector);
+                config_.sensorNoise ? &epochNoise : nullptr, &injector);
             const std::vector<int> active =
                 manager_->selectLevels(snap);
             std::size_t decisionSteps = 0;
@@ -818,9 +811,7 @@ SystemSimulator::runImpl(RunMode mode)
                         combineCondition(extrapCond, steady, add);
                         combineCondition(extrapCond, prevSteady, sub);
                     }
-                } else if (dvfsBoundary &&
-                           samplerCfg.errorBudget > 0.0 &&
-                           !samplerCfg.exactReference) {
+                } else if (samplerCfg.errorBudget > 0.0) {
                     const double jump =
                         metricErr(cond, extrapCond.totalPowerW,
                                   extrapCond.totalMips);

@@ -134,7 +134,7 @@ struct SystemConfig
      * Phase-sampled engine (runtime/phase.hh): detect steady workload
      * phases online and evaluate only a sampled subset of DVFS epochs,
      * extrapolating the rest from the settled condition. Off by
-     * default (the exact legacy tick loop). When enabled with
+     * default (the exact tick loop). When enabled with
      * VARSCHED_BENCH_COMPARE=1 in the environment, run() re-runs the
      * exact reference and aborts if power/energy/ED^2 diverge beyond
      * the error budget (PR 2 guard idiom). Requires steady-state
@@ -250,31 +250,23 @@ class SystemSimulator
                     const SystemConfig &config);
 
     /**
-     * Run the configured duration and aggregate the metrics. With
-     * phaseSampling enabled this is the sampled engine; additionally
-     * setting VARSCHED_BENCH_COMPARE=1 re-runs the exact reference
-     * and aborts when the sampled power/energy/ED^2 fall outside the
-     * error budget (with a budget of 0 they must be bit-identical).
+     * Run the configured duration and aggregate the metrics. The run
+     * with phaseSampling off is the exact reference: every tick
+     * settled, every DVFS epoch decided. With phaseSampling enabled
+     * this is the sampled engine; additionally setting
+     * VARSCHED_BENCH_COMPARE=1 re-runs with sampling off and aborts
+     * when the sampled power/energy/ED^2 fall outside the error
+     * budget (with a budget of 0 they must be bit-identical).
      */
     SystemResult run();
 
   private:
-    /** How runImpl drives the tick loop. */
-    enum class RunMode
-    {
-        /** Exact loop, sequential RNG streams (pre-sampling). */
-        Legacy,
-        /** Phase-sampled loop, per-epoch RNG streams. */
-        Sampled,
-        /**
-         * Exact loop on per-epoch RNG streams: what Sampled converges
-         * to as the error budget goes to 0, and the reference the
-         * VARSCHED_BENCH_COMPARE guard checks against.
-         */
-        ExactReference,
-    };
-
-    SystemResult runImpl(RunMode mode);
+    /**
+     * The tick loop. @p sampled runs the phase sampler (signatures,
+     * epoch verdicts, basis upkeep); without it every tick settles and
+     * no sampler work is done.
+     */
+    SystemResult runImpl(bool sampled);
     /** Fresh manager/guard, so guard reference runs start clean. */
     void rebuildManager();
 

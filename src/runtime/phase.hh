@@ -26,10 +26,11 @@
  * Any structural event — scheduler remap, large DVFS swing, fault,
  * wearout drift — invalidates the basis outright: the sampler drops
  * to Unstable, re-runs hysteresis, and the loop evaluates exactly in
- * the meantime. With errorBudget <= 0 (or exactReference set) the
- * sampler never extrapolates, which makes the sampled path
- * bit-identical to the exact epoch-stream path — the comparison guard
- * the system harness runs under VARSCHED_BENCH_COMPARE=1.
+ * the meantime. A budget of 0 (errorBudget <= 0) *is* the exact
+ * engine: the sampler never extrapolates, so every tick settles and
+ * every epoch is decided, exactly as with sampling off — the
+ * reference the system harness's VARSCHED_BENCH_COMPARE=1 guard
+ * checks sampled runs against.
  *
  * Header-only and dependency-free: the sampler knows nothing about
  * chips, only signatures, epochs, and error feedback.
@@ -49,14 +50,14 @@ namespace varsched
 /** Tuning of the phase-sampled simulation engine. */
 struct PhaseSamplingConfig
 {
-    /** Master switch; off reproduces the exact tick loop verbatim. */
+    /** Master switch; off runs the exact engine (every tick settled). */
     bool enabled = false;
 
     /**
      * Target relative error on run-level power/energy/ED^2. Governs
      * the derived churn tolerance and the checkpoint adaptation; the
      * VARSCHED_BENCH_COMPARE guard asserts the realised error stays
-     * within it. <= 0 never extrapolates (exact epoch-stream run).
+     * within it. <= 0 never extrapolates (the exact engine).
      */
     double errorBudget = 0.01;
 
@@ -102,12 +103,6 @@ struct PhaseSamplingConfig
 
     /** Quantisation step for signature scale fingerprints. */
     double quantStep = 1.0 / 64.0;
-
-    /**
-     * Evaluate every epoch regardless of steadiness: the exact
-     * reference configuration of the comparison guard.
-     */
-    bool exactReference = false;
 };
 
 /** Resolved churn tolerance (fraction of slots). */
@@ -279,8 +274,7 @@ class PhaseSampler
     beginEpochEvaluate()
     {
         verifying_ = false;
-        if (config_.exactReference || config_.errorBudget <= 0.0 ||
-            state_ != State::Steady ||
+        if (config_.errorBudget <= 0.0 || state_ != State::Steady ||
             warmup_ < config_.warmupEpochs) {
             if (warmup_ < config_.warmupEpochs)
                 ++warmup_;
@@ -408,8 +402,7 @@ class PhaseSampler
             state_ = State::Steady;
             sinceEval_ = 0;
         }
-        if (state_ == State::Steady && epochExtrapolate_ &&
-            !config_.exactReference && config_.errorBudget > 0.0)
+        if (state_ == State::Steady && epochExtrapolate_)
             extrapolating_ = true;
     }
 

@@ -243,17 +243,24 @@ TEST(SystemIncremental, RunsAreDeterministic)
     for (std::size_t t = 0; t < 6; ++t)
         threads.push_back(&apps[t % apps.size()]);
 
-    SystemConfig config;
-    config.pm = PmKind::FoxtonStar;
-    config.ptargetW = 25.0;
-    config.durationMs = 80.0;
-    config.seed = 9;
+    // SAnn and LinOpt draw per-epoch noise and SAnn per-epoch seeds:
+    // a rerun must land on the same streams.
+    for (const PmKind pm :
+         {PmKind::FoxtonStar, PmKind::SAnn, PmKind::LinOpt}) {
+        SCOPED_TRACE(pmKindName(pm));
+        SystemConfig config;
+        config.pm = pm;
+        config.ptargetW = 25.0;
+        config.durationMs = 80.0;
+        config.sannEvals = 2000;
+        config.seed = 9;
 
-    const auto r1 = SystemSimulator(die, threads, config).run();
-    const auto r2 = SystemSimulator(die, threads, config).run();
-    EXPECT_EQ(r1.powerTrace, r2.powerTrace);
-    EXPECT_EQ(r1.avgMips, r2.avgMips);
-    EXPECT_EQ(r1.energyJ, r2.energyJ);
+        const auto r1 = SystemSimulator(die, threads, config).run();
+        const auto r2 = SystemSimulator(die, threads, config).run();
+        EXPECT_EQ(r1.powerTrace, r2.powerTrace);
+        EXPECT_EQ(r1.avgMips, r2.avgMips);
+        EXPECT_EQ(r1.energyJ, r2.energyJ);
+    }
 }
 
 TEST(SAnnDelta, AnnealerMatchesLegacyFullRescore)

@@ -434,7 +434,7 @@ TEST_F(PhaseSystemFixture, BudgetZeroMatchesExactReferenceBitwise)
     SystemConfig sampled = baseConfig();
     sampled.phaseSampling.errorBudget = 0.0;
     SystemConfig exact = baseConfig();
-    exact.phaseSampling.exactReference = true;
+    exact.phaseSampling.enabled = false;
 
     SystemSimulator a(die_, workload(8), sampled);
     SystemSimulator b(die_, workload(8), exact);
@@ -453,11 +453,79 @@ TEST_F(PhaseSystemFixture, BudgetZeroMatchesExactReferenceBitwise)
     EXPECT_EQ(rb.sampledTicks, 0u);
 }
 
+/**
+ * Every SystemResult field of two runs, bit for bit. The sampler's own
+ * counters (phaseInvalidations, evaluatedEpochs) are left out: a run
+ * with sampling off keeps none, whatever it simulates.
+ */
+void
+expectSameRun(const SystemResult &a, const SystemResult &b)
+{
+    EXPECT_EQ(a.avgMips, b.avgMips);
+    EXPECT_EQ(a.avgMinThreadMips, b.avgMinThreadMips);
+    EXPECT_EQ(a.avgWeightedIpc, b.avgWeightedIpc);
+    EXPECT_EQ(a.avgWeightedProgress, b.avgWeightedProgress);
+    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
+    EXPECT_EQ(a.avgFreqHz, b.avgFreqHz);
+    EXPECT_EQ(a.maxCoreTempC, b.maxCoreTempC);
+    EXPECT_EQ(a.energyJ, b.energyJ);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.ed2, b.ed2);
+    EXPECT_EQ(a.weightedEd2, b.weightedEd2);
+    EXPECT_EQ(a.powerDeviation, b.powerDeviation);
+    ASSERT_EQ(a.powerTrace.size(), b.powerTrace.size());
+    for (std::size_t i = 0; i < a.powerTrace.size(); ++i)
+        EXPECT_EQ(a.powerTrace[i], b.powerTrace[i]) << "tick " << i;
+    EXPECT_EQ(a.worstAgingRate, b.worstAgingRate);
+    EXPECT_EQ(a.projectedLifetimeYears, b.projectedLifetimeYears);
+    EXPECT_EQ(a.transitionLossFraction, b.transitionLossFraction);
+    EXPECT_EQ(a.capViolationFraction, b.capViolationFraction);
+    EXPECT_EQ(a.fallbackEngagements, b.fallbackEngagements);
+    EXPECT_EQ(a.guardRecoveries, b.guardRecoveries);
+    EXPECT_EQ(a.finalGuardTier, b.finalGuardTier);
+    EXPECT_EQ(a.meanRecoveryMs, b.meanRecoveryMs);
+    EXPECT_EQ(a.degradedTimeMs, b.degradedTimeMs);
+    EXPECT_EQ(a.sensorQuarantines, b.sensorQuarantines);
+    EXPECT_EQ(a.dvfsFaultsInjected, b.dvfsFaultsInjected);
+    EXPECT_EQ(a.coresFailed, b.coresFailed);
+    EXPECT_EQ(a.exactTicks, b.exactTicks);
+    EXPECT_EQ(a.sampledTicks, b.sampledTicks);
+    EXPECT_EQ(a.estErr, b.estErr);
+    EXPECT_EQ(a.extrapolatedEpochs, b.extrapolatedEpochs);
+}
+
+TEST_F(PhaseSystemFixture, SamplingOffMatchesBudgetZeroBitwise)
+{
+    // A zero budget is the exact engine: the sampler runs but never
+    // extrapolates, so the run must equal the one with sampling off
+    // bit for bit — same per-epoch noise, same SAnn seeds, same
+    // settles. Foxton* is demoted to a zero budget on its own; LinOpt
+    // and SAnn get there through the config.
+    for (const PmKind pm :
+         {PmKind::LinOpt, PmKind::SAnn, PmKind::FoxtonStar}) {
+        SCOPED_TRACE(pmKindName(pm));
+        SystemConfig budgetZero = baseConfig();
+        budgetZero.pm = pm;
+        budgetZero.sannEvals = 2000;
+        budgetZero.phaseSampling.errorBudget = 0.0;
+        SystemConfig off = budgetZero;
+        off.phaseSampling.enabled = false;
+
+        const auto ra = SystemSimulator(die_, workload(8), budgetZero).run();
+        const auto rb = SystemSimulator(die_, workload(8), off).run();
+        expectSameRun(ra, rb);
+        EXPECT_EQ(ra.sampledTicks, 0u);
+        EXPECT_GT(ra.evaluatedEpochs, 0u);
+        EXPECT_EQ(rb.evaluatedEpochs, 0u);
+        EXPECT_EQ(rb.phaseInvalidations, 0u);
+    }
+}
+
 TEST_F(PhaseSystemFixture, SampledRunTracksExactWithinBudget)
 {
     SystemConfig sampled = baseConfig(); // default 1% budget
     SystemConfig exact = baseConfig();
-    exact.phaseSampling.exactReference = true;
+    exact.phaseSampling.enabled = false;
 
     SystemSimulator a(die_, workload(8), sampled);
     SystemSimulator b(die_, workload(8), exact);
@@ -499,7 +567,7 @@ TEST_F(PhaseSystemFixture, SampledEd2IsUnbiasedAcrossRuns)
         SystemConfig sampled = baseConfig();
         sampled.seed = 1000 + seed;
         SystemConfig exact = sampled;
-        exact.phaseSampling.exactReference = true;
+        exact.phaseSampling.enabled = false;
         SystemSimulator a(die_, workload(8), sampled);
         SystemSimulator b(die_, workload(8), exact);
         const auto ra = a.run();
