@@ -212,6 +212,14 @@ SystemSimulator::rebuildManager()
 namespace
 {
 
+/** |a - b| relative to the larger magnitude (0 when both are 0). */
+double
+relDiff(double a, double b)
+{
+    const double denom = std::max(std::abs(a), std::abs(b));
+    return denom > 0.0 ? std::abs(a - b) / denom : 0.0;
+}
+
 /**
  * Process-wide accumulator for the exact-vs-sampled guard. A sampled
  * run's decision trajectory decorrelates from the exact run's the
@@ -298,10 +306,6 @@ SystemSimulator::run()
         rebuildManager();
         const double budget =
             std::max(config_.phaseSampling.errorBudget, 0.0);
-        const auto relDiff = [](double a, double b) {
-            const double denom = std::max(std::abs(a), std::abs(b));
-            return denom > 0.0 ? std::abs(a - b) / denom : 0.0;
-        };
         const double dPower = relDiff(sampled.avgPowerW, exact.avgPowerW);
         const double dEnergy = relDiff(sampled.energyJ, exact.energyJ);
         const double dEd2 = relDiff(sampled.ed2, exact.ed2);
@@ -382,90 +386,125 @@ combineCondition(ChipCondition &into, const ChipCondition &from, Op op)
  */
 constexpr double kJumpFloorSigma = 5.0;
 
-} // namespace
-
-SystemResult
-SystemSimulator::runImpl(bool sampledMode)
+/**
+ * Error metric for sampling control: the budget is promised on power,
+ * energy AND ED^2, and ED^2 is twice as sensitive to a throughput
+ * error as energy is to a power error (delay enters squared) — so
+ * MIPS deviations count double.
+ */
+double
+metricErr(const ChipCondition &a, double powerW, double mips)
 {
-    const std::size_t numCores = die_.numCores();
-    const std::size_t numThreads = apps_.size();
+    return std::max(relDiff(a.totalPowerW, powerW),
+                    2.0 * relDiff(a.totalMips, mips));
+}
 
-    // Sensor noise comes from a fresh stream per DVFS epoch, and each
-    // epoch is announced to the manager, so each epoch's decision is
-    // a pure function of (config, epoch, snapshot) no matter which
-    // other epochs were evaluated.
-    PhaseSamplingConfig samplerCfg = config_.phaseSampling;
-    // Cheap controllers are never worth sampling: their decision
-    // costs nothing to run, and skipping it freezes the dither a
-    // quantised controller needs to explore adjacent fixpoints (see
-    // PowerManager::cheapDecision). Demote the run to a zero budget,
-    // which never extrapolates — bit-identical to the exact engine,
-    // zero est_err — keeping the churn tolerance the budget implied,
-    // so the sampler's telemetry still reports the phase churn.
-    if (sampledMode && config_.pm != PmKind::None &&
-        manager_ != nullptr && manager_->cheapDecision()) {
-        samplerCfg.maxChurnFraction = phaseChurnTolerance(samplerCfg);
-        samplerCfg.errorBudget = 0.0;
+/**
+ * The run's sampler tuning. Cheap controllers are never worth
+ * sampling: their decision costs nothing to run, and skipping it
+ * freezes the dither a quantised controller needs to explore adjacent
+ * fixpoints (see PowerManager::cheapDecision). Their sampled runs are
+ * demoted to a zero budget, which never extrapolates — bit-identical
+ * to the exact engine, zero est_err — keeping the churn tolerance the
+ * budget implied, so the sampler's telemetry still reports the phase
+ * churn.
+ */
+PhaseSamplingConfig
+runSamplerConfig(const SystemConfig &config, const PowerManager &manager,
+                 bool sampled)
+{
+    PhaseSamplingConfig cfg = config.phaseSampling;
+    if (sampled && config.pm != PmKind::None && manager.cheapDecision()) {
+        cfg.maxChurnFraction = phaseChurnTolerance(cfg);
+        cfg.errorBudget = 0.0;
     }
-    PhaseSampler sampler(samplerCfg, numCores);
-    std::vector<std::uint64_t> sig(numCores, 0);
-    std::vector<std::size_t> basisAssignment;
-    bool wasExtrapolating = false;
+    return cfg;
+}
+
+/** Ticks in @p ms, at least 1. */
+std::size_t
+periodTicks(double ms, double tickMs)
+{
+    return std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::llround(ms / tickMs)));
+}
+
+/** What the stages learn about one tick as it runs. */
+struct Tick
+{
+    std::size_t index = 0;
+    double nowMs = 0.0;
+    /** A DVFS epoch starts on this tick. */
+    bool dvfsBoundary = false;
+    /** The epoch is decided and settled, not extrapolated. */
+    bool epochEval = true;
+    /** The sampler knocked a stale basis out on this tick. */
+    bool forcedResample = false;
+    /** The tick replays the extrapolation basis. */
+    bool extrap = false;
+};
+
+/**
+ * One run of the Fig 2 tick loop: the run-local state and the stages
+ * SystemSimulator::runImpl drives every tick — faults and scheduling,
+ * the power manager's epoch, the settle (or the sampled engine's
+ * extrapolation, with its basis upkeep), accumulation, and, once, the
+ * final aggregation. Without @ref sampled no sampler work is done.
+ */
+struct TickRun
+{
+    TickRun(const Die &die, const std::vector<const AppProfile *> &apps,
+            const SystemConfig &config, ChipEvaluator &evaluator,
+            PowerManager &manager, GuardedPowerManager *guard,
+            bool sampled);
+    // condFrom points into the run itself.
+    TickRun(const TickRun &) = delete;
+    TickRun &operator=(const TickRun &) = delete;
+
+    void scheduleStage(const Tick &t);
+    void epochStage(Tick &t);
+    void settleStage(Tick &t);
+    void basisUpkeep(const Tick &t, bool resettled, double prePowerW,
+                     double preMips);
+    void accumulateStage(const Tick &t);
+    SystemResult finalise();
+
+    bool settleSteady();
+    void hold(const ChipCondition &src);
+    void refreshWork();
+    void buildSignature();
+
+    const Die &die;
+    const std::vector<const AppProfile *> &apps;
+    const SystemConfig &config;
+    ChipEvaluator &evaluator;
+    PowerManager &manager;
+    /** Set when the manager is guarded (not owning). */
+    GuardedPowerManager *const guard;
+    const bool sampled;
+    const std::size_t numCores;
+    const std::size_t numThreads;
+    const std::size_t totalTicks;
+    const std::size_t osPeriod;
+    const std::size_t dvfsPeriod;
+    const double pcoreMax;
+    const double uniFreq;
+
+    Rng rng;
+    FaultInjector injector;
+    /** Per-thread phase sequencers. */
+    std::vector<PhaseSequencer> phases;
+
+    std::vector<std::size_t> assignment; // thread -> core (or kNoCore)
+    std::vector<CoreWork> work;
+    std::vector<int> coreLevels;
+    std::vector<bool> coreOk;
+    ChipCondition cond;
+    bool haveCondition = false;
     // The per-core work, and the signature built from it, change only
     // when a thread changes phase or core, a core dies or a level
     // moves: rebuild them then, not on every tick.
     bool workDirty = true, sigDirty = true;
-    std::uint64_t exactTickCount = 0, sampledTickCount = 0;
-    // Statistical extrapolation basis: an EWMA over epoch-boundary
-    // settles of the current steady phase. Extrapolated ticks replay
-    // this condition; blending (vs copying the last settle) averages
-    // the power manager's sensor-noise limit cycle out of it.
-    ChipCondition extrapCond;
-    // Learned per-boundary jump amplitude of the current phase (EWMA
-    // of |fresh settle - basis|). Separates the controller's
-    // stationary jitter (jumps near the floor: blend them away) from
-    // a move to a new operating regime (a jump far above the floor:
-    // reseed the basis), and feeds the sampling-depth control with a
-    // smooth wander estimate instead of single noisy draws.
-    double noiseFloor = 0.0;
-    bool noiseFloorValid = false;
-    // Basis metrics stashed when the pre-decision restore replaces an
-    // extrapolated condition with the true settle: est_err must score
-    // the basis the skipped ticks actually reported, not the restored
-    // truth.
-    double preBasisPowerW = 0.0, preBasisMips = 0.0;
-    bool haveBasisForEst = false;
-
-    Rng rng(config_.seed);
-    // The retired sequential sensor-noise stream's fork: the draw
-    // stays so placements and phases keep their streams.
-    (void)rng.fork(0xDEAD);
-    // Seeded independently of the main stream so enabling a fault
-    // schedule does not perturb placement/phase/noise draws.
-    FaultInjector injector(config_.faults,
-                           config_.seed * 0x9e3779b97f4a7c15ull ^
-                               0xFA0175EEDull);
-
-    const double pcoreMax = config_.pcoreMaxW > 0.0
-        ? config_.pcoreMaxW
-        : 2.0 * config_.ptargetW / static_cast<double>(numThreads);
-
-    // Per-thread phase sequencers.
-    std::vector<PhaseSequencer> phases;
-    phases.reserve(numThreads);
-    for (std::size_t t = 0; t < numThreads; ++t)
-        phases.emplace_back(*apps_[t], rng.fork(100 + t));
-
-    const double uniFreq =
-        config_.uniformFrequency ? die_.uniformFreq() : 0.0;
-
-    std::vector<std::size_t> assignment; // thread -> core (or kNoCore)
-    std::vector<CoreWork> work(numCores);
-    std::vector<int> coreLevels(numCores,
-                                static_cast<int>(die_.maxLevel()));
-    std::vector<bool> coreOk(numCores, true);
-    ChipCondition cond;
-    bool haveCondition = false;
 
     // Steady-state condition cache: `steady` holds the pristine
     // solution of the last settled (work, levels) pair. When the
@@ -486,531 +525,605 @@ SystemSimulator::runImpl(bool sampledMode)
     // after a transient step or a transition stall); holding the same
     // source again skips the copy.
     const ChipCondition *condFrom = nullptr;
-    const auto hold = [&](const ChipCondition &src) {
-        if (condFrom != &src) {
-            cond = src;
-            condFrom = &src;
-            tickDirty = true;
-        }
-    };
 
-    // True when the settle replaced an earlier one.
-    const auto settleSteady = [&]() {
-        if (cacheValid && coreLevels == cachedLevels &&
-            work == cachedWork) {
-            hold(steady);
-            return false;
-        }
-        TRACE_SCOPE("physics.settle");
-        evaluator_.evaluateInto(
-            prevSteady, work, coreLevels, uniFreq,
-            config_.warmStartThermal && cacheValid ? &steady : nullptr);
-        std::swap(steady, prevSteady);
-        cachedWork = work;
-        cachedLevels = coreLevels;
-        condFrom = nullptr;
-        hold(steady);
-        return std::exchange(cacheValid, true);
-    };
+    // Phase sampler and its extrapolation basis.
+    const PhaseSamplingConfig samplerCfg;
+    PhaseSampler sampler;
+    std::vector<std::uint64_t> sig;
+    std::vector<std::size_t> basisAssignment;
+    bool wasExtrapolating = false;
+    // Statistical extrapolation basis: an EWMA over epoch-boundary
+    // settles of the current steady phase. Extrapolated ticks replay
+    // this condition; blending (vs copying the last settle) averages
+    // the power manager's sensor-noise limit cycle out of it.
+    ChipCondition extrapCond;
+    // Learned per-boundary jump amplitude of the current phase (EWMA
+    // of |fresh settle - basis|). Separates the controller's
+    // stationary jitter (jumps near the floor: blend them away) from
+    // a move to a new operating regime (a jump far above the floor:
+    // reseed the basis), and feeds the sampling-depth control with a
+    // smooth wander estimate instead of single noisy draws.
+    double noiseFloor = 0.0;
+    bool noiseFloorValid = false;
+    // Basis metrics stashed when the pre-decision restore replaces an
+    // extrapolated condition with the true settle: est_err must score
+    // the basis the skipped ticks actually reported, not the restored
+    // truth.
+    double preBasisPowerW = 0.0, preBasisMips = 0.0;
+    bool haveBasisForEst = false;
 
-    auto refreshWork = [&]() {
-        for (auto &w : work)
-            w = CoreWork{};
-        for (std::size_t t = 0; t < numThreads; ++t) {
-            // Parked threads, and threads whose core died since the
-            // last OS interval, make no progress.
-            if (assignment[t] == kNoCore || !coreOk[assignment[t]])
-                continue;
-            const Phase &ph = phases[t].current();
-            CoreWork w;
-            w.app = apps_[t];
-            w.cpiScale = ph.cpiScale;
-            w.missScale = ph.missScale;
-            w.activityScale = ph.activityScale;
-            work[assignment[t]] = w;
-        }
-    };
-
-    // Per-core operating-point signature: which app runs where, at
-    // which quantised phase scales, at which DVFS level. Folding the
-    // level in matters: while the power manager is still converging
-    // onto Ptarget the workload looks steady but the chip is not, and
-    // extrapolating across those decisions locks in the transient.
-    // Word 0 is reserved for empty cores so the distance metric can
-    // tell occupancy apart from drift.
-    const auto buildSignature = [&]() {
-        if (!sigDirty)
-            return;
-        sigDirty = false;
-        for (std::size_t c = 0; c < numCores; ++c) {
-            const CoreWork &w = work[c];
-            if (w.app == nullptr) {
-                sig[c] = 0;
-                continue;
-            }
-            std::uint64_t h = phaseMix(
-                0xC0DE, static_cast<std::uint64_t>(
-                            reinterpret_cast<std::uintptr_t>(w.app)));
-            h = phaseMix(h, phaseQuantise(w.cpiScale,
-                                          samplerCfg.quantStep));
-            h = phaseMix(h, phaseQuantise(w.missScale,
-                                          samplerCfg.quantStep));
-            h = phaseMix(h, phaseQuantise(w.activityScale,
-                                          samplerCfg.quantStep));
-            h = phaseMix(h, static_cast<std::uint64_t>(
-                                coreLevels[c] + 1));
-            sig[c] = h != 0 ? h : 1;
-        }
-    };
-
+    // Accumulators.
     SystemResult result;
     double sumMips = 0.0, sumWeighted = 0.0, sumProgress = 0.0,
            sumPower = 0.0, sumMinThread = 0.0;
     double sumFreq = 0.0, sumDev = 0.0;
-    std::size_t ticks = 0;
     double transitionSteps = 0.0;
     // Level steps per evaluated decision (EWMA): the transition stall
     // an extrapolated epoch's skipped decision is charged.
     double meanDecisionSteps = 0.0;
     double transitionLostMipsMs = 0.0;
-
     const WearoutModel wearoutModel;
-    WearoutTracker wearout(wearoutModel, numCores);
-    std::vector<double> coreVdd(numCores, 0.0);
+    WearoutTracker wearout;
+    std::vector<double> coreVdd;
     double tickMinThread = 0.0, tickWeighted = 0.0, tickProgress = 0.0,
            tickFreq = 0.0, tickDev = 0.0;
 
     // Core failures are polled from the first scheduled one on.
     double firstFailureMs = std::numeric_limits<double>::infinity();
-    for (const CoreFailureSpec &f : config_.faults.coreFailures)
-        firstFailureMs = std::min(firstFailureMs, f.atMs);
-
-    const auto totalTicks = static_cast<std::size_t>(
-        std::llround(config_.durationMs / config_.tickMs));
-    const auto osPeriod = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::llround(config_.osIntervalMs / config_.tickMs)));
-    const auto dvfsPeriod = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::llround(config_.dvfsIntervalMs / config_.tickMs)));
-
-    result.powerTrace.reserve(totalTicks);
 
     // Guard-tier bookkeeping (recovery-latency metric).
     int prevTier = 0;
     double degradeStartMs = 0.0;
     double totalRecoveryMs = 0.0;
     std::size_t recoveryEpisodes = 0;
+};
 
-    for (std::size_t tick = 0; tick < totalTicks; ++tick) {
-        const double nowMs = static_cast<double>(tick) * config_.tickMs;
-        injector.advanceTo(nowMs);
-        for (std::size_t c = 0; nowMs >= firstFailureMs && c < numCores;
-             ++c) {
-            if (coreOk[c] && injector.coreFailed(c)) {
-                coreOk[c] = false;
-                workDirty = true;
-                if (sampledMode) {
-                    sampler.invalidate(PhaseInvalidation::Fault);
-                    TRACE_INSTANT("phase.invalidate.fault");
-                }
-            }
+TickRun::TickRun(const Die &die,
+                 const std::vector<const AppProfile *> &apps,
+                 const SystemConfig &config, ChipEvaluator &evaluator,
+                 PowerManager &manager, GuardedPowerManager *guard,
+                 bool sampled)
+    : die(die), apps(apps), config(config), evaluator(evaluator),
+      manager(manager), guard(guard), sampled(sampled),
+      numCores(die.numCores()), numThreads(apps.size()),
+      totalTicks(static_cast<std::size_t>(
+          std::llround(config.durationMs / config.tickMs))),
+      osPeriod(periodTicks(config.osIntervalMs, config.tickMs)),
+      dvfsPeriod(periodTicks(config.dvfsIntervalMs, config.tickMs)),
+      pcoreMax(config.pcoreMaxW > 0.0
+                   ? config.pcoreMaxW
+                   : 2.0 * config.ptargetW /
+                       static_cast<double>(numThreads)),
+      uniFreq(config.uniformFrequency ? die.uniformFreq() : 0.0),
+      rng(config.seed),
+      // Seeded independently of the main stream so enabling a fault
+      // schedule does not perturb placement/phase/noise draws.
+      injector(config.faults,
+               config.seed * 0x9e3779b97f4a7c15ull ^ 0xFA0175EEDull),
+      work(numCores), coreLevels(numCores,
+                                 static_cast<int>(die.maxLevel())),
+      coreOk(numCores, true),
+      samplerCfg(runSamplerConfig(config, manager, sampled)),
+      sampler(samplerCfg, numCores), sig(numCores, 0),
+      wearout(wearoutModel, numCores), coreVdd(numCores, 0.0)
+{
+    // A discarded fork: it keeps placements and phases on the streams
+    // every recorded result was drawn from.
+    (void)rng.fork(0xDEAD);
+    phases.reserve(numThreads);
+    for (std::size_t t = 0; t < numThreads; ++t)
+        phases.emplace_back(*apps[t], rng.fork(100 + t));
+    for (const CoreFailureSpec &f : config.faults.coreFailures)
+        firstFailureMs = std::min(firstFailureMs, f.atMs);
+    result.powerTrace.reserve(totalTicks);
+}
+
+void
+TickRun::hold(const ChipCondition &src)
+{
+    if (condFrom != &src) {
+        cond = src;
+        condFrom = &src;
+        tickDirty = true;
+    }
+}
+
+/** Settle the steady state; true when the settle replaced an earlier
+ *  one. */
+bool
+TickRun::settleSteady()
+{
+    if (cacheValid && coreLevels == cachedLevels && work == cachedWork) {
+        hold(steady);
+        return false;
+    }
+    TRACE_SCOPE("physics.settle");
+    evaluator.evaluateInto(
+        prevSteady, work, coreLevels, uniFreq,
+        config.warmStartThermal && cacheValid ? &steady : nullptr);
+    std::swap(steady, prevSteady);
+    cachedWork = work;
+    cachedLevels = coreLevels;
+    condFrom = nullptr;
+    hold(steady);
+    return std::exchange(cacheValid, true);
+}
+
+void
+TickRun::refreshWork()
+{
+    for (auto &w : work)
+        w = CoreWork{};
+    for (std::size_t t = 0; t < numThreads; ++t) {
+        // Parked threads, and threads whose core died since the
+        // last OS interval, make no progress.
+        if (assignment[t] == kNoCore || !coreOk[assignment[t]])
+            continue;
+        const Phase &ph = phases[t].current();
+        CoreWork w;
+        w.app = apps[t];
+        w.cpiScale = ph.cpiScale;
+        w.missScale = ph.missScale;
+        w.activityScale = ph.activityScale;
+        work[assignment[t]] = w;
+    }
+}
+
+/**
+ * Per-core operating-point signature: which app runs where, at which
+ * quantised phase scales, at which DVFS level. Folding the level in
+ * matters: while the power manager is still converging onto Ptarget
+ * the workload looks steady but the chip is not, and extrapolating
+ * across those decisions locks in the transient. Word 0 is reserved
+ * for empty cores so the distance metric can tell occupancy apart
+ * from drift.
+ */
+void
+TickRun::buildSignature()
+{
+    if (!sigDirty)
+        return;
+    sigDirty = false;
+    for (std::size_t c = 0; c < numCores; ++c) {
+        const CoreWork &w = work[c];
+        if (w.app == nullptr) {
+            sig[c] = 0;
+            continue;
         }
+        std::uint64_t h = phaseMix(
+            0xC0DE, static_cast<std::uint64_t>(
+                        reinterpret_cast<std::uintptr_t>(w.app)));
+        h = phaseMix(h, phaseQuantise(w.cpiScale, samplerCfg.quantStep));
+        h = phaseMix(h, phaseQuantise(w.missScale, samplerCfg.quantStep));
+        h = phaseMix(h, phaseQuantise(w.activityScale,
+                                      samplerCfg.quantStep));
+        h = phaseMix(h, static_cast<std::uint64_t>(coreLevels[c] + 1));
+        sig[c] = h != 0 ? h : 1;
+    }
+}
 
-        // OS scheduling interval: revisit thread placement. The
-        // ThermalAware extension consumes the live temperature map
-        // (activity migration); cold start falls back to Random.
-        // Threads on cores that failed since the last interval are
-        // remapped here (failed cores are masked out of the pools).
-        if (tick % osPeriod == 0) {
-            TRACE_SCOPE("sched.place");
-            if (config_.sched == SchedAlgo::ThermalAware &&
-                haveCondition) {
-                assignment = scheduleThreadsThermal(
-                    die_, apps_, cond.coreTempC, rng, &coreOk);
-            } else {
-                assignment = scheduleThreads(config_.sched, die_,
-                                             apps_, rng, &coreOk);
-            }
+/**
+ * Faults and scheduling: fail the cores whose time has come, revisit
+ * the thread placement on an OS interval, rebuild the per-core work,
+ * and settle once before the first decision.
+ */
+void
+TickRun::scheduleStage(const Tick &t)
+{
+    injector.advanceTo(t.nowMs);
+    for (std::size_t c = 0; t.nowMs >= firstFailureMs && c < numCores;
+         ++c) {
+        if (coreOk[c] && injector.coreFailed(c)) {
+            coreOk[c] = false;
             workDirty = true;
-            // A remap moves heat and work across cores: the frozen
-            // basis no longer describes the chip. The workload mix is
-            // unchanged though — only the mapping stepped — so this is
-            // a resample (evaluate exactly until a quiet boundary, no
-            // warmup), not a phase loss: the per-tick signature knocks
-            // the stale basis out on this very tick and the settled
-            // state after the remap refreezes it.
-            if (sampledMode && sampler.steady() &&
-                assignment != basisAssignment) {
-                sampler.resample(PhaseInvalidation::Remap);
-                TRACE_INSTANT("phase.resample.remap");
+            if (sampled) {
+                sampler.invalidate(PhaseInvalidation::Fault);
+                TRACE_INSTANT("phase.invalidate.fault");
             }
-        }
-        if (workDirty) {
-            refreshWork();
-            workDirty = false;
-            sigDirty = true;
-            tickDirty = true;
-        }
-        if (!haveCondition) {
-            // First tick: settle once before the power manager reads
-            // its sensors.
-            if (config_.transientThermal) {
-                TRACE_SCOPE("physics.settle");
-                cond = evaluator_.evaluate(work, coreLevels, uniFreq);
-                tickDirty = true;
-            } else {
-                settleSteady();
-            }
-            haveCondition = true;
-        }
-
-        // Epoch decision first, then the per-tick signature: a forced
-        // resample observed on an epoch-boundary tick must override
-        // the epoch's extrapolation verdict, never the reverse.
-        const bool dvfsBoundary = tick % dvfsPeriod == 0;
-        const std::uint64_t epochIndex = tick / dvfsPeriod;
-        bool epochEval = true;
-        if (sampledMode && dvfsBoundary)
-            epochEval = sampler.beginEpochEvaluate();
-        bool forcedResample = false;
-        if (sampledMode) {
-            buildSignature();
-            forcedResample = sampler.observeTick(sig);
-        }
-
-        // DVFS interval: re-run the power manager on fresh sensors
-        // (read through the fault injector), then push the chosen
-        // levels through the — possibly faulty — actuators. The
-        // sampled engine skips the manager entirely on extrapolated
-        // epochs — the frozen levels stand in for its decision.
-        if (config_.pm != PmKind::None && dvfsBoundary && epochEval) {
-            // The manager's snapshot must come from a *settled* chip,
-            // never from the statistical basis: the extrapolated
-            // condition is a blend, and feeding it back into the
-            // decision loop parks quantised controllers on sticky
-            // fixpoints the exact run's dither would have knocked
-            // them off (a systematic, not zero-mean, error). Within a
-            // steady phase the (work, levels) pair is unchanged since
-            // the last evaluated settle, so this restore is a
-            // condition-cache hit — free.
-            if (sampledMode && wasExtrapolating &&
-                !config_.transientThermal) {
-                preBasisPowerW = cond.totalPowerW;
-                preBasisMips = cond.totalMips;
-                haveBasisForEst = true;
-                settleSteady();
-            }
-            TRACE_SCOPE("pm.decide");
-            TRACE_INSTANT("pm.epoch", "epoch",
-                          static_cast<double>(epochIndex));
-            Rng epochNoise(deriveSeed(config_.seed, 0x4E01, epochIndex));
-            manager_->beginEpoch(epochIndex);
-            const ChipSnapshot snap = buildSnapshot(
-                evaluator_, work, cond, config_.ptargetW, pcoreMax,
-                config_.sensorNoise ? &epochNoise : nullptr, &injector);
-            const std::vector<int> active =
-                manager_->selectLevels(snap);
-            std::size_t decisionSteps = 0;
-            for (std::size_t i = 0; i < snap.cores.size(); ++i) {
-                const std::size_t core = snap.cores[i].coreId;
-                const int applied = injector.actuate(
-                    core, coreLevels[core], active[i]);
-                decisionSteps += static_cast<std::size_t>(
-                    std::abs(applied - coreLevels[core]));
-                sigDirty = sigDirty || applied != coreLevels[core];
-                coreLevels[core] = applied;
-            }
-            tickDirty = tickDirty || decisionSteps > 0;
-            const auto steps = static_cast<double>(decisionSteps);
-            transitionSteps += steps;
-            meanDecisionSteps +=
-                samplerCfg.basisBlend * (steps - meanDecisionSteps);
-            // No level-swing criterion: an optimiser on a degenerate
-            // manifold walks cores across levels while the settled
-            // output barely moves. The jump detector below judges the
-            // output against the phase's learned jitter.
-        }
-
-        // Physics for this tick: settle exactly, or extrapolate the
-        // frozen settled condition across the steady phase.
-        const bool extrap = sampledMode && sampler.extrapolating();
-        if (!extrap) {
-            const double prePowerW =
-                haveBasisForEst ? preBasisPowerW : cond.totalPowerW;
-            const double preMips =
-                haveBasisForEst ? preBasisMips : cond.totalMips;
-            haveBasisForEst = false;
-            bool resettled = false;
-            if (config_.transientThermal) {
-                TRACE_SCOPE("physics.transient");
-                cond = evaluator_.evaluateTransient(
-                    work, coreLevels, cond, config_.tickMs, uniFreq);
-                tickDirty = true;
-            } else {
-                resettled = settleSteady();
-            }
-            if (sampledMode) {
-                TRACE_SCOPE("phase.basis");
-                const auto rel = [](double a, double b) {
-                    const double den =
-                        std::max(std::abs(a), std::abs(b));
-                    return den > 0.0 ? std::abs(a - b) / den : 0.0;
-                };
-                // Error metric for sampling control: the budget is
-                // promised on power, energy AND ED^2, and ED^2 is
-                // twice as sensitive to a throughput error as energy
-                // is to a power error (delay enters squared) — so
-                // MIPS deviations count double.
-                const auto metricErr = [&rel](const ChipCondition &a,
-                                              double powerW,
-                                              double mips) {
-                    return std::max(rel(a.totalPowerW, powerW),
-                                    2.0 * rel(a.totalMips, mips));
-                };
-                const bool steadyBefore = sampler.steady();
-                // Refreeze on the *post-decision* signature: the power
-                // manager may have just moved levels, and the basis
-                // must describe the operating point that was settled.
-                buildSignature();
-                sampler.freezeBasis(sig);
-                basisAssignment = assignment;
-                // Maintain the statistical basis: reset onto the
-                // fresh settle when the operating point jumped (first
-                // settle, unsteady spell, forced resample); otherwise
-                // blend one sample per epoch boundary, so the basis
-                // tracks the phase's settled statistics rather than
-                // whichever noisy decision came last.
-                double ctlErr = 0.0;
-                bool ctlScored = false;
-                if (!steadyBefore || forcedResample) {
-                    extrapCond = cond;
-                    // The noise floor survives same-phase reseeds
-                    // (signature churn, remap): the controller's
-                    // jitter amplitude belongs to the phase, not to
-                    // any one basis, and wiping it would collapse the
-                    // jump thresholds back to the budget — making the
-                    // regime detector misfire on the very next normal
-                    // decision. Only a lost phase (fresh warmup,
-                    // !steadyBefore) starts the estimate over.
-                    if (!steadyBefore)
-                        noiseFloorValid = false;
-                    // A reseed on a decision boundary holds the one
-                    // decision taken right after a remap or phase
-                    // change: the first step of the controller's
-                    // re-convergence. Check it before extrapolating.
-                    if (steadyBefore && dvfsBoundary)
-                        sampler.verifyNextEpoch();
-                } else if (!dvfsBoundary) {
-                    // Same decision, new settle: the workload drifted
-                    // under the churn tolerance. Carry the drift into
-                    // the basis, or it keeps the older workload.
-                    if (resettled) {
-                        const auto add = [](double &a, double b) { a += b; };
-                        const auto sub = [](double &a, double b) { a -= b; };
-                        combineCondition(extrapCond, steady, add);
-                        combineCondition(extrapCond, prevSteady, sub);
-                    }
-                } else if (samplerCfg.errorBudget > 0.0) {
-                    const double jump =
-                        metricErr(cond, extrapCond.totalPowerW,
-                                  extrapCond.totalMips);
-                    const double floorRef = std::max(
-                        noiseFloorValid ? noiseFloor : 0.0,
-                        samplerCfg.errorBudget);
-                    if (jump > kJumpFloorSigma * floorRef) {
-                        // The settled point moved far beyond the
-                        // phase's own jitter: a control transient
-                        // (the manager re-converging onto Ptarget),
-                        // not decision noise. Level swings cannot
-                        // flag this — the optimiser's solution space
-                        // is degenerate enough that a near-identical
-                        // level vector can land at a very different
-                        // power. Reseed the basis on the fresh settle
-                        // and re-verify the new regime at the initial
-                        // sampling period; the workload phase itself
-                        // is unchanged, so steadiness is kept and no
-                        // warmup is paid.
-                        sampler.resample(PhaseInvalidation::DvfsChange);
-                        TRACE_INSTANT("phase.resample.regime", "jump",
-                                      jump);
-                        extrapCond = cond;
-                        ctlErr = samplerCfg.basisBlend * jump;
-                        ctlScored = true;
-                    } else {
-                        const double w = samplerCfg.basisBlend;
-                        combineCondition(extrapCond, cond,
-                                         [w](double &a, double b) {
-                                             a += w * (b - a);
-                                         });
-                        if (noiseFloorValid)
-                            noiseFloor += samplerCfg.basisBlend *
-                                (jump - noiseFloor);
-                        else
-                            noiseFloor = jump;
-                        noiseFloorValid = true;
-                        // Expected per-boundary basis wander: what
-                        // the checkpoint weighs against the budget to
-                        // deepen, hold, or back off the period.
-                        ctlErr = samplerCfg.basisBlend * noiseFloor;
-                        ctlScored = true;
-                    }
-                }
-                if (wasExtrapolating) {
-                    // Score the extrapolation just ended: the point
-                    // error funds est_err, the basis drift drives the
-                    // period adaptation.
-                    const double estErr =
-                        metricErr(cond, prePowerW, preMips);
-                    TRACE_INSTANT("phase.checkpoint", "est_err",
-                                  estErr);
-                    sampler.checkpoint(estErr, ctlErr, dvfsBoundary);
-                } else if (ctlScored) {
-                    // Consecutive evaluated boundaries adapt the
-                    // period too: after a convergence spell the
-                    // sampler would otherwise re-enter extrapolation
-                    // at the initial (shallowest) period no matter how
-                    // quiet the phase has become, paying several extra
-                    // evaluations before the depth recovers.
-                    sampler.checkpoint(0.0, ctlErr, true);
-                }
-            }
-        } else {
-            // Replay the statistical basis, which changes only on
-            // evaluated ticks. It is pristine, so a fresh copy also
-            // undoes any transition-stall mutation left on cond.
-            hold(extrapCond);
-            sampler.noteExtrapolatedTick();
-        }
-
-        // Voltage-transition stall: each changed step blocks its core
-        // for transitionUsPerStep; charge the chip-average MIPS for
-        // the blocked time within this tick. The exact run pays a
-        // stall at every decision, so a skipped one is charged the
-        // learned mean.
-        if (dvfsBoundary && !epochEval && config_.pm != PmKind::None)
-            transitionSteps += meanDecisionSteps;
-        if (transitionSteps > 0 && config_.transitionUsPerStep > 0.0) {
-            const double stallMs = std::min(
-                config_.tickMs,
-                static_cast<double>(transitionSteps) *
-                    config_.transitionUsPerStep * 1e-3 /
-                    static_cast<double>(numThreads));
-            transitionLostMipsMs += cond.totalMips * stallMs;
-            cond.totalMips *= 1.0 - stallMs / config_.tickMs;
-            condFrom = nullptr;
-        }
-        transitionSteps = 0.0;
-
-        // None of these reads the stalled totalMips.
-        if (tickDirty) {
-            tickDirty = false;
-            tickMinThread = 1e300;
-            for (std::size_t c = 0; c < numCores; ++c) {
-                result.maxCoreTempC =
-                    std::max(result.maxCoreTempC, cond.coreTempC[c]);
-                coreVdd[c] = 0.0;
-                if (work[c].app == nullptr)
-                    continue;
-                tickMinThread = std::min(tickMinThread, cond.coreMips[c]);
-                coreVdd[c] =
-                    die_.voltage(static_cast<std::size_t>(coreLevels[c]));
-            }
-            tickWeighted = weightedThroughput(cond, work);
-            tickProgress = weightedProgress(cond, work);
-            tickFreq = averageActiveFrequency(cond, work);
-            if (config_.pm != PmKind::None)
-                tickDev = std::abs(cond.totalPowerW - config_.ptargetW) /
-                    config_.ptargetW;
-            wearout.accumulate(cond.coreTempC, coreVdd, config_.tickMs);
-        } else {
-            wearout.repeat(config_.tickMs);
-        }
-        sumMinThread += tickMinThread;
-        sumMips += cond.totalMips;
-        sumWeighted += tickWeighted;
-        sumProgress += tickProgress;
-        sumPower += cond.totalPowerW;
-        sumFreq += tickFreq;
-        sumDev += tickDev;
-
-        // Close the guard's loop on the settled (regulator-side)
-        // power and track its tier for the recovery metrics.
-        if (guard_ != nullptr) {
-            guard_->observeSettled(cond, config_.ptargetW, pcoreMax);
-            const int tier = static_cast<int>(guard_->tier());
-            if (prevTier == 0 && tier > 0)
-                degradeStartMs = nowMs;
-            if (prevTier > 0 && tier == 0) {
-                totalRecoveryMs += nowMs - degradeStartMs;
-                ++recoveryEpisodes;
-            }
-            if (tier > 0)
-                result.degradedTimeMs += config_.tickMs;
-            prevTier = tier;
-        }
-        result.powerTrace.push_back(cond.totalPowerW);
-        result.energyJ += cond.totalPowerW * config_.tickMs * 1e-3;
-        result.instructions +=
-            cond.totalMips * 1.0e6 * config_.tickMs * 1e-3;
-        ++ticks;
-        if (extrap)
-            ++sampledTickCount;
-        else
-            ++exactTickCount;
-        wasExtrapolating = extrap;
-
-        // Phase drift.
-        for (auto &seq : phases) {
-            const std::size_t phaseBefore = seq.currentIndex();
-            seq.advance(config_.tickMs);
-            workDirty = workDirty || seq.currentIndex() != phaseBefore;
         }
     }
 
-    const double n = static_cast<double>(ticks);
+    // OS scheduling interval: revisit thread placement. The
+    // ThermalAware extension consumes the live temperature map
+    // (activity migration); cold start falls back to Random.
+    // Threads on cores that failed since the last interval are
+    // remapped here (failed cores are masked out of the pools).
+    if (t.index % osPeriod == 0) {
+        TRACE_SCOPE("sched.place");
+        if (config.sched == SchedAlgo::ThermalAware && haveCondition) {
+            assignment = scheduleThreadsThermal(die, apps, cond.coreTempC,
+                                                rng, &coreOk);
+        } else {
+            assignment =
+                scheduleThreads(config.sched, die, apps, rng, &coreOk);
+        }
+        workDirty = true;
+        // A remap moves heat and work across cores: the frozen
+        // basis no longer describes the chip. The workload mix is
+        // unchanged though — only the mapping stepped — so this is
+        // a resample (evaluate exactly until a quiet boundary, no
+        // warmup), not a phase loss: the per-tick signature knocks
+        // the stale basis out on this very tick and the settled
+        // state after the remap refreezes it.
+        if (sampled && sampler.steady() &&
+            assignment != basisAssignment) {
+            sampler.resample(PhaseInvalidation::Remap);
+            TRACE_INSTANT("phase.resample.remap");
+        }
+    }
+    if (workDirty) {
+        refreshWork();
+        workDirty = false;
+        sigDirty = true;
+        tickDirty = true;
+    }
+    if (!haveCondition) {
+        // First tick: settle once before the power manager reads
+        // its sensors.
+        if (config.transientThermal) {
+            TRACE_SCOPE("physics.settle");
+            cond = evaluator.evaluate(work, coreLevels, uniFreq);
+            tickDirty = true;
+        } else {
+            settleSteady();
+        }
+        haveCondition = true;
+    }
+}
+
+/**
+ * The power manager's epoch: the sampler's verdict on the epoch and
+ * the tick's signature, then — on an evaluated DVFS boundary — fresh
+ * sensors (read through the fault injector), the manager's decision,
+ * and the chosen levels pushed through the (possibly faulty)
+ * actuators. Extrapolated epochs skip the manager entirely: the
+ * frozen levels stand in for its decision.
+ */
+void
+TickRun::epochStage(Tick &t)
+{
+    // Epoch decision first, then the per-tick signature: a forced
+    // resample observed on an epoch-boundary tick must override the
+    // epoch's extrapolation verdict, never the reverse.
+    if (sampled) {
+        if (t.dvfsBoundary)
+            t.epochEval = sampler.beginEpochEvaluate();
+        buildSignature();
+        t.forcedResample = sampler.observeTick(sig);
+    }
+    if (config.pm == PmKind::None || !t.dvfsBoundary || !t.epochEval)
+        return;
+
+    // The manager's snapshot must come from a *settled* chip, never
+    // from the statistical basis: the extrapolated condition is a
+    // blend, and feeding it back into the decision loop parks
+    // quantised controllers on sticky fixpoints the exact run's dither
+    // would have knocked them off (a systematic, not zero-mean,
+    // error). Within a steady phase the (work, levels) pair is
+    // unchanged since the last evaluated settle, so this restore is a
+    // condition-cache hit — free.
+    if (sampled && wasExtrapolating && !config.transientThermal) {
+        preBasisPowerW = cond.totalPowerW;
+        preBasisMips = cond.totalMips;
+        haveBasisForEst = true;
+        settleSteady();
+    }
+    TRACE_SCOPE("pm.decide");
+    const std::uint64_t epochIndex = t.index / dvfsPeriod;
+    TRACE_INSTANT("pm.epoch", "epoch", static_cast<double>(epochIndex));
+    Rng epochNoise(deriveSeed(config.seed, 0x4E01, epochIndex));
+    manager.beginEpoch(epochIndex);
+    const ChipSnapshot snap = buildSnapshot(
+        evaluator, work, cond, config.ptargetW, pcoreMax,
+        config.sensorNoise ? &epochNoise : nullptr, &injector);
+    const std::vector<int> active = manager.selectLevels(snap);
+    std::size_t decisionSteps = 0;
+    for (std::size_t i = 0; i < snap.cores.size(); ++i) {
+        const std::size_t core = snap.cores[i].coreId;
+        const int applied =
+            injector.actuate(core, coreLevels[core], active[i]);
+        decisionSteps += static_cast<std::size_t>(
+            std::abs(applied - coreLevels[core]));
+        sigDirty = sigDirty || applied != coreLevels[core];
+        coreLevels[core] = applied;
+    }
+    tickDirty = tickDirty || decisionSteps > 0;
+    const auto steps = static_cast<double>(decisionSteps);
+    transitionSteps += steps;
+    meanDecisionSteps += samplerCfg.basisBlend * (steps - meanDecisionSteps);
+    // No level-swing criterion: an optimiser on a degenerate manifold
+    // walks cores across levels while the settled output barely
+    // moves. The basis upkeep judges the output against the phase's
+    // learned jitter.
+}
+
+/**
+ * Physics for this tick: settle exactly, or extrapolate the frozen
+ * settled condition across the steady phase.
+ */
+void
+TickRun::settleStage(Tick &t)
+{
+    t.extrap = sampled && sampler.extrapolating();
+    if (t.extrap) {
+        // Replay the statistical basis, which changes only on
+        // evaluated ticks. It is pristine, so a fresh copy also
+        // undoes any transition-stall mutation left on cond.
+        hold(extrapCond);
+        sampler.noteExtrapolatedTick();
+        return;
+    }
+    const double prePowerW =
+        haveBasisForEst ? preBasisPowerW : cond.totalPowerW;
+    const double preMips = haveBasisForEst ? preBasisMips : cond.totalMips;
+    haveBasisForEst = false;
+    bool resettled = false;
+    if (config.transientThermal) {
+        TRACE_SCOPE("physics.transient");
+        cond = evaluator.evaluateTransient(work, coreLevels, cond,
+                                           config.tickMs, uniFreq);
+        tickDirty = true;
+    } else {
+        resettled = settleSteady();
+    }
+    if (sampled)
+        basisUpkeep(t, resettled, prePowerW, preMips);
+}
+
+/**
+ * The sampled engine's upkeep after an exact settle: refreeze the
+ * basis signature, maintain the statistical basis and the phase's
+ * noise floor, and score the extrapolation that just ended.
+ * @p prePowerW / @p preMips are what the previous tick reported.
+ */
+void
+TickRun::basisUpkeep(const Tick &t, bool resettled, double prePowerW,
+                     double preMips)
+{
+    TRACE_SCOPE("phase.basis");
+    const bool steadyBefore = sampler.steady();
+    // Refreeze on the *post-decision* signature: the power manager may
+    // have just moved levels, and the basis must describe the
+    // operating point that was settled.
+    buildSignature();
+    sampler.freezeBasis(sig);
+    basisAssignment = assignment;
+    // Maintain the statistical basis: reset onto the fresh settle when
+    // the operating point jumped (first settle, unsteady spell, forced
+    // resample); otherwise blend one sample per epoch boundary, so the
+    // basis tracks the phase's settled statistics rather than
+    // whichever noisy decision came last.
+    double ctlErr = 0.0;
+    bool ctlScored = false;
+    if (!steadyBefore || t.forcedResample) {
+        extrapCond = cond;
+        // The noise floor survives same-phase reseeds (signature
+        // churn, remap): the controller's jitter amplitude belongs to
+        // the phase, not to any one basis, and wiping it would
+        // collapse the jump thresholds back to the budget — making the
+        // regime detector misfire on the very next normal decision.
+        // Only a lost phase (fresh warmup, !steadyBefore) starts the
+        // estimate over.
+        if (!steadyBefore)
+            noiseFloorValid = false;
+        // A reseed on a decision boundary holds the one decision taken
+        // right after a remap or phase change: the first step of the
+        // controller's re-convergence. Check it before extrapolating.
+        if (steadyBefore && t.dvfsBoundary)
+            sampler.verifyNextEpoch();
+    } else if (!t.dvfsBoundary) {
+        // Same decision, new settle: the workload drifted under the
+        // churn tolerance. Carry the drift into the basis, or it keeps
+        // the older workload.
+        if (resettled) {
+            combineCondition(extrapCond, steady,
+                             [](double &a, double b) { a += b; });
+            combineCondition(extrapCond, prevSteady,
+                             [](double &a, double b) { a -= b; });
+        }
+    } else if (samplerCfg.errorBudget > 0.0) {
+        const double jump =
+            metricErr(cond, extrapCond.totalPowerW, extrapCond.totalMips);
+        const double floorRef =
+            std::max(noiseFloorValid ? noiseFloor : 0.0,
+                     samplerCfg.errorBudget);
+        if (jump > kJumpFloorSigma * floorRef) {
+            // The settled point moved far beyond the phase's own
+            // jitter: a control transient (the manager re-converging
+            // onto Ptarget), not decision noise. Level swings cannot
+            // flag this — the optimiser's solution space is degenerate
+            // enough that a near-identical level vector can land at a
+            // very different power. Reseed the basis on the fresh
+            // settle and re-verify the new regime at the initial
+            // sampling period; the workload phase itself is unchanged,
+            // so steadiness is kept and no warmup is paid.
+            sampler.resample(PhaseInvalidation::DvfsChange);
+            TRACE_INSTANT("phase.resample.regime", "jump", jump);
+            extrapCond = cond;
+            ctlErr = samplerCfg.basisBlend * jump;
+            ctlScored = true;
+        } else {
+            const double w = samplerCfg.basisBlend;
+            combineCondition(extrapCond, cond, [w](double &a, double b) {
+                a += w * (b - a);
+            });
+            if (noiseFloorValid)
+                noiseFloor += samplerCfg.basisBlend * (jump - noiseFloor);
+            else
+                noiseFloor = jump;
+            noiseFloorValid = true;
+            // Expected per-boundary basis wander: what the checkpoint
+            // weighs against the budget to deepen, hold, or back off
+            // the period.
+            ctlErr = samplerCfg.basisBlend * noiseFloor;
+            ctlScored = true;
+        }
+    }
+    if (wasExtrapolating) {
+        // Score the extrapolation just ended: the point error funds
+        // est_err, the basis drift drives the period adaptation.
+        const double estErr = metricErr(cond, prePowerW, preMips);
+        TRACE_INSTANT("phase.checkpoint", "est_err", estErr);
+        sampler.checkpoint(estErr, ctlErr, t.dvfsBoundary);
+    } else if (ctlScored) {
+        // Consecutive evaluated boundaries adapt the period too: after
+        // a convergence spell the sampler would otherwise re-enter
+        // extrapolation at the initial (shallowest) period no matter
+        // how quiet the phase has become, paying several extra
+        // evaluations before the depth recovers.
+        sampler.checkpoint(0.0, ctlErr, true);
+    }
+}
+
+/**
+ * Accumulate the tick: charge the voltage-transition stall, add the
+ * tick's metric contributions, close the guard's loop, and let the
+ * application phases drift.
+ */
+void
+TickRun::accumulateStage(const Tick &t)
+{
+    // Voltage-transition stall: each changed step blocks its core for
+    // transitionUsPerStep; charge the chip-average MIPS for the
+    // blocked time within this tick. The exact run pays a stall at
+    // every decision, so a skipped one is charged the learned mean.
+    if (t.dvfsBoundary && !t.epochEval && config.pm != PmKind::None)
+        transitionSteps += meanDecisionSteps;
+    if (transitionSteps > 0 && config.transitionUsPerStep > 0.0) {
+        const double stallMs = std::min(
+            config.tickMs, static_cast<double>(transitionSteps) *
+                               config.transitionUsPerStep * 1e-3 /
+                               static_cast<double>(numThreads));
+        transitionLostMipsMs += cond.totalMips * stallMs;
+        cond.totalMips *= 1.0 - stallMs / config.tickMs;
+        condFrom = nullptr;
+    }
+    transitionSteps = 0.0;
+
+    // None of these reads the stalled totalMips.
+    if (tickDirty) {
+        tickDirty = false;
+        tickMinThread = 1e300;
+        for (std::size_t c = 0; c < numCores; ++c) {
+            result.maxCoreTempC =
+                std::max(result.maxCoreTempC, cond.coreTempC[c]);
+            coreVdd[c] = 0.0;
+            if (work[c].app == nullptr)
+                continue;
+            tickMinThread = std::min(tickMinThread, cond.coreMips[c]);
+            coreVdd[c] =
+                die.voltage(static_cast<std::size_t>(coreLevels[c]));
+        }
+        tickWeighted = weightedThroughput(cond, work);
+        tickProgress = weightedProgress(cond, work);
+        tickFreq = averageActiveFrequency(cond, work);
+        if (config.pm != PmKind::None)
+            tickDev = std::abs(cond.totalPowerW - config.ptargetW) /
+                config.ptargetW;
+        wearout.accumulate(cond.coreTempC, coreVdd, config.tickMs);
+    } else {
+        wearout.repeat(config.tickMs);
+    }
+    sumMinThread += tickMinThread;
+    sumMips += cond.totalMips;
+    sumWeighted += tickWeighted;
+    sumProgress += tickProgress;
+    sumPower += cond.totalPowerW;
+    sumFreq += tickFreq;
+    sumDev += tickDev;
+
+    // Close the guard's loop on the settled (regulator-side) power
+    // and track its tier for the recovery metrics.
+    if (guard != nullptr) {
+        guard->observeSettled(cond, config.ptargetW, pcoreMax);
+        const int tier = static_cast<int>(guard->tier());
+        if (prevTier == 0 && tier > 0)
+            degradeStartMs = t.nowMs;
+        if (prevTier > 0 && tier == 0) {
+            totalRecoveryMs += t.nowMs - degradeStartMs;
+            ++recoveryEpisodes;
+        }
+        if (tier > 0)
+            result.degradedTimeMs += config.tickMs;
+        prevTier = tier;
+    }
+    result.powerTrace.push_back(cond.totalPowerW);
+    result.energyJ += cond.totalPowerW * config.tickMs * 1e-3;
+    result.instructions += cond.totalMips * 1.0e6 * config.tickMs * 1e-3;
+    ++(t.extrap ? result.sampledTicks : result.exactTicks);
+    wasExtrapolating = t.extrap;
+
+    // Phase drift.
+    for (auto &seq : phases) {
+        const std::size_t phaseBefore = seq.currentIndex();
+        seq.advance(config.tickMs);
+        workDirty = workDirty || seq.currentIndex() != phaseBefore;
+    }
+}
+
+/** Turn the accumulated sums into the run's result. */
+SystemResult
+TickRun::finalise()
+{
+    const double n = static_cast<double>(totalTicks);
     result.avgMips = sumMips / n;
     result.avgMinThreadMips = sumMinThread / n;
     result.avgWeightedIpc = sumWeighted / n;
     result.avgWeightedProgress = sumProgress / n;
     result.avgPowerW = sumPower / n;
     result.avgFreqHz = sumFreq / n;
-    result.powerDeviation =
-        config_.pm != PmKind::None ? sumDev / n : 0.0;
+    result.powerDeviation = config.pm != PmKind::None ? sumDev / n : 0.0;
     result.ed2 = ed2Of(result.avgPowerW, result.avgMips);
-    result.weightedEd2 =
-        ed2Of(result.avgPowerW, result.avgWeightedIpc);
+    result.weightedEd2 = ed2Of(result.avgPowerW, result.avgWeightedIpc);
     result.worstAgingRate = wearout.worstRate();
     result.projectedLifetimeYears = wearout.projectedLifetimeYears();
     result.transitionLossFraction = sumMips > 0.0
-        ? transitionLostMipsMs / (sumMips * config_.tickMs +
-                                  transitionLostMipsMs)
+        ? transitionLostMipsMs /
+            (sumMips * config.tickMs + transitionLostMipsMs)
         : 0.0;
 
-    result.capViolationFraction = config_.pm != PmKind::None
-        ? capViolationFraction(result.powerTrace, config_.ptargetW)
+    result.capViolationFraction = config.pm != PmKind::None
+        ? capViolationFraction(result.powerTrace, config.ptargetW)
         : 0.0;
-    result.exactTicks = exactTickCount;
-    result.sampledTicks = sampledTickCount;
     const PhaseSamplerStats &sstats = sampler.stats();
-    result.estErr = ticks > 0
-        ? sstats.estErrSum / static_cast<double>(ticks)
+    result.estErr = totalTicks > 0
+        ? sstats.estErrSum / static_cast<double>(totalTicks)
         : 0.0;
     result.phaseInvalidations = sstats.totalInvalidations();
     result.evaluatedEpochs = sstats.evaluatedEpochs;
     result.extrapolatedEpochs = sstats.extrapolatedEpochs;
     result.dvfsFaultsInjected = injector.dvfsFaultsInjected();
     result.coresFailed = injector.coresFailed();
-    if (guard_ != nullptr) {
-        result.fallbackEngagements = guard_->stats().fallbackEngagements;
-        result.guardRecoveries = guard_->stats().recoveries;
-        result.finalGuardTier = static_cast<int>(guard_->tier());
-        result.sensorQuarantines = guard_->sensorQuarantines();
+    if (guard != nullptr) {
+        result.fallbackEngagements = guard->stats().fallbackEngagements;
+        result.guardRecoveries = guard->stats().recoveries;
+        result.finalGuardTier = static_cast<int>(guard->tier());
+        result.sensorQuarantines = guard->sensorQuarantines();
         result.meanRecoveryMs = recoveryEpisodes > 0
             ? totalRecoveryMs / static_cast<double>(recoveryEpisodes)
             : 0.0;
     }
-    return result;
+    return std::move(result);
+}
+
+} // namespace
+
+SystemResult
+SystemSimulator::runImpl(bool sampled)
+{
+    TickRun run(die_, apps_, config_, evaluator_, *manager_, guard_,
+                sampled);
+    for (std::size_t i = 0; i < run.totalTicks; ++i) {
+        Tick tick;
+        tick.index = i;
+        tick.nowMs = static_cast<double>(i) * config_.tickMs;
+        tick.dvfsBoundary = i % run.dvfsPeriod == 0;
+        run.scheduleStage(tick);
+        run.epochStage(tick);
+        run.settleStage(tick);
+        run.accumulateStage(tick);
+    }
+    return run.finalise();
 }
 
 } // namespace varsched
