@@ -6,9 +6,13 @@
  *
  * Paper: time grows with thread count and with looser budgets
  * (larger search space); worst case ~6 us on a 4 GHz core —
- * negligible against the 10 ms invocation period. Also measures
- * SAnn at its evaluation budget for the "orders of magnitude more
- * expensive" comparison of Section 7.5.
+ * negligible against the 10 ms invocation period. The paper's
+ * method solves LinOpt's LP with a general simplex, so BM_Simplex
+ * times solveSimplex on that LP, built here from the manager's own
+ * fit, and reports its pivots. BM_LinOpt times the whole decision as
+ * the manager makes it, with the LP solved by the ratio rule. Also
+ * measures SAnn at its evaluation budget for the "orders of
+ * magnitude more expensive" comparison of Section 7.5.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +22,7 @@
 #include "core/linopt.hh"
 #include "core/sann.hh"
 #include "core/sched.hh"
+#include "solver/simplex.hh"
 
 using namespace varsched;
 
@@ -63,6 +68,46 @@ snapshotFor(std::size_t threads, double ptarget20)
     return cache.emplace(key, std::move(snap)).first->second;
 }
 
+/**
+ * LinOpt's LP in the simplex's form: maximise sum a_i x_i subject to
+ * the budget row, then per core its cap row and x_i <= Vhigh - Vlow.
+ */
+LinearProgram
+linOptProgram(const LinOptFit &fit)
+{
+    const std::size_t n = fit.a.size();
+    LinearProgram lp;
+    lp.objective = fit.a;
+    lp.addRow(fit.b, fit.budget);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> row(n, 0.0);
+        row[i] = fit.b[i];
+        lp.addRow(row, fit.cap[i]);
+        row[i] = 1.0;
+        lp.addRow(row, fit.span);
+    }
+    return lp;
+}
+
+void
+BM_Simplex(benchmark::State &state)
+{
+    const auto threads = static_cast<std::size_t>(state.range(0));
+    const double ptarget20 = static_cast<double>(state.range(1));
+    const LinOptConfig config; // the manager's default fit
+    LinOptFit fit;
+    fitLinOpt(snapshotFor(threads, ptarget20), config.powerSamplePoints,
+              config.objective, fit);
+    const LinearProgram lp = linOptProgram(fit);
+    std::size_t pivots = 0;
+    for (auto _ : state) {
+        auto result = solveSimplex(lp);
+        pivots = result.pivots;
+        benchmark::DoNotOptimize(result);
+    }
+    state.counters["pivots"] = static_cast<double>(pivots);
+}
+
 void
 BM_LinOpt(benchmark::State &state)
 {
@@ -74,8 +119,6 @@ BM_LinOpt(benchmark::State &state)
         auto levels = manager.selectLevels(snap);
         benchmark::DoNotOptimize(levels);
     }
-    state.counters["pivots"] =
-        static_cast<double>(manager.lastDiag().pivots);
 }
 
 void
@@ -108,6 +151,9 @@ BM_FoxtonStar(benchmark::State &state)
 
 // Thread counts 1-20 across the three power environments
 // (50/75/100 W at 20 threads).
+BENCHMARK(BM_Simplex)
+    ->ArgsProduct({{1, 2, 4, 8, 16, 20}, {50, 75, 100}})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LinOpt)
     ->ArgsProduct({{1, 2, 4, 8, 16, 20}, {50, 75, 100}})
     ->Unit(benchmark::kMicrosecond);

@@ -1,6 +1,7 @@
 #include "core/linopt.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -22,91 +23,136 @@ LinOptManager::LinOptManager(const LinOptConfig &config) : config_(config)
     }
 }
 
-std::vector<int>
-LinOptManager::selectLevels(const ChipSnapshot &snap)
+void
+fitLinOpt(const ChipSnapshot &snap, int powerSamplePoints,
+          PmObjective objective, LinOptFit &fit)
 {
-    diag_ = LinOptDiag{};
+    assert(powerSamplePoints == 2 || powerSamplePoints == 3);
     const std::size_t n = snap.cores.size();
-    if (n == 0)
-        return {};
-
     const std::size_t numLevels = snap.voltage.size();
     const double vLow = snap.voltage.front();
-    const double vHigh = snap.voltage.back();
-    const double coreBudget = snap.ptargetW - snap.uncorePowerW;
+    fit.a.resize(n);
+    fit.d.resize(n);
+    fit.b.resize(n);
+    fit.cap.resize(n);
+    fit.span = snap.voltage.back() - vLow;
+    fit.budget = snap.ptargetW - snap.uncorePowerW;
 
     // Power measurement points: Vlow, (Vmid,) Vhigh.
-    std::vector<std::size_t> sampleLevels;
-    sampleLevels.push_back(0);
-    if (config_.powerSamplePoints == 3)
-        sampleLevels.push_back(numLevels / 2);
-    sampleLevels.push_back(numLevels - 1);
+    const auto points = static_cast<std::size_t>(powerSamplePoints);
+    const std::size_t sampleLevels[3] = {
+        0, points == 3 ? numLevels / 2 : numLevels - 1, numLevels - 1};
+    double pv[3], pw[3];
 
-    // Per-core linear fits.
-    std::vector<double> a(n), b(n), c(n), fSlope(n), fIcept(n);
     for (std::size_t i = 0; i < n; ++i) {
         const CoreSnapshot &core = snap.cores[i];
 
         // f_i(v): fit over the full manufacturer table.
-        std::vector<double> vs(snap.voltage.begin(), snap.voltage.end());
-        std::vector<double> fs(core.freqHz.begin(), core.freqHz.end());
-        const auto [fb, fc] = fitLine(vs, fs);
-        fSlope[i] = fb;
-        fIcept[i] = fc;
+        const auto [fb, fc] = fitLine(snap.voltage, core.freqHz);
 
         // Objective: tp_i = ipc_i * f_i(v) with IPC read once (at the
         // middle level) and assumed frequency-independent. In
         // weighted mode every thread's throughput is normalised by
         // its reference MIPS, so slow-intrinsic threads count too.
         const double ipc = core.ipc[numLevels / 2];
-        const double weight = config_.objective == PmObjective::Weighted
-            ? 1.0 / core.refMips
-            : 1.0;
-        a[i] = weight * ipc * fb / 1.0e6; // (weighted) MIPS per volt
+        const double weight =
+            objective == PmObjective::Weighted ? 1.0 / core.refMips : 1.0;
+        fit.a[i] = weight * ipc * fb / 1.0e6; // (weighted) MIPS per volt
+        fit.d[i] = fit.a[i] * vLow + weight * ipc * fc / 1.0e6;
 
         // p_i(v) = b_i v + c_i from the sampled sensor powers (Fig 1).
-        std::vector<double> pv, pw;
-        for (std::size_t s : sampleLevels) {
-            pv.push_back(snap.voltage[s]);
-            pw.push_back(core.powerW[s]);
+        for (std::size_t s = 0; s < points; ++s) {
+            pv[s] = snap.voltage[sampleLevels[s]];
+            pw[s] = core.powerW[sampleLevels[s]];
         }
-        const auto [pb, pc] = fitLine(pv, pw);
-        b[i] = pb;
-        c[i] = pc;
+        const auto [pb, pc] = fitLine(pv, pw, points);
+        fit.b[i] = pb;
+        fit.cap[i] = snap.pcoreMaxW - pc - pb * vLow;
+        fit.budget -= pb * vLow + pc;
     }
+}
 
-    // LP over x_i = v_i - Vlow >= 0.
-    LinearProgram lp;
-    lp.objective = a;
+bool
+coreRange(const LinOptFit &fit, std::size_t i, double &lo, double &hi,
+          double &start)
+{
+    const double b = fit.b[i];
+    lo = 0.0;
+    hi = fit.span;
+    if (b > 0.0)
+        hi = std::min(hi, fit.cap[i] / b);
+    else if (b < 0.0)
+        lo = std::max(lo, fit.cap[i] / b);
+    else if (fit.cap[i] < 0.0)
+        return false;
+    start = b < 0.0 || (b == 0.0 && fit.a[i] > 0.0) ? hi : lo;
+    return lo <= hi;
+}
 
-    std::vector<double> budgetRow = b;
-    double budgetRhs = coreBudget;
-    for (std::size_t i = 0; i < n; ++i)
-        budgetRhs -= b[i] * vLow + c[i];
-    lp.addRow(budgetRow, budgetRhs);
-
+bool
+solveRatioRule(const LinOptFit &fit, std::vector<double> &x,
+               LpOrder &order)
+{
+    const std::size_t n = fit.a.size();
+    x.resize(n);
+    order.clear();
+    double room = fit.budget;
+    double lo = 0.0, hi = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> row(n, 0.0);
-        row[i] = b[i];
-        lp.addRow(row, snap.pcoreMaxW - c[i] - b[i] * vLow);
-        row[i] = 1.0;
-        lp.addRow(row, vHigh - vLow);
+        if (!coreRange(fit, i, lo, hi, x[i]))
+            return false;
+        room -= fit.b[i] * x[i];
+        if (fit.a[i] * fit.b[i] > 0.0)
+            order.emplace_back(-fit.a[i] / fit.b[i], i);
     }
+    if (room < 0.0)
+        return false;
 
-    const LpResult result = solveSimplex(
-        lp,
-        config_.warmStart && warmBasis_.size() == lp.numRows()
-            ? &warmBasis_
-            : nullptr,
-        config_.warmStart ? &warmBasis_ : nullptr);
-    diag_.status = result.status;
-    diag_.pivots = result.pivots;
-    diag_.warmStarted = result.warmStarted;
+    // Best objective per watt first; equal ratios by core index.
+    std::sort(order.begin(), order.end());
+    for (const auto &[key, i] : order) {
+        double start = 0.0;
+        coreRange(fit, i, lo, hi, start);
+        const double cost = std::abs(fit.b[i]);
+        const double step = std::min(hi - lo, room / cost);
+        x[i] += fit.b[i] > 0.0 ? step : -step;
+        room -= cost * step;
+        if (step < hi - lo)
+            break; // the budget binds
+    }
+    return true;
+}
+
+int
+roundDownLevel(const std::vector<double> &voltage, double v)
+{
+    int level = 0;
+    for (std::size_t l = 0; l < voltage.size(); ++l) {
+        if (voltage[l] <= v + 1e-9)
+            level = static_cast<int>(l);
+    }
+    return level;
+}
+
+std::vector<int>
+LinOptManager::selectLevels(const ChipSnapshot &snap)
+{
+    diag_.status = LpResult::Status::Optimal;
+    diag_.pivots = 0;
+    diag_.continuousV.clear();
+    const std::size_t n = snap.cores.size();
+    if (n == 0)
+        return {};
+
+    const std::size_t numLevels = snap.voltage.size();
+    const double vLow = snap.voltage.front();
+    fitLinOpt(snap, config_.powerSamplePoints, config_.objective, fit_);
 
     std::vector<int> levels(n, 0);
-    if (result.status != LpResult::Status::Optimal) {
+    if (!solveRatioRule(fit_, x_, order_)) {
         // Budget unreachable even at Vlow: pin everything to the
         // bottom level — the closest the controller can get.
+        diag_.status = LpResult::Status::Infeasible;
         diag_.continuousV.assign(n, vLow);
         return levels;
     }
@@ -114,14 +160,10 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
     // Round the continuous voltages down to legal levels.
     diag_.continuousV.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const double v = vLow + result.x[i];
+        const double v = vLow + x_[i];
         diag_.continuousV[i] = v;
-        int level = 0;
-        for (std::size_t l = 0; l < numLevels; ++l) {
-            if (snap.voltage[l] <= v + 1e-9)
-                level = static_cast<int>(l);
-        }
-        levels[i] = level;
+        diag_.pivots += x_[i] > 0.0 ? 1 : 0;
+        levels[i] = roundDownLevel(snap.voltage, v);
     }
 
     // The LP solution can overshoot or undershoot the real budget
@@ -133,12 +175,6 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
     // slack with the best marginal MIPS-per-watt step up.
     auto corePower = [&](std::size_t i, int level) {
         return snap.cores[i].powerW[static_cast<std::size_t>(level)];
-    };
-    auto totalPower = [&]() {
-        double p = snap.uncorePowerW;
-        for (std::size_t i = 0; i < n; ++i)
-            p += corePower(i, levels[i]);
-        return p;
     };
     auto coreMips = [&](std::size_t i, int level) {
         // IPC assumed frequency-independent, as in the objective;
@@ -158,7 +194,7 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
             --levels[i];
         }
     }
-    while (totalPower() > snap.ptargetW) {
+    while (snap.powerAt(levels) > snap.ptargetW) {
         double bestCost = 1e300;
         std::size_t bestCore = n;
         for (std::size_t i = 0; i < n; ++i) {
@@ -186,7 +222,7 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
     for (;;) {
         double bestGain = -1.0;
         std::size_t bestCore = n;
-        const double currentPower = totalPower();
+        const double currentPower = snap.powerAt(levels);
         for (std::size_t i = 0; i < n; ++i) {
             const int next = levels[i] + 1;
             if (next >= static_cast<int>(numLevels))

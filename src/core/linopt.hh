@@ -12,16 +12,20 @@
  *    least-squares fitted as p_i(v) = b_i v + c_i (Fig 1).
  *
  * It then maximises sum(a_i v_i) subject to sum(p_i) <= Ptarget,
- * p_i <= Pcoremax and Vlow <= v_i <= Vhigh with the Simplex method,
- * rounds each v_i down to a legal level, and greedily refills any
- * remaining budget by the best marginal MIPS/W step — still judged
- * with the linear power model, which is all LinOpt knows.
+ * p_i <= Pcoremax and Vlow <= v_i <= Vhigh. The paper solves that LP
+ * with a general simplex. It is a continuous knapsack, which
+ * Dantzig's ratio rule solves exactly: raise the cores in falling
+ * a_i/b_i order until the budget binds. LinOpt rounds each v_i down
+ * to a legal level, trims the result back under the *monitored*
+ * powers and greedily refills any remaining budget by the best
+ * marginal MIPS/W step.
  */
 
 #ifndef VARSCHED_CORE_LINOPT_HH
 #define VARSCHED_CORE_LINOPT_HH
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/pmalgo.hh"
@@ -42,26 +46,63 @@ struct LinOptConfig
     bool greedyRefill = true;
     /** What to maximise (Fig 11: Throughput; Fig 13: Weighted). */
     PmObjective objective = PmObjective::Throughput;
-    /**
-     * Warm-start each solve from the previous DVFS interval's optimal
-     * simplex basis (successive LPs differ only in drifted sensor
-     * readings, so the old basis is usually optimal or one pivot
-     * away). Falls back to the cold two-phase solve whenever the old
-     * basis cannot be adopted; the solution is the same either way up
-     * to solver tolerances.
-     */
-    bool warmStart = true;
 };
 
-/** Diagnostics of the last LinOpt invocation (for Fig 15 / tests). */
+/**
+ * The linear model of one snapshot that LinOpt and LinOptMaxMin
+ * optimise, over x_i = v_i - Vlow:
+ *
+ *    objective_i = a_i x_i + d_i,   power_i = b_i x_i + b_i Vlow + c_i,
+ *    sum b_i x_i <= budget,   b_i x_i <= cap_i,   0 <= x_i <= span.
+ */
+struct LinOptFit
+{
+    std::vector<double> a;   ///< Objective per volt (MIPS/V, or weighted).
+    std::vector<double> d;   ///< Objective at Vlow.
+    std::vector<double> b;   ///< Power slope, W/V.
+    std::vector<double> cap; ///< Pcoremax - c_i - b_i Vlow.
+    double budget = 0.0;     ///< Ptarget - Puncore - sum(b_i Vlow + c_i).
+    double span = 0.0;       ///< Vhigh - Vlow.
+};
+
+/** Fit @p snap into @p fit (power over 2 or 3 sample points). */
+void fitLinOpt(const ChipSnapshot &snap, int powerSamplePoints,
+               PmObjective objective, LinOptFit &fit);
+
+/**
+ * Core i's range [lo, hi] under its cap row and 0 <= x_i <= span (a
+ * b_i < 0 cap row bounds x_i from below), and the end @p start the
+ * closed forms begin at: the one using the least budget, ties
+ * (b_i = 0) broken towards the better objective. Only a core with
+ * a_i b_i > 0 then trades budget for objective. False when empty.
+ */
+bool coreRange(const LinOptFit &fit, std::size_t i, double &lo,
+               double &hi, double &start);
+
+/** Sort keys of the closed forms, (key, core index); reused scratch. */
+using LpOrder = std::vector<std::pair<double, std::size_t>>;
+
+/**
+ * Maximise sum a_i x_i over @p fit's rows into @p x by Dantzig's
+ * ratio rule: from coreRange()'s starts, move the trading cores in
+ * falling a_i/b_i order, each across its range, until the budget
+ * binds. False when infeasible — with every b_i > 0, exactly when
+ * budget < 0 or some cap_i < 0.
+ */
+bool solveRatioRule(const LinOptFit &fit, std::vector<double> &x,
+                    LpOrder &order);
+
+/** Highest level whose voltage is at most @p v (1 nV slack). */
+int roundDownLevel(const std::vector<double> &voltage, double v);
+
+/** Diagnostics of the last LinOpt invocation (for benchmarks / tests). */
 struct LinOptDiag
 {
     LpResult::Status status = LpResult::Status::Optimal;
+    /** Cores the ratio rule raised above Vlow. */
     std::size_t pivots = 0;
     /** Continuous LP voltages before discretisation. */
     std::vector<double> continuousV;
-    /** True when this solve started from an adopted warm basis. */
-    bool warmStarted = false;
 };
 
 /** The LinOpt power manager. */
@@ -79,13 +120,10 @@ class LinOptManager : public PowerManager
   private:
     LinOptConfig config_;
     LinOptDiag diag_;
-    /**
-     * Optimal basis of the previous solve (empty before the first, or
-     * after a non-Optimal one). Only offered to the solver when its
-     * dimension matches the new LP — thread count changes invalidate
-     * it wholesale.
-     */
-    std::vector<std::size_t> warmBasis_;
+    // Per-call scratch, kept so a decision allocates only its result.
+    LinOptFit fit_;
+    std::vector<double> x_;
+    LpOrder order_;
 };
 
 } // namespace varsched

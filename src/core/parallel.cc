@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "solver/matrix.hh"
-#include "solver/simplex.hh"
+#include <cmath>
+#include <limits>
 
 namespace varsched
 {
@@ -22,6 +21,62 @@ barrierSpeed(const ChipSnapshot &snap, const std::vector<int> &levels)
     return snap.cores.empty() ? 0.0 : worst;
 }
 
+bool
+solveWaterFill(const LinOptFit &fit, std::vector<double> &x, double &pace,
+               LpOrder &order)
+{
+    const std::size_t n = fit.a.size();
+    x.resize(n);
+    order.clear();
+    double room = fit.budget;
+    double paceCap = std::numeric_limits<double>::infinity();
+    double lo = 0.0, hi = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!coreRange(fit, i, lo, hi, x[i]))
+            return false;
+        room -= fit.b[i] * x[i];
+        // A trading worker's pace a_i x_i + d_i rises from its start
+        // towards the far end of its range; any other worker's pace is
+        // fixed at its start, which is already its best.
+        const bool trades = fit.a[i] * fit.b[i] > 0.0;
+        const double end = !trades ? x[i] : x[i] == lo ? hi : lo;
+        paceCap = std::min(paceCap, fit.a[i] * end + fit.d[i]);
+        if (trades)
+            order.emplace_back(fit.a[i] * x[i] + fit.d[i], i);
+    }
+    if (room < 0.0 || paceCap < 0.0)
+        return false;
+
+    // Budget use above the starts at pace t is
+    // sum over trading workers of (b_i / a_i) * max(0, t - knee_i):
+    // convex and nondecreasing in t. Walk the knees upwards; on the
+    // segment where the use crosses the room, solve for t.
+    std::sort(order.begin(), order.end());
+    double slope = 0.0;  // sum of b_i / a_i over the workers raised
+    double offset = 0.0; // sum of (b_i / a_i) knee_i over them
+    for (const auto &[knee, i] : order) {
+        if (knee >= paceCap || slope * knee - offset > room)
+            break;
+        const double rate = fit.b[i] / fit.a[i];
+        slope += rate;
+        offset += rate * knee;
+    }
+    pace = slope > 0.0 ? std::min(paceCap, (room + offset) / slope)
+                       : paceCap;
+    if (pace < 0.0)
+        return false; // even t = 0 costs more than the budget
+
+    for (const auto &[knee, i] : order) {
+        if (knee >= pace)
+            break;
+        coreRange(fit, i, lo, hi, x[i]);
+        const double step =
+            std::min(hi - lo, (pace - knee) / std::abs(fit.a[i]));
+        x[i] += fit.b[i] > 0.0 ? step : -step;
+    }
+    return true;
+}
+
 std::vector<int>
 LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
 {
@@ -30,76 +85,14 @@ LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
         return {};
 
     const std::size_t numLevels = snap.voltage.size();
-    const double vLow = snap.voltage.front();
-    const double vHigh = snap.voltage.back();
-    const double coreBudget = snap.ptargetW - snap.uncorePowerW;
-
     // Same linear fits as LinOpt (core/linopt.cc).
-    std::vector<double> a(n), aIcept(n), b(n), c(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const CoreSnapshot &core = snap.cores[i];
-        std::vector<double> vs(snap.voltage.begin(), snap.voltage.end());
-        std::vector<double> fs(core.freqHz.begin(), core.freqHz.end());
-        const auto [fb, fc] = fitLine(vs, fs);
-        const double ipc = core.ipc[numLevels / 2];
-        a[i] = ipc * fb / 1.0e6;      // MIPS per volt
-        aIcept[i] = ipc * fc / 1.0e6; // MIPS at v = 0
-
-        std::vector<double> pv = {vs.front(), vs[numLevels / 2],
-                                  vs.back()};
-        std::vector<double> pw = {core.powerW.front(),
-                                  core.powerW[numLevels / 2],
-                                  core.powerW.back()};
-        const auto [pb, pc] = fitLine(pv, pw);
-        b[i] = pb;
-        c[i] = pc;
-    }
-
-    // LP variables: x_0..x_{n-1} = v_i - Vlow, x_n = t (worker pace).
-    LinearProgram lp;
-    lp.objective.assign(n + 1, 0.0);
-    lp.objective[n] = 1.0;
-
-    // t - a_i x_i <= a_i Vlow + icept_i  (worker i's pace bound).
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> row(n + 1, 0.0);
-        row[i] = -a[i];
-        row[n] = 1.0;
-        lp.addRow(row, a[i] * vLow + aIcept[i]);
-    }
-
-    // Chip budget.
-    {
-        std::vector<double> row(n + 1, 0.0);
-        double rhs = coreBudget;
-        for (std::size_t i = 0; i < n; ++i) {
-            row[i] = b[i];
-            rhs -= b[i] * vLow + c[i];
-        }
-        lp.addRow(row, rhs);
-    }
-
-    // Per-core caps and voltage upper bounds.
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> row(n + 1, 0.0);
-        row[i] = b[i];
-        lp.addRow(row, snap.pcoreMaxW - c[i] - b[i] * vLow);
-        row[i] = 1.0;
-        lp.addRow(row, vHigh - vLow);
-    }
-
-    const LpResult result = solveSimplex(lp);
+    fitLinOpt(snap, 3, PmObjective::Throughput, fit_);
     std::vector<int> levels(n, 0);
-    if (result.status != LpResult::Status::Optimal)
+    double pace = 0.0;
+    if (!solveWaterFill(fit_, x_, pace, order_))
         return levels;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double v = vLow + result.x[i];
-        for (std::size_t l = 0; l < numLevels; ++l) {
-            if (snap.voltage[l] <= v + 1e-9)
-                levels[i] = static_cast<int>(l);
-        }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        levels[i] = roundDownLevel(snap.voltage, snap.voltage.front() + x_[i]);
 
     // Sensor-guided repair (monitored powers, as in LinOpt):
     // enforce caps, then budget by trimming the step that costs the
@@ -112,18 +105,12 @@ LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
         return snap.cores[i].ipc[numLevels / 2] *
             snap.cores[i].freqHz[l] / 1.0e6;
     };
-    auto totalPower = [&]() {
-        double p = snap.uncorePowerW;
-        for (std::size_t i = 0; i < n; ++i)
-            p += corePower(i, levels[i]);
-        return p;
-    };
 
     for (std::size_t i = 0; i < n; ++i) {
         while (levels[i] > 0 && corePower(i, levels[i]) > snap.pcoreMaxW)
             --levels[i];
     }
-    while (totalPower() > snap.ptargetW) {
+    while (snap.powerAt(levels) > snap.ptargetW) {
         std::size_t fastest = n;
         double best = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -159,7 +146,7 @@ LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
         const int next = levels[slowest] + 1;
         const double dPower = corePower(slowest, next) -
             corePower(slowest, levels[slowest]);
-        if (totalPower() + dPower > snap.ptargetW ||
+        if (snap.powerAt(levels) + dPower > snap.ptargetW ||
             corePower(slowest, next) > snap.pcoreMaxW) {
             break;
         }

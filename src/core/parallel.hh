@@ -12,20 +12,23 @@
  * the workers that gate the barrier.
  *
  * LinOptMaxMin keeps the paper's machinery — linear frequency and
- * power fits, the Simplex method, sensor-guided discretisation — but
- * optimises the max-min objective instead:
+ * power fits (LinOptFit, core/linopt.hh) and sensor-guided
+ * discretisation — but optimises the max-min objective instead:
  *
  *    maximise t
- *    s.t.     t <= ipc_i * f_i(v_i)          for every worker i
- *             sum p_i(v_i) <= Ptarget,  p_i(v_i) <= Pcoremax
- *             Vlow <= v_i <= Vhigh
+ *    s.t.     t <= a_i x_i + d_i                for every worker i
+ *             sum b_i x_i <= budget,  b_i x_i <= cap_i,  0 <= x_i <= span
  *
- * which is still a linear program in (v_1..v_n, t).
+ * Water-filling solves this LP: at pace t, worker i needs
+ * x_i(t) = clamp((t - d_i)/a_i, 0, u_i), and their budget rises
+ * monotonically with t, so one pass over the sorted breakpoints d_i
+ * finds the largest t the budget allows.
  */
 
 #ifndef VARSCHED_CORE_PARALLEL_HH
 #define VARSCHED_CORE_PARALLEL_HH
 
+#include "core/linopt.hh"
 #include "core/pmalgo.hh"
 
 namespace varsched
@@ -38,14 +41,28 @@ namespace varsched
 double barrierSpeed(const ChipSnapshot &snap,
                     const std::vector<int> &levels);
 
+/**
+ * Solve the max-min LP over @p fit by water-filling into @p x and the
+ * optimal t, @p pace. From coreRange()'s starts, a trading worker
+ * (a_i b_i > 0) moves once t passes its knee, the pace at its start;
+ * x is the least-budget optimum. False when infeasible: a range is
+ * empty, the starts overrun the budget, or no t >= 0 is reachable.
+ */
+bool solveWaterFill(const LinOptFit &fit, std::vector<double> &x,
+                    double &pace, LpOrder &order);
+
 /** Max-min variant of LinOpt for barrier-synchronised workloads. */
 class LinOptMaxMinManager : public PowerManager
 {
   public:
-    LinOptMaxMinManager() = default;
-
     std::string name() const override { return "LinOptMaxMin"; }
     std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+
+  private:
+    // Per-call scratch, kept so a decision allocates only its result.
+    LinOptFit fit_;
+    std::vector<double> x_;
+    LpOrder order_;
 };
 
 } // namespace varsched

@@ -551,6 +551,9 @@ struct TickRun
     // truth.
     double preBasisPowerW = 0.0, preBasisMips = 0.0;
     bool haveBasisForEst = false;
+    // DVFS epochs begun; each one is evaluated or, when sampled,
+    // possibly extrapolated.
+    std::uint64_t dvfsEpochs = 0;
 
     // Accumulators.
     SystemResult result;
@@ -785,6 +788,8 @@ TickRun::epochStage(Tick &t)
     // Epoch decision first, then the per-tick signature: a forced
     // resample observed on an epoch-boundary tick must override the
     // epoch's extrapolation verdict, never the reverse.
+    if (t.dvfsBoundary)
+        ++dvfsEpochs;
     if (sampled) {
         if (t.dvfsBoundary)
             t.epochEval = sampler.beginEpochEvaluate();
@@ -1090,7 +1095,7 @@ TickRun::finalise()
         ? sstats.estErrSum / static_cast<double>(totalTicks)
         : 0.0;
     result.phaseInvalidations = sstats.totalInvalidations();
-    result.evaluatedEpochs = sstats.evaluatedEpochs;
+    result.evaluatedEpochs = dvfsEpochs - sstats.extrapolatedEpochs;
     result.extrapolatedEpochs = sstats.extrapolatedEpochs;
     result.dvfsFaultsInjected = injector.dvfsFaultsInjected();
     result.coresFailed = injector.coresFailed();

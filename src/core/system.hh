@@ -229,7 +229,7 @@ struct SystemResult
     double estErr = 0.0;
     /** Basis invalidations + forced resamples (all causes). */
     std::uint64_t phaseInvalidations = 0;
-    /** DVFS epochs evaluated end-to-end. */
+    /** DVFS epochs evaluated end-to-end (all of them, unsampled). */
     std::uint64_t evaluatedEpochs = 0;
     /** DVFS epochs extrapolated from the frozen basis. */
     std::uint64_t extrapolatedEpochs = 0;

@@ -110,7 +110,12 @@ std::pair<double, double>
 fitLine(const std::vector<double> &x, const std::vector<double> &y)
 {
     assert(x.size() == y.size());
-    const std::size_t n = x.size();
+    return fitLine(x.data(), y.data(), x.size());
+}
+
+std::pair<double, double>
+fitLine(const double *x, const double *y, std::size_t n)
+{
     if (n == 0)
         return {0.0, 0.0};
     if (n == 1)

@@ -84,6 +84,10 @@ std::vector<double> choleskySolve(const Matrix &l,
 std::pair<double, double> fitLine(const std::vector<double> &x,
                                   const std::vector<double> &y);
 
+/** fitLine() over the first @p n points of two plain arrays. */
+std::pair<double, double> fitLine(const double *x, const double *y,
+                                  std::size_t n);
+
 } // namespace varsched
 
 #endif // VARSCHED_SOLVER_MATRIX_HH

@@ -29,29 +29,14 @@ constexpr double kEps = 1e-9;
 class Tableau
 {
   public:
-    /** Tag selecting the warm-start tableau form. */
-    struct WarmForm
-    {
-    };
-
     explicit Tableau(const LinearProgram &lp)
         : n_(lp.numVars()), m_(lp.numRows())
     {
         // Normalise rows so every RHS is non-negative; rows flipped
         // from <= to >= get a surplus (-1) slack and need an artificial.
-        std::vector<int> slackSign(m_, 1);
-        std::vector<bool> needsArtificial(m_, false);
-        for (std::size_t i = 0; i < m_; ++i) {
-            if (lp.rhs[i] < 0.0) {
-                slackSign[i] = -1;
-                needsArtificial[i] = true;
-            }
-        }
-
-        numArt_ = 0;
         artCol_.assign(m_, SIZE_MAX);
         for (std::size_t i = 0; i < m_; ++i) {
-            if (needsArtificial[i])
+            if (lp.rhs[i] < 0.0)
                 artCol_[i] = n_ + m_ + numArt_++;
         }
 
@@ -60,101 +45,17 @@ class Tableau
         basis_.assign(m_, 0);
 
         for (std::size_t i = 0; i < m_; ++i) {
-            const double sign = slackSign[i] < 0 ? -1.0 : 1.0;
+            const bool flipped = artCol_[i] != SIZE_MAX;
+            const double sign = flipped ? -1.0 : 1.0;
             for (std::size_t j = 0; j < n_; ++j)
                 at(i, j) = sign * lp.rows[i][j];
-            at(i, n_ + i) = sign * 1.0;
+            at(i, n_ + i) = sign;
             at(i, cols_ - 1) = sign * lp.rhs[i];
-            if (needsArtificial[i]) {
+            if (flipped)
                 at(i, artCol_[i]) = 1.0;
-                basis_[i] = artCol_[i];
-            } else {
-                basis_[i] = n_ + i;
-            }
+            basis_[i] = flipped ? artCol_[i] : n_ + i;
         }
     }
-
-    /**
-     * Warm form: raw rows (no sign normalisation, no artificials)
-     * with a +1 slack per row and the raw — possibly negative — RHS.
-     * The initial slack basis need not be feasible; adoptBasis()
-     * pivots straight to a basis known feasible from a previous
-     * solve and verifies the right-hand sides afterwards.
-     */
-    Tableau(const LinearProgram &lp, WarmForm)
-        : n_(lp.numVars()), m_(lp.numRows())
-    {
-        numArt_ = 0;
-        artCol_.assign(m_, SIZE_MAX);
-        cols_ = n_ + m_ + 1;
-        a_.assign((m_ + 1) * cols_, 0.0);
-        basis_.assign(m_, 0);
-        for (std::size_t i = 0; i < m_; ++i) {
-            for (std::size_t j = 0; j < n_; ++j)
-                at(i, j) = lp.rows[i][j];
-            at(i, n_ + i) = 1.0;
-            at(i, cols_ - 1) = lp.rhs[i];
-            basis_[i] = n_ + i;
-        }
-    }
-
-    /**
-     * Pivot the (warm-form) tableau onto @p desired — one structural
-     * or slack column per row. Fails on dimension mismatch, columns
-     * outside [0, n+m) (e.g. artificial columns recorded by a cold
-     * solve), duplicates, a singular pivot, or right-hand sides that
-     * came out negative (the old basis is not feasible for the new
-     * coefficients). On failure the tableau is left mid-pivot and
-     * must be discarded — the caller falls back to a cold solve.
-     */
-    bool
-    adoptBasis(const std::vector<std::size_t> &desired,
-               std::size_t &pivots)
-    {
-        if (desired.size() != m_)
-            return false;
-        std::vector<char> wanted(n_ + m_, 0);
-        for (const std::size_t c : desired) {
-            if (c >= n_ + m_ || wanted[c])
-                return false;
-            wanted[c] = 1;
-        }
-        for (const std::size_t c : desired) {
-            bool alreadyBasic = false;
-            for (std::size_t i = 0; i < m_; ++i) {
-                if (basis_[i] == c) {
-                    alreadyBasic = true;
-                    break;
-                }
-            }
-            if (alreadyBasic)
-                continue;
-            // Pivot row: the largest |pivot| among rows whose basic
-            // variable is being evicted, for numerical stability.
-            std::size_t row = SIZE_MAX;
-            double bestAbs = kEps;
-            for (std::size_t i = 0; i < m_; ++i) {
-                if (wanted[basis_[i]])
-                    continue;
-                const double v = std::abs(at(i, c));
-                if (v > bestAbs) {
-                    bestAbs = v;
-                    row = i;
-                }
-            }
-            if (row == SIZE_MAX)
-                return false;
-            pivot(row, c);
-            ++pivots;
-        }
-        for (std::size_t i = 0; i < m_; ++i) {
-            if (at(i, rhsCol()) < -1e-7)
-                return false;
-        }
-        return true;
-    }
-
-    const std::vector<std::size_t> &basis() const { return basis_; }
 
     double &at(std::size_t r, std::size_t c) { return a_[r * cols_ + c]; }
     double at(std::size_t r, std::size_t c) const
@@ -327,81 +228,24 @@ class Tableau
 
 } // namespace
 
-namespace
-{
-
-/** Fill in the Optimal result fields from a phase-2-optimal tableau. */
-void
-finishOptimal(const LinearProgram &lp, const Tableau &t,
-              LpResult &result, std::vector<std::size_t> *basisOut)
-{
-    result.status = LpResult::Status::Optimal;
-    result.x = t.solution();
-    result.objective = 0.0;
-    for (std::size_t j = 0; j < lp.numVars(); ++j)
-        result.objective += lp.objective[j] * result.x[j];
-    if (basisOut != nullptr)
-        *basisOut = t.basis();
-}
-
-} // namespace
-
 LpResult
-solveSimplex(const LinearProgram &lp,
-             const std::vector<std::size_t> *warmBasis,
-             std::vector<std::size_t> *basisOut)
+solveSimplex(const LinearProgram &lp)
 {
     LpResult result;
     if (lp.numVars() == 0) {
-        if (basisOut != nullptr)
-            basisOut->clear();
         result.status = LpResult::Status::Optimal;
-        result.objective = 0.0;
         return result;
-    }
-
-    // Warm path: adopt the previous optimal basis on the fresh
-    // coefficients and, when it is still primal feasible, go straight
-    // to phase 2. Any adoption failure falls through to the cold
-    // two-phase solve below (pivots spent adopting stay counted).
-    // NOTE: @p basisOut may alias @p warmBasis (the usual in-place
-    // carry across intervals), so it is only written at the return
-    // points, after the warm basis has been consumed.
-    if (warmBasis != nullptr && warmBasis->size() == lp.numRows()) {
-        Tableau warm(lp, Tableau::WarmForm{});
-        if (warm.adoptBasis(*warmBasis, result.pivots)) {
-            result.warmStarted = true;
-            warm.setPhase2Objective(lp);
-            if (warm.optimize(warm.structuralAndSlackCols(),
-                              result.pivots)) {
-                finishOptimal(lp, warm, result, basisOut);
-                return result;
-            }
-            // Unbounded from a feasible basis is genuinely unbounded
-            // — no point repeating the conclusion cold.
-            if (basisOut != nullptr)
-                basisOut->clear();
-            result.status = LpResult::Status::Unbounded;
-            return result;
-        }
     }
 
     Tableau t(lp);
 
     if (t.numArtificials() > 0) {
         t.setPhase1Objective();
+        // Phase 1 is bounded below by zero; unbounded cannot occur,
+        // but guard anyway.
         if (!t.optimize(t.structuralAndSlackCols() + t.numArtificials(),
-                        result.pivots)) {
-            // Phase 1 is bounded below by zero; unbounded cannot occur,
-            // but guard anyway.
-            if (basisOut != nullptr)
-                basisOut->clear();
-            result.status = LpResult::Status::Infeasible;
-            return result;
-        }
-        if (t.artificialSum() > 1e-7) {
-            if (basisOut != nullptr)
-                basisOut->clear();
+                        result.pivots) ||
+            t.artificialSum() > 1e-7) {
             result.status = LpResult::Status::Infeasible;
             return result;
         }
@@ -410,13 +254,14 @@ solveSimplex(const LinearProgram &lp,
 
     t.setPhase2Objective(lp);
     if (!t.optimize(t.structuralAndSlackCols(), result.pivots)) {
-        if (basisOut != nullptr)
-            basisOut->clear();
         result.status = LpResult::Status::Unbounded;
         return result;
     }
 
-    finishOptimal(lp, t, result, basisOut);
+    result.status = LpResult::Status::Optimal;
+    result.x = t.solution();
+    for (std::size_t j = 0; j < lp.numVars(); ++j)
+        result.objective += lp.objective[j] * result.x[j];
     return result;
 }
 

@@ -2,12 +2,14 @@
  * @file
  * Two-phase primal simplex solver for small dense linear programs.
  *
- * This is the optimisation engine behind LinOpt (Section 4.3.1 of the
- * paper): maximise a linear throughput objective subject to the chip
- * power budget, per-core power caps, and voltage bounds. Problems are
- * tiny (<= 20 variables, ~40 constraints) so a dense tableau with
- * Bland's anti-cycling rule is both simple and fast — the paper reports
- * microsecond solve times, which Fig 15's bench reproduces.
+ * The paper (Section 4.3.1) solves LinOpt's LP with a general simplex.
+ * The managers no longer do: LinOpt's LP is a continuous knapsack and
+ * the max-min LP a water-filling problem, both solved in closed form
+ * (core/linopt.hh, core/parallel.hh). This solver stays for two uses
+ * only: the oracle the closed forms are tested against, and Fig 15's
+ * timing of the paper's own method. Problems are tiny (<= 21
+ * variables, ~41 constraints), so a dense tableau with Bland's
+ * anti-cycling rule is both simple and fast.
  */
 
 #ifndef VARSCHED_SOLVER_SIMPLEX_HH
@@ -55,8 +57,6 @@ struct LpResult
     double objective = 0.0;
     /** Simplex pivots performed across both phases. */
     std::size_t pivots = 0;
-    /** True when the result came from an adopted warm basis. */
-    bool warmStarted = false;
 };
 
 /**
@@ -65,26 +65,8 @@ struct LpResult
  * Phase 1 constructs a feasible basis via artificial variables (only
  * for rows whose slack basis is infeasible); phase 2 optimises the
  * real objective. Bland's rule guarantees termination.
- *
- * @param warmBasis Optional basis (one column index per row, from a
- *        previous solve's @p basisOut) to try before the cold
- *        two-phase solve. When the basis can be adopted on the new
- *        coefficients and is still primal feasible, phase 1 is
- *        skipped entirely and phase 2 starts from it — a handful of
- *        pivots when successive LPs differ only slightly, as across
- *        DVFS intervals. Any failure (dimension mismatch, singular or
- *        stale basis, infeasible right-hand sides) silently falls
- *        back to the cold solve, so the result is identical to a cold
- *        solve up to the usual simplex tolerances either way.
- * @param basisOut When non-null, receives the optimal basis for
- *        warm-starting the next call (cleared when the solve did not
- *        reach Optimal; may name artificial columns after a cold
- *        solve of a degenerate problem, which a later warm attempt
- *        detects and rejects).
  */
-LpResult solveSimplex(const LinearProgram &lp,
-                      const std::vector<std::size_t> *warmBasis = nullptr,
-                      std::vector<std::size_t> *basisOut = nullptr);
+LpResult solveSimplex(const LinearProgram &lp);
 
 } // namespace varsched
 

@@ -67,8 +67,9 @@ gateDelayBatch(const double *leff, const double *vth, std::size_t n,
         // Vector path: stage the (strictly positive) soft-clamped
         // overdrives, raise them to alpha as one exp(alpha*log) sweep,
         // and finish with the same leff*V*derate/pow expression.
-        // Agrees with the scalar loop below (and with gateDelay / the
-        // maxDelayScalarRef contract) to <= 1e-12.
+        // Agrees with the scalar loop below (and with per-path
+        // gateDelay, the reference in tests/test_batchkernels.cc) to
+        // <= 1e-12.
         static thread_local std::vector<double> effBuf;
         static thread_local std::vector<double> powBuf;
         effBuf.resize(n);

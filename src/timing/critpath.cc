@@ -64,19 +64,6 @@ CoreTiming::maxDelay(double v, double tempC) const
 }
 
 double
-CoreTiming::maxDelayScalarRef(double v, double tempC) const
-{
-    double worst = 0.0;
-    for (std::size_t i = 0; i < vth_.size(); ++i) {
-        const double d =
-            gateDelay(leff_[i], vth_[i], v, tempC, delayParams_) *
-            delayScale_;
-        worst = std::max(worst, d);
-    }
-    return worst;
-}
-
-double
 CoreTiming::fmax(double v, double tempC) const
 {
     const double d = maxDelay(v, tempC);

@@ -65,11 +65,9 @@ struct CritPathParams
  *
  * The population is stored structure-of-arrays — one contiguous Vth
  * sweep and one contiguous Leff sweep — so maxDelay() can hand the
- * whole population to the batched gateDelayBatch() kernel. The
- * scalar element-by-element evaluation survives as
- * maxDelayScalarRef(), the reference the batched path must agree
- * with to <= 1e-12 relative (bit-identical today, since the batch
- * kernel only hoists loop invariants).
+ * whole population to the batched gateDelayBatch() kernel, which
+ * agrees with per-path gateDelay() calls to <= 1e-12 relative
+ * (tests/test_batchkernels.cc holds that scalar reference).
  */
 class CoreTiming
 {
@@ -105,13 +103,6 @@ class CoreTiming
      * evaluated through the batched kernel.
      */
     double maxDelay(double v, double tempC) const;
-
-    /**
-     * Scalar reference for maxDelay(): per-path gateDelay() calls,
-     * exactly the pre-SoA evaluation. Kept for the agreement tests;
-     * maxDelay() must match it within 1e-12 relative.
-     */
-    double maxDelayScalarRef(double v, double tempC) const;
 
     /** Maximum supported frequency (Hz) at the given operating point. */
     double fmax(double v, double tempC) const;

@@ -4,8 +4,8 @@
  * tick-loop optimisation: the warm-started leakage-temperature fixed
  * point, the purity/bit-identity guarantees the steady-state condition
  * cache rests on, O(1) delta scoring in the SAnn annealer and the
- * exhaustive odometer (cross-checked against full rescoring), the
- * warm-started simplex, and the PerfRecorder's locked JSON merge.
+ * exhaustive odometer (cross-checked against full rescoring), and the
+ * PerfRecorder's locked JSON merge.
  */
 
 #include <gtest/gtest.h>
@@ -22,14 +22,12 @@
 #include "chip/die.hh"
 #include "chip/sensors.hh"
 #include "core/exhaustive.hh"
-#include "core/linopt.hh"
 #include "core/sann.hh"
 #include "core/system.hh"
 #include "solver/annealing.hh"
 #include "power/leakage.hh"
 #include "runtime/metrics.hh"
 #include "solver/rng.hh"
-#include "solver/simplex.hh"
 #include "varius/field.hh"
 
 namespace varsched
@@ -387,122 +385,6 @@ TEST(ExhaustiveDelta, AllInfeasibleReturnsFloor)
     snap.ptargetW = 0.1; // unreachable even at the bottom level
     ExhaustiveManager pm;
     EXPECT_EQ(pm.selectLevels(snap), (std::vector<int>{0, 0, 0}));
-}
-
-TEST(SimplexWarm, WarmObjectiveMatchesColdTo1e9)
-{
-    Rng rng(0x5EED);
-    for (int trial = 0; trial < 12; ++trial) {
-        const std::size_t n = 3 + static_cast<std::size_t>(trial % 5);
-        LinearProgram lp;
-        lp.objective.resize(n);
-        for (auto &c : lp.objective)
-            c = 0.5 + rng.uniform();
-        std::vector<double> budget(n);
-        for (auto &b : budget)
-            b = 0.5 + rng.uniform();
-        lp.addRow(budget, 0.3 * static_cast<double>(n));
-        for (std::size_t i = 0; i < n; ++i) {
-            std::vector<double> row(n, 0.0);
-            row[i] = 1.0;
-            lp.addRow(row, 0.2 + rng.uniform());
-        }
-
-        std::vector<std::size_t> basis;
-        const auto cold = solveSimplex(lp, nullptr, &basis);
-        ASSERT_EQ(cold.status, LpResult::Status::Optimal);
-        ASSERT_FALSE(basis.empty());
-
-        // Perturb every coefficient slightly — the successive-DVFS-
-        // interval situation — and compare warm vs cold solves.
-        LinearProgram lp2 = lp;
-        for (auto &c : lp2.objective)
-            c *= 1.0 + 0.01 * (rng.uniform() - 0.5);
-        for (auto &row : lp2.rows)
-            for (auto &v : row)
-                v *= 1.0 + 0.01 * (rng.uniform() - 0.5);
-        for (auto &b : lp2.rhs)
-            b *= 1.0 + 0.01 * (rng.uniform() - 0.5);
-
-        const auto coldRef = solveSimplex(lp2);
-        const auto warm = solveSimplex(lp2, &basis, nullptr);
-        ASSERT_EQ(warm.status, coldRef.status);
-        ASSERT_EQ(warm.status, LpResult::Status::Optimal);
-        EXPECT_NEAR(warm.objective, coldRef.objective,
-                    1e-9 * std::max(1.0, std::abs(coldRef.objective)));
-    }
-}
-
-TEST(SimplexWarm, UnperturbedWarmSolveAdoptsBasis)
-{
-    LinearProgram lp;
-    lp.objective = {2.0, 1.0};
-    lp.addRow({1.0, 1.0}, 1.5);
-    lp.addRow({1.0, 0.0}, 1.0);
-    lp.addRow({0.0, 1.0}, 1.0);
-
-    std::vector<std::size_t> basis;
-    const auto cold = solveSimplex(lp, nullptr, &basis);
-    ASSERT_EQ(cold.status, LpResult::Status::Optimal);
-
-    const auto warm = solveSimplex(lp, &basis, nullptr);
-    ASSERT_EQ(warm.status, LpResult::Status::Optimal);
-    EXPECT_TRUE(warm.warmStarted);
-    // Adopting the basis costs pivots too, but never more than the
-    // cold two-phase solve, and phase 2 has nothing left to improve.
-    EXPECT_LE(warm.pivots, cold.pivots);
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-12);
-}
-
-TEST(SimplexWarm, GarbageBasisFallsBackToColdSolve)
-{
-    LinearProgram lp;
-    lp.objective = {1.0, 1.0};
-    lp.addRow({1.0, 1.0}, 1.0);
-    lp.addRow({1.0, 0.0}, 0.8);
-    lp.addRow({0.0, 1.0}, 0.8);
-
-    const auto cold = solveSimplex(lp);
-    ASSERT_EQ(cold.status, LpResult::Status::Optimal);
-
-    // Out-of-range column (an artificial index), duplicate columns,
-    // and wrong dimension must all be rejected, not crash.
-    for (const std::vector<std::size_t> &bad :
-         {std::vector<std::size_t>{99, 1, 2},
-          std::vector<std::size_t>{1, 1, 2},
-          std::vector<std::size_t>{1, 2}}) {
-        const auto r = solveSimplex(lp, &bad, nullptr);
-        EXPECT_EQ(r.status, LpResult::Status::Optimal);
-        EXPECT_FALSE(r.warmStarted);
-        EXPECT_NEAR(r.objective, cold.objective, 1e-12);
-    }
-}
-
-TEST(LinOptWarm, WarmManagerMatchesColdManager)
-{
-    Rng rng(0xD1CE);
-    auto snap = randomSnapshot(rng, 8);
-
-    LinOptConfig coldCfg;
-    coldCfg.warmStart = false;
-    LinOptManager warmPm; // warmStart defaults on
-    LinOptManager coldPm(coldCfg);
-
-    const auto w1 = warmPm.selectLevels(snap);
-    const auto c1 = coldPm.selectLevels(snap);
-    EXPECT_EQ(w1, c1);
-    EXPECT_FALSE(warmPm.lastDiag().warmStarted)
-        << "first solve has no basis to warm-start from";
-
-    // Drift the sensor readings slightly, as across DVFS intervals.
-    for (auto &core : snap.cores)
-        for (auto &p : core.powerW)
-            p *= 1.0 + 0.005 * (rng.uniform() - 0.5);
-
-    const auto w2 = warmPm.selectLevels(snap);
-    const auto c2 = coldPm.selectLevels(snap);
-    EXPECT_EQ(w2, c2);
-    EXPECT_TRUE(warmPm.lastDiag().warmStarted);
 }
 
 TEST(PerfRecorder, ConcurrentMergesKeepEveryEntry)
