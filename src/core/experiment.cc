@@ -13,16 +13,6 @@
 namespace varsched
 {
 
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr)
-        return fallback;
-    const long parsed = std::strtol(value, nullptr, 10);
-    return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
 bool
 envFlag(const char *name, bool fallback)
 {
@@ -104,46 +94,22 @@ runBatch(const BatchConfig &batch, std::size_t numThreads,
     const std::size_t numTuples = batch.numDies * batch.numTrials;
     std::vector<TupleRuns> tuples(numTuples);
 
-    const std::size_t workers = std::min(
-        batch.workerThreads > 0 ? batch.workerThreads
-                                : configuredThreads(),
-        numTuples > 0 ? numTuples : std::size_t{1});
-
-    if (workers <= 1) {
-        // Serial path: one die in memory at a time.
-        for (std::size_t d = 0; d < batch.numDies; ++d) {
-            const Die die(batch.dieParams, dieSeedFor(batch, d));
-            for (std::size_t t = 0; t < batch.numTrials; ++t) {
-                tuples[d * batch.numTrials + t] =
-                    runTuple(batch, die, d, t, numThreads, configs);
-            }
-        }
-    } else {
-        // Parallel path: manufacture the dies concurrently (each is a
-        // pure function of its derived seed), then fan the
-        // (die, trial) tuples out over the pool. Dies are read-only
-        // during the tuple phase, so sharing them is race-free.
-        // Grain 1 for both sweeps: dies and tuples are milliseconds-
-        // heavy, so per-index chunks let the work-stealing deques
-        // balance them.
-        ThreadPool pool(workers);
-        std::vector<std::optional<Die>> dies(batch.numDies);
-        pool.parallelFor(
-            batch.numDies,
-            [&](std::size_t d) {
-                dies[d].emplace(batch.dieParams, dieSeedFor(batch, d));
-            },
-            1);
-        pool.parallelFor(
-            numTuples,
-            [&](std::size_t i) {
-                const std::size_t d = i / batch.numTrials;
-                const std::size_t t = i % batch.numTrials;
-                tuples[i] =
-                    runTuple(batch, *dies[d], d, t, numThreads, configs);
-            },
-            1);
-    }
+    // Manufacture the dies concurrently (each is a pure function of
+    // its derived seed), then fan the (die, trial) tuples out. Dies
+    // are read-only during the tuple phase, so sharing them is
+    // race-free.
+    const std::size_t workers = batch.workerThreads > 0
+        ? batch.workerThreads
+        : configuredThreads();
+    std::vector<std::optional<Die>> dies(batch.numDies);
+    parallelFor(workers, batch.numDies, [&](std::size_t d) {
+        dies[d].emplace(batch.dieParams, dieSeedFor(batch, d));
+    });
+    parallelFor(workers, numTuples, [&](std::size_t i) {
+        const std::size_t d = i / batch.numTrials;
+        const std::size_t t = i % batch.numTrials;
+        tuples[i] = runTuple(batch, *dies[d], d, t, numThreads, configs);
+    });
 
     // Ordered reduction: always serial tuple order, independent of
     // which worker finished when — this is what keeps the Summary

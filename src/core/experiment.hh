@@ -20,6 +20,7 @@
 
 #include "chip/die.hh"
 #include "core/system.hh"
+#include "runtime/env.hh"
 #include "solver/stats.hh"
 
 namespace varsched
@@ -36,10 +37,10 @@ struct BatchConfig
     /**
      * Worker threads for the batch runner. 0 (the default) resolves
      * to the VARSCHED_THREADS environment override, else hardware
-     * concurrency; 1 forces the serial in-line path. Results are
-     * bit-identical at every setting: each (die, trial) tuple's
-     * streams are a pure function of (seed, die, trial), and the
-     * metric reduction always runs in serial tuple order.
+     * concurrency. Results are bit-identical at every setting: each
+     * (die, trial) tuple's streams are a pure function of (seed, die,
+     * trial), and the metric reduction always runs in serial tuple
+     * order.
      */
     std::size_t workerThreads = 0;
 
@@ -72,9 +73,6 @@ Rng workloadRngFor(const BatchConfig &batch, std::size_t die,
  * environment overrides.
  */
 BatchConfig defaultBatch(std::size_t dies, std::size_t trials);
-
-/** Read a positive size_t environment override. */
-std::size_t envSize(const char *name, std::size_t fallback);
 
 /**
  * Read a boolean environment override: unset (or empty) yields
@@ -130,10 +128,10 @@ struct BatchResult
 
 /**
  * Run every configuration over the same dies and workloads. The
- * (die, trial) tuples are independent by construction and execute on
- * a thread pool (see BatchConfig::workerThreads); metrics are reduced
- * in serial tuple order afterwards, so the result is bit-identical at
- * any worker count.
+ * (die, trial) tuples are independent by construction and execute
+ * through parallelFor (see BatchConfig::workerThreads); metrics are
+ * reduced in serial tuple order afterwards, so the result is
+ * bit-identical at any worker count.
  *
  * @param batch Batch dimensions and technology parameters.
  * @param numThreads Threads per workload.

@@ -6,11 +6,9 @@
  * (the m x m circulant noise plane) that was previously
  * round-tripping operator new — and, for vectors,
  * paying a zero-fill the generator immediately overwrites. The arena
- * keeps its blocks alive across dies (thread-local, one per pool
- * worker), so steady-state manufacture does no allocation at all and
- * the pages stay first-touch-local to the worker that uses them —
- * which is what makes VARSCHED_NUMA_NODES range partitioning in
- * ThreadPool::parallelFor pay off.
+ * keeps its blocks alive across dies (thread-local, one per
+ * parallelFor worker), so steady-state manufacture within a lot does
+ * no allocation at all.
  *
  * Discipline is strictly stack-like: take a Scope, alloc() freely,
  * and everything allocated inside is released when the Scope dies.
@@ -20,19 +18,14 @@
 #ifndef VARSCHED_RUNTIME_ARENA_HH
 #define VARSCHED_RUNTIME_ARENA_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 namespace varsched
 {
@@ -127,55 +120,10 @@ class BumpArena
 
   private:
     static constexpr std::size_t kAlign = 64;
-    static constexpr std::size_t kHugePageBytes = std::size_t{1} << 21;
-
-    /**
-     * Opt-in transparent-hugepage backing (VARSCHED_HUGEPAGES=1): the
-     * noise planes are multi-megabyte and live for the whole sweep, so
-     * 2 MB pages cut dTLB misses in the circulant-row walks. Strictly
-     * best-effort — anything that fails (no aligned memory, no
-     * madvise, non-Linux host) falls back to the plain new[] path.
-     */
-    static bool
-    hugePagesRequested()
-    {
-        static const bool on = [] {
-            const char *env = std::getenv("VARSCHED_HUGEPAGES");
-            return env != nullptr && env[0] == '1' && env[1] == '\0';
-        }();
-        return on;
-    }
-
-    struct BlockDeleter
-    {
-        // Explicit ctors, not an NSDMI: nested-class default member
-        // initialisers are late-parsed in the outermost class's
-        // complete-class context, which would leave the deleter
-        // non-default-constructible right where Block needs it.
-        constexpr BlockDeleter() noexcept : hugeAligned(false) {}
-        constexpr explicit BlockDeleter(bool huge) noexcept
-            : hugeAligned(huge)
-        {
-        }
-
-        void
-        operator()(std::byte *p) const
-        {
-            if (hugeAligned)
-                ::operator delete[](p,
-                                    std::align_val_t{kHugePageBytes});
-            else
-                delete[] p;
-        }
-
-        bool hugeAligned;
-    };
-
-    using BlockPtr = std::unique_ptr<std::byte[], BlockDeleter>;
 
     struct Block
     {
-        BlockPtr data;
+        std::unique_ptr<std::byte[]> data;
         std::size_t size = 0;
         std::size_t used = 0;
     };
@@ -202,22 +150,7 @@ class BumpArena
         // allocations, not a hard alignment requirement.
         Block fresh;
         fresh.size = std::max(blockBytes_, rounded);
-        if (hugePagesRequested()) {
-            fresh.size =
-                (fresh.size + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
-            auto *p = static_cast<std::byte *>(::operator new[](
-                fresh.size, std::align_val_t{kHugePageBytes},
-                std::nothrow));
-            if (p != nullptr) {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-                ::madvise(p, fresh.size, MADV_HUGEPAGE);
-#endif
-                fresh.data = BlockPtr(p, BlockDeleter(true));
-            }
-        }
-        if (!fresh.data)
-            fresh.data =
-                BlockPtr(new std::byte[fresh.size], BlockDeleter(false));
+        fresh.data.reset(new std::byte[fresh.size]);
         fresh.used = rounded;
         blocks_.push_back(std::move(fresh));
         active_ = blocks_.size() - 1;
@@ -242,8 +175,8 @@ class BumpArena
 /**
  * The per-thread scratch arena the die-manufacture hot path draws
  * from (variation-field noise planes, batched-kernel staging). One
- * arena per pool worker: no locks, and pages are first-touched by
- * their own worker.
+ * arena per worker thread: no locks, and a worker's blocks are reused
+ * for every die it builds.
  */
 inline BumpArena &
 dieScratchArena()

@@ -7,17 +7,16 @@
  * lot of independent dies and fold a per-die statistic. Each die is a
  * pure function of (DieParams, seed), and the per-die seeds are a
  * pure function of (lot seed, die index) — so the lot can fan out
- * across the PR2 ThreadPool and still produce results bit-identical
- * to the serial loop: the result vector is ordered by die index
- * (ordered reduction), and no worker ever touches another die's
- * state. The VARSCHED_BENCH_COMPARE=1 guard in bench::PerfRecorder
- * re-runs the lot on one worker and aborts on any divergence.
+ * through parallelFor and still produce results bit-identical at any
+ * worker count: the result vector is ordered by die index (ordered
+ * reduction), and no worker ever touches another die's state. The
+ * VARSCHED_BENCH_COMPARE=1 guard in bench::PerfRecorder re-runs the
+ * lot on one worker and aborts on any divergence.
  */
 
 #ifndef VARSCHED_RUNTIME_DIEPOP_HH
 #define VARSCHED_RUNTIME_DIEPOP_HH
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -82,9 +81,8 @@ runDiePopulation(const DieParams &params,
     DiePopulationRun<R> run;
     run.results.resize(seeds.size());
 
-    const std::size_t workers = std::min(
-        workerOverride > 0 ? workerOverride : configuredThreads(),
-        std::max<std::size_t>(seeds.size(), 1));
+    const std::size_t workers =
+        workerOverride > 0 ? workerOverride : configuredThreads();
     // Per-die manufacture+evaluate latency: the fan-out's unit of
     // work, so its tail percentiles expose stragglers in the lot.
     metrics::Histogram &dieMs =
@@ -98,26 +96,13 @@ runDiePopulation(const DieParams &params,
         return result;
     };
 
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < seeds.size(); ++i) {
-            const Die die(params, seeds[i]);
-            run.results[i] = timedPerDie(die, i);
-        }
-    } else {
-        // Grain 1: manufacturing a die costs milliseconds, so
-        // per-index chunks let work stealing balance the lot; each
-        // worker's die scratch comes from its own thread-local
-        // dieScratchArena(), keeping pages first-touch-local under
-        // VARSCHED_NUMA_NODES partitioning.
-        ThreadPool pool(workers);
-        pool.parallelFor(
-            seeds.size(),
-            [&](std::size_t i) {
-                const Die die(params, seeds[i]);
-                run.results[i] = timedPerDie(die, i);
-            },
-            1);
-    }
+    // Manufacturing a die costs milliseconds, so stealing balances
+    // the lot; each worker's die scratch comes from its own
+    // thread-local dieScratchArena().
+    parallelFor(workers, seeds.size(), [&](std::size_t i) {
+        const Die die(params, seeds[i]);
+        run.results[i] = timedPerDie(die, i);
+    });
 
     run.mfgSec = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)

@@ -1,13 +1,18 @@
 #include "runtime/threadpool.hh"
 
+#include "runtime/env.hh"
 #include "runtime/metrics.hh"
 #include "runtime/trace.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <deque>
 #include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace varsched
 {
@@ -15,36 +20,21 @@ namespace varsched
 namespace
 {
 
-/**
- * Which pool (and which worker slot in it) the current thread belongs
- * to. Lets submit() route worker-originated tasks to the worker's own
- * deque, which is also what keeps chains of tasks submitted during
- * shutdown draining: the submitting worker itself runs them.
- */
-thread_local const ThreadPool *tlPool = nullptr;
-thread_local std::size_t tlWorker = 0;
-
-/** Pool-wide scheduling metrics (process registry handles, looked up
- *  once; recording is a relaxed atomic add). */
+/** Scheduling metrics (process registry handles, looked up once;
+ *  recording is a relaxed atomic add). */
 struct PoolMetrics
 {
     metrics::Counter &popOwn;
-    metrics::Counter &popInject;
     metrics::Counter &steal;
-    metrics::Counter &stealRemote;
     metrics::Counter &busyNs;
-    metrics::Gauge &queueDepth;
 
     static PoolMetrics &
     get()
     {
         static PoolMetrics m{
             metrics::Registry::global().counter("pool.pop_own"),
-            metrics::Registry::global().counter("pool.pop_inject"),
             metrics::Registry::global().counter("pool.steal"),
-            metrics::Registry::global().counter("pool.steal_remote"),
             metrics::Registry::global().counter("pool.busy_ns"),
-            metrics::Registry::global().gauge("pool.queue_depth"),
         };
         return m;
     }
@@ -66,283 +56,148 @@ workerName(std::size_t index)
     return names[index];
 }
 
-} // namespace
-
-std::size_t
-configuredThreads()
+/** The indices dealt to one worker. */
+struct Lane
 {
-    if (const char *value = std::getenv("VARSCHED_THREADS")) {
-        const long parsed = std::strtol(value, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
+    std::mutex mutex;
+    std::deque<std::size_t> indices;
+};
 
-std::size_t
-configuredNumaNodes()
+/** Everything one parallelFor call shares with its workers. */
+struct Deal
 {
-    if (const char *value = std::getenv("VARSCHED_NUMA_NODES")) {
-        const long parsed = std::strtol(value, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
-    return 1;
-}
-
-ThreadPool::ThreadPool(std::size_t numThreads)
-{
-    if (numThreads == 0)
-        numThreads = 1;
-    numaNodes_ = std::min(configuredNumaNodes(), numThreads);
-
-    perWorker_.reserve(numThreads);
-    for (std::size_t i = 0; i < numThreads; ++i) {
-        auto worker = std::make_unique<Worker>();
-        // Contiguous equal-size groups: worker i belongs to node
-        // i*nodes/numThreads.
-        worker->node = i * numaNodes_ / numThreads;
-        perWorker_.push_back(std::move(worker));
-    }
-    workers_.reserve(numThreads);
-    for (std::size_t i = 0; i < numThreads; ++i)
-        workers_.emplace_back([this, i]() { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    stopping_.store(true, std::memory_order_release);
+    Deal(const std::function<void(std::size_t)> &body, std::size_t n,
+         std::size_t workers)
+        : fn(body), count(n), lanes(workers)
     {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
     }
-    wake_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
 
-void
-ThreadPool::notifyOne()
-{
-    // Taking the sleep mutex (and dropping it immediately) pairs the
-    // notification with the waiter's predicate check: either the
-    // waiter sees pending_ > 0 before sleeping, or it is already
-    // asleep and receives this notify.
+    /** Hand index i to lane i mod W, waking idle workers as it goes. */
+    void
+    dealAll()
     {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-    }
-    wake_.notify_one();
-}
-
-void
-ThreadPool::enqueueTask(std::function<void()> task)
-{
-    inFlight_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t depth =
-        pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-    PoolMetrics::get().queueDepth.set(static_cast<double>(depth));
-    if (tlPool == this) {
-        Worker &own = *perWorker_[tlWorker];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        own.deque.push_back(std::move(task));
-    } else {
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        injectQueue_.push_back(std::move(task));
-    }
-    notifyOne();
-}
-
-void
-ThreadPool::pushToWorker(std::size_t index, std::function<void()> task)
-{
-    inFlight_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t depth =
-        pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-    PoolMetrics &pm = PoolMetrics::get();
-    pm.queueDepth.set(static_cast<double>(depth));
-    TRACE_COUNTER("pool.queue_depth", static_cast<double>(depth));
-    {
-        Worker &worker = *perWorker_[index];
-        std::lock_guard<std::mutex> lock(worker.mutex);
-        worker.deque.push_back(std::move(task));
-    }
-    notifyOne();
-}
-
-bool
-ThreadPool::tryPop(std::size_t self, std::function<void()> &out)
-{
-    // 1. Own deque, newest first (cache-warm chunks).
-    {
-        Worker &own = *perWorker_[self];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.deque.empty()) {
-            out = std::move(own.deque.back());
-            own.deque.pop_back();
-            PoolMetrics::get().popOwn.add();
-            return true;
+        for (std::size_t i = 0; i < count; ++i) {
+            Lane &lane = lanes[i % lanes.size()];
+            {
+                std::lock_guard<std::mutex> lock(lane.mutex);
+                lane.indices.push_back(i);
+            }
+            dealt.fetch_add(1);
+            dealt.notify_all();
         }
     }
-    // 2. Shared injection queue, FIFO (external submit()s).
+
+    /** Stop dealing: workers run what is already dealt, then exit. */
+    void
+    close()
     {
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        if (!injectQueue_.empty()) {
-            out = std::move(injectQueue_.front());
-            injectQueue_.pop_front();
-            PoolMetrics::get().popInject.add();
-            return true;
-        }
+        dealt.store(count);
+        dealt.notify_all();
     }
-    // 3. Steal, oldest first — same topology group before others, so
-    // cross-node traffic only happens when the own group is dry.
-    const std::size_t n = perWorker_.size();
-    const std::size_t ownNode = perWorker_[self]->node;
-    for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t offset = 1; offset < n; ++offset) {
-            const std::size_t victimIdx = (self + offset) % n;
-            Worker &victim = *perWorker_[victimIdx];
-            const bool sameNode = victim.node == ownNode;
-            if ((pass == 0) != sameNode)
-                continue;
-            std::unique_lock<std::mutex> lock(victim.mutex,
-                                              std::try_to_lock);
-            if (!lock.owns_lock())
-                continue;
-            if (!victim.deque.empty()) {
-                out = std::move(victim.deque.front());
-                victim.deque.pop_front();
-                PoolMetrics &pm = PoolMetrics::get();
-                pm.steal.add();
-                if (!sameNode)
-                    pm.stealRemote.add();
-                TRACE_COUNTER(
-                    "pool.steals",
-                    static_cast<double>(pm.steal.value()));
+
+    /** Own lane newest first, then the others' oldest first. */
+    bool
+    take(std::size_t self, std::size_t &index)
+    {
+        {
+            Lane &own = lanes[self];
+            std::lock_guard<std::mutex> lock(own.mutex);
+            if (!own.indices.empty()) {
+                index = own.indices.back();
+                own.indices.pop_back();
+                PoolMetrics::get().popOwn.add();
                 return true;
             }
         }
+        for (std::size_t offset = 1; offset < lanes.size(); ++offset) {
+            Lane &victim = lanes[(self + offset) % lanes.size()];
+            std::lock_guard<std::mutex> lock(victim.mutex);
+            if (!victim.indices.empty()) {
+                index = victim.indices.front();
+                victim.indices.pop_front();
+                PoolMetrics::get().steal.add();
+                return true;
+            }
+        }
+        return false;
     }
-    return false;
-}
 
-void
-ThreadPool::workerLoop(std::size_t index)
-{
-    tlPool = this;
-    tlWorker = index;
-
-    std::function<void()> task;
-    for (;;) {
-        if (tryPop(index, task)) {
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            if (trace::enabled())
-                trace::setThreadName(workerName(index));
+    void
+    work(std::size_t self)
+    {
+        trace::setThreadName(workerName(self));
+        for (;;) {
+            // Read before the scan: lanes only shrink once every index
+            // is dealt, so an empty scan after that means none is left.
+            const std::size_t seen = dealt.load();
+            std::size_t index = 0;
+            if (!take(self, index)) {
+                if (seen == count)
+                    return;
+                dealt.wait(seen);
+                continue;
+            }
             const auto busyStart = std::chrono::steady_clock::now();
-            {
+            try {
                 TRACE_SCOPE("pool.task");
-                task(); // packaged_task / chunk wrappers capture throws
+                fn(index);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errorMutex);
+                if (!error)
+                    error = std::current_exception();
             }
             PoolMetrics::get().busyNs.add(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - busyStart)
                     .count()));
-            task = nullptr;
-            if (inFlight_.fetch_sub(1, std::memory_order_acq_rel) ==
-                    1 &&
-                stopping_.load(std::memory_order_acquire)) {
-                // Last task drained during shutdown: release the
-                // other sleepers so they can exit too.
-                {
-                    std::lock_guard<std::mutex> lock(sleepMutex_);
-                }
-                wake_.notify_all();
-            }
-            continue;
-        }
-
-        std::unique_lock<std::mutex> lock(sleepMutex_);
-        if (stopping_.load(std::memory_order_acquire) &&
-            inFlight_.load(std::memory_order_acquire) == 0) {
-            return;
-        }
-        wake_.wait(lock, [this]() {
-            return pending_.load(std::memory_order_acquire) > 0 ||
-                (stopping_.load(std::memory_order_acquire) &&
-                 inFlight_.load(std::memory_order_acquire) == 0);
-        });
-        if (pending_.load(std::memory_order_acquire) == 0 &&
-            stopping_.load(std::memory_order_acquire) &&
-            inFlight_.load(std::memory_order_acquire) == 0) {
-            return;
         }
     }
+
+    const std::function<void(std::size_t)> &fn;
+    const std::size_t count;
+    std::vector<Lane> lanes;
+    /** Indices dealt so far; reaches count when dealing ends. */
+    std::atomic<std::size_t> dealt{0};
+    std::mutex errorMutex;
+    std::exception_ptr error;
+};
+
+} // namespace
+
+std::size_t
+configuredThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return envSize("VARSCHED_THREADS", hw > 0 ? hw : 1);
 }
 
 void
-ThreadPool::parallelFor(std::size_t count,
-                        const std::function<void(std::size_t)> &fn,
-                        std::size_t grain)
+parallelFor(std::size_t workers, std::size_t count,
+            const std::function<void(std::size_t)> &fn)
 {
     if (count == 0)
         return;
-
-    const std::size_t workers = size();
-    if (grain == 0) {
-        // ~8 chunks per worker: fine enough for stealing to balance
-        // uneven costs, coarse enough to amortise task overhead.
-        grain = std::max<std::size_t>(1, count / (workers * 8));
-    }
-    const std::size_t chunks = (count + grain - 1) / grain;
-
-    struct State
-    {
-        std::mutex mutex;
-        std::condition_variable done;
-        std::size_t remaining;
-        std::exception_ptr error;
+    Deal deal(fn, count, std::clamp<std::size_t>(workers, 1, count));
+    std::vector<std::thread> threads;
+    const auto joinAll = [&threads]() {
+        for (std::thread &thread : threads)
+            thread.join();
     };
-    auto state = std::make_shared<State>();
-    state->remaining = chunks;
-
-    // Range-partition the chunks across topology groups: group g gets
-    // the contiguous index span [g*chunks/G, (g+1)*chunks/G), handed
-    // round-robin to that group's workers. With first-touch placement
-    // each group keeps walking its own span across repeated sweeps.
-    std::vector<std::vector<std::size_t>> groupWorkers(numaNodes_);
-    for (std::size_t w = 0; w < workers; ++w)
-        groupWorkers[perWorker_[w]->node].push_back(w);
-
-    for (std::size_t g = 0; g < numaNodes_; ++g) {
-        const std::size_t chunkBegin = g * chunks / numaNodes_;
-        const std::size_t chunkEnd = (g + 1) * chunks / numaNodes_;
-        const std::vector<std::size_t> &members = groupWorkers[g];
-        for (std::size_t chunk = chunkBegin; chunk < chunkEnd;
-             ++chunk) {
-            const std::size_t begin = chunk * grain;
-            const std::size_t end =
-                std::min(count, begin + grain);
-            const std::size_t target =
-                members[(chunk - chunkBegin) % members.size()];
-            pushToWorker(target, [state, &fn, begin, end]() {
-                try {
-                    for (std::size_t i = begin; i < end; ++i)
-                        fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(state->mutex);
-                    if (!state->error)
-                        state->error = std::current_exception();
-                }
-                std::lock_guard<std::mutex> lock(state->mutex);
-                if (--state->remaining == 0)
-                    state->done.notify_all();
-            });
-        }
+    try {
+        threads.reserve(deal.lanes.size());
+        for (std::size_t w = 0; w < deal.lanes.size(); ++w)
+            threads.emplace_back([&deal, w]() { deal.work(w); });
+        deal.dealAll();
+    } catch (...) {
+        // A thread failed to start: the ones that did finish what was
+        // dealt and are joined before the error propagates.
+        deal.close();
+        joinAll();
+        throw;
     }
-
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->done.wait(lock, [&]() { return state->remaining == 0; });
-    if (state->error)
-        std::rethrow_exception(state->error);
+    joinAll();
+    if (deal.error)
+        std::rethrow_exception(deal.error);
 }
 
 } // namespace varsched

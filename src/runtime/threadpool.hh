@@ -1,140 +1,44 @@
 /**
  * @file
- * Work-stealing thread pool for the batch experiment layer.
+ * parallelFor: the batch layer's one parallel primitive.
  *
  * The paper's evaluation protocol is embarrassingly parallel — 200
  * manufactured dies x 20 workload trials, every tuple independent by
- * construction — so the batch runner distributes (die, trial) work
- * items over a fixed set of workers. Each worker owns a deque: it
- * pushes and pops its own work LIFO (cache-warm), steals FIFO from
- * victims in its own topology group first, and falls back to a global
- * injection queue for tasks submitted from outside the pool.
- * Determinism is the batch layer's job (per-tuple seed derivation +
- * ordered reduction); the pool makes no ordering promises beyond
- * running every submitted task exactly once.
- *
- * Topology partitioning: VARSCHED_NUMA_NODES=k (default 1) splits the
- * workers into k contiguous groups. parallelFor hands each group a
- * contiguous slice of the index space, so with first-touch data
- * placement (thread-local arenas, per-worker scratch) a group keeps
- * re-touching pages its own node allocated; stealing prefers same-
- * group victims and crosses groups only when a group runs dry.
+ * construction — so the batch layer only ever needs "run fn(i) for
+ * every i on W threads". Determinism is the caller's job (per-index
+ * seed derivation + ordered reduction); parallelFor promises nothing
+ * about order beyond running every index exactly once.
  */
 
 #ifndef VARSCHED_RUNTIME_THREADPOOL_HH
 #define VARSCHED_RUNTIME_THREADPOOL_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace varsched
 {
 
 /**
  * Worker-thread count the experiment layer should use: the
- * VARSCHED_THREADS environment override when set and positive,
- * otherwise hardware concurrency (at least 1).
+ * VARSCHED_THREADS environment override when it is a positive size
+ * (see parseSize()), otherwise hardware concurrency (at least 1).
  */
 std::size_t configuredThreads();
 
 /**
- * Topology groups the pool should partition its workers into: the
- * VARSCHED_NUMA_NODES environment override when set and positive,
- * otherwise 1 (no partitioning).
+ * Run fn(0) .. fn(count-1) on min(workers, count) new threads (at
+ * least one) and return once every index has run.
+ *
+ * The threads start first; the caller then deals index i to worker
+ * i mod W. Each worker takes its own newest index first and steals
+ * the other workers' oldest first, so uneven item costs balance. If
+ * any invocation throws, every other index still runs, and the first
+ * exception (by completion order) is rethrown after the threads are
+ * joined. A body may itself call parallelFor.
  */
-std::size_t configuredNumaNodes();
-
-/** Fixed-size work-stealing thread pool. */
-class ThreadPool
-{
-  public:
-    /** Spawn @p numThreads workers (clamped to at least 1). */
-    explicit ThreadPool(std::size_t numThreads);
-
-    /** Drains all queues (including tasks that running tasks submit
-     *  during shutdown), then joins every worker. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Number of worker threads. */
-    std::size_t size() const { return workers_.size(); }
-
-    /** Number of topology groups the workers are partitioned into. */
-    std::size_t numaNodes() const { return numaNodes_; }
-
-    /**
-     * Enqueue a task. The returned future yields the task's result —
-     * or rethrows the exception it exited with — when waited on.
-     * Submissions from a worker of this pool go to that worker's own
-     * deque; external submissions go to the shared injection queue.
-     */
-    template <typename Fn>
-    auto
-    submit(Fn &&fn) -> std::future<std::invoke_result_t<Fn>>
-    {
-        using Result = std::invoke_result_t<Fn>;
-        auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::forward<Fn>(fn));
-        std::future<Result> future = task->get_future();
-        enqueueTask([task]() { (*task)(); });
-        return future;
-    }
-
-    /**
-     * Run fn(0) .. fn(count-1) across the pool and wait for all of
-     * them. The index space is cut into contiguous chunks of @p grain
-     * indices (grain 0 = automatic: ~8 chunks per worker), the chunks
-     * are range-partitioned across topology groups and distributed to
-     * worker deques, and idle workers steal — so uneven item costs
-     * still balance without per-index task overhead. If any
-     * invocation throws, the first exception (by completion order) is
-     * rethrown here after every chunk has finished or been abandoned;
-     * the remaining indices of the throwing chunk are skipped, other
-     * chunks run to completion, and the pool stays usable.
-     */
-    void parallelFor(std::size_t count,
-                     const std::function<void(std::size_t)> &fn,
-                     std::size_t grain = 0);
-
-  private:
-    struct Worker
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> deque;
-        std::size_t node = 0;
-    };
-
-    void enqueueTask(std::function<void()> task);
-    void pushToWorker(std::size_t index, std::function<void()> task);
-    void workerLoop(std::size_t index);
-    bool tryPop(std::size_t self, std::function<void()> &out);
-    void notifyOne();
-
-    std::vector<std::unique_ptr<Worker>> perWorker_;
-    std::vector<std::thread> workers_;
-    std::size_t numaNodes_ = 1;
-
-    std::mutex injectMutex_;
-    std::deque<std::function<void()>> injectQueue_;
-
-    std::mutex sleepMutex_;
-    std::condition_variable wake_;
-    /** Tasks queued anywhere but not yet picked up. */
-    std::atomic<std::size_t> pending_{0};
-    /** Tasks queued or currently running. */
-    std::atomic<std::size_t> inFlight_{0};
-    std::atomic<bool> stopping_{false};
-};
+void parallelFor(std::size_t workers, std::size_t count,
+                 const std::function<void(std::size_t)> &fn);
 
 } // namespace varsched
 

@@ -1,5 +1,7 @@
 #include "runtime/trace.hh"
 
+#include "runtime/env.hh"
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -243,13 +245,7 @@ traceInitFromEnv()
     if (path == nullptr || path[0] == '\0')
         return;
     armed = true;
-    std::size_t capacity = 0;
-    if (const char *cap = std::getenv("VARSCHED_TRACE_BUFFER")) {
-        const long parsed = std::strtol(cap, nullptr, 10);
-        if (parsed > 0)
-            capacity = static_cast<std::size_t>(parsed);
-    }
-    traceStart(path, capacity);
+    traceStart(path, envSize("VARSCHED_TRACE_BUFFER", 0));
     std::atexit([]() { traceStopAndFlush(); });
 }
 

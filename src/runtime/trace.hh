@@ -2,11 +2,11 @@
  * @file
  * Always-on span/instant-event tracer with Perfetto-loadable export.
  *
- * Every performance-critical machine in this repo (the tick loop, the
- * work-stealing pool, the sweep orchestrator) is instrumented with
- * TRACE_SCOPE / TRACE_INSTANT / TRACE_COUNTER sites. The sites are
- * compiled in unconditionally; what makes that affordable is the
- * overhead contract:
+ * Every performance-critical machine in this repo (the tick loop,
+ * parallelFor's workers, the sweep orchestrator) is instrumented with
+ * TRACE_SCOPE / TRACE_INSTANT sites; TRACE_COUNTER draws a counter
+ * track. The sites are compiled in unconditionally; what makes that
+ * affordable is the overhead contract:
  *
  *  - DISABLED (the default): a trace site is one relaxed atomic load
  *    and a predictable branch — no clock read, no allocation, no

@@ -62,9 +62,9 @@ VARSCHED_BENCH_JSON="$overhead_json" \
 # Traced run: a full-scale fig13 under VARSCHED_TRACE must produce a
 # well-formed Chrome/Perfetto trace carrying every instrumented span
 # family (trace_summarize exits nonzero on a malformed file or a
-# missing --expect). VARSCHED_THREADS=2 forces the ThreadPool path
-# even on single-core hosts, where the batch runner would otherwise
-# go serial and never emit pool.task spans.
+# missing --expect). Every fan-out runs bodies on parallelFor worker
+# threads, so pool.task spans appear at any worker count;
+# VARSCHED_THREADS=2 spreads them over two pool-worker-N lanes.
 trace_json="$build/fig13.trace.json"
 rm -f "$trace_json"
 VARSCHED_TRACE="$trace_json" VARSCHED_THREADS=2 \
