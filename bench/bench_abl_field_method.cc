@@ -73,7 +73,6 @@ measure(FieldMethod method, std::size_t n, int dies)
 int
 main()
 {
-    bench::PerfRecorder perf("bench_abl_field_method");
     bench::banner("Ablation: Cholesky vs circulant-FFT field "
                   "generation",
                   "statistical equivalence check; not a paper figure");

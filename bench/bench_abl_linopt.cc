@@ -21,7 +21,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_abl_linopt");
     bench::banner("Ablation: LinOpt power-fit points and greedy "
                   "refill",
                   "design-choice sensitivity; not a paper figure");

@@ -21,7 +21,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_abl_thermal_granularity");
     bench::banner("Ablation: per-core vs per-unit thermal granularity",
                   "quantifies the within-core hotspot a per-core "
                   "model hides; not a paper figure");

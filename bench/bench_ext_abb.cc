@@ -38,7 +38,6 @@ struct DieAbb
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_abb");
     bench::banner("Extension: Adaptive Body Bias (Humenay et al.)",
                   "ABB reduces frequency variation at the cost of "
                   "power variation");
@@ -53,7 +52,7 @@ main()
         DieParams params;
         params.abbStrength = strength;
 
-        const auto dies = perf.runDies(
+        const auto dies = bench::runDies(
             params, seeds, [](const Die &die, std::size_t) {
                 double fLo = 1e300, fHi = 0.0;
                 double pLo = 1e300, pHi = 0.0;

@@ -85,7 +85,6 @@ runCell(const BatchConfig &batch, PmKind pm, bool guarded,
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_faults");
     bench::banner("Extension: fault injection and graceful degradation",
                   "beyond the paper — stuck sensors and flaky DVFS "
                   "actuators vs the Table 1 managers");

@@ -35,7 +35,6 @@ relDiff(double a, double b)
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_incremental");
     bench::banner("Incremental evaluation guard: warmStartThermal "
                   "on vs off",
                   "extension - warm start must keep every metric "
@@ -62,8 +61,8 @@ main()
     for (auto &c : cold)
         c.warmStartThermal = false;
 
-    const auto warmRes = perf.run(batch, threads, configs);
-    const auto coldRes = perf.run(batch, threads, cold);
+    const auto warmRes = bench::runBatch(batch, threads, configs);
+    const auto coldRes = bench::runBatch(batch, threads, cold);
 
     // The settle's residual is 0.01 C on ~70 C temperatures;
     // after averaging over hundreds of ticks the metric-level impact

@@ -6,7 +6,7 @@
  * a million times; sampling freezes each multi-second traffic phase
  * and extrapolates it, re-settling only at sampled epochs and phase
  * flips, so the run finishes in seconds with a bounded, *reported*
- * error (est_err in the bench JSON).
+ * error (the printed est_err).
  *
  * Horizon override: VARSCHED_LONGHORIZON_MS (default 1,000,000 ms).
  * Sampling opt-out: VARSCHED_PHASE_SAMPLING=0 (be prepared to wait).
@@ -23,7 +23,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_longhorizon");
     bench::banner("Extension: million-tick phased-traffic horizon "
                   "under the phase-sampled engine",
                   "Pac-Sim-style sampling: order-of-magnitude tick-"
@@ -53,7 +52,7 @@ main()
                 horizonMs, horizonMs, // tickMs = 1
                 config.phaseSampling.enabled ? "on" : "off");
 
-    const auto r = perf.run(batch, 8, {config});
+    const auto r = bench::runBatch(batch, 8, {config});
 
     const std::uint64_t total = r.exactTicks + r.sampledTicks;
     std::printf("avg MIPS            %12.1f\n",

@@ -28,7 +28,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_parallel");
     bench::banner("Extension: barrier-synchronised parallel gangs "
                   "(Section 8)",
                   "not a paper figure — the paper lists this as "

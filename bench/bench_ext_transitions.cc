@@ -18,7 +18,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_transitions");
     bench::banner("Extension: voltage transition overhead vs DVFS "
                   "granularity",
                   "on-chip regulators (Kim et al.) enable fine-grained "
@@ -43,7 +42,7 @@ main()
         config.dvfsIntervalMs = ivl;
         config.durationMs = 200.0;
         config.transitionUsPerStep = us;
-        const auto r = perf.run(batch, 20, {config});
+        const auto r = bench::runBatch(batch, 20, {config});
         return r.absolute[0].mips.mean();
     };
 

@@ -20,7 +20,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_wearout");
     bench::banner("Extension: policy impact on wearout (Section 8)",
                   "not a paper figure — the paper lists this as "
                   "planned work");
@@ -41,7 +40,7 @@ main()
     }
 
     const std::size_t threads = 8;
-    const auto r = perf.run(batch, threads, configs);
+    const auto r = bench::runBatch(batch, threads, configs);
 
     std::printf("%-14s %12s %14s %16s\n", "scheduler", "rel MIPS",
                 "worst aging", "lifetime (yr)");

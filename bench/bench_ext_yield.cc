@@ -23,15 +23,14 @@ namespace
 
 /** Fraction of the lot whose UniFreq clock meets each target. */
 void
-yieldRow(bench::PerfRecorder &perf, double sigma, double abb,
-         const std::vector<std::uint64_t> &seeds,
+yieldRow(double sigma, double abb, const std::vector<std::uint64_t> &seeds,
          const std::vector<double> &targetsGHz, double powerLimitW)
 {
     DieParams params;
     params.variation.vthSigmaOverMu = sigma;
     params.abbStrength = abb;
 
-    const auto dies = perf.runDies(
+    const auto dies = bench::runDies(
         params, seeds, [](const Die &die, std::size_t) {
             return bench::dieYield(die);
         });
@@ -67,7 +66,6 @@ yieldRow(bench::PerfRecorder &perf, double sigma, double abb,
 int
 main()
 {
-    bench::PerfRecorder perf("bench_ext_yield");
     bench::banner("Extension: frequency-binning yield vs sigma/mu "
                   "and ABB",
                   "manufacturer's view of Fig 4/5; not a paper "
@@ -86,11 +84,11 @@ main()
                 "ABB", "clock", ">=2.2G", ">=2.5G", ">=2.8G",
                 ">=3.1G", "pwr ok");
     for (double sigma : {0.03, 0.06, 0.09, 0.12}) {
-        yieldRow(perf, sigma, 0.0, seeds, targets, powerLimitW);
+        yieldRow(sigma, 0.0, seeds, targets, powerLimitW);
     }
     std::printf("\n");
     for (double abb : {0.0, 0.5, 1.0}) {
-        yieldRow(perf, 0.12, abb, seeds, targets, powerLimitW);
+        yieldRow(0.12, abb, seeds, targets, powerLimitW);
     }
     std::printf("\n(variation costs frequency bins; ABB buys bins "
                 "back but squeezes the power screen)\n");

@@ -21,7 +21,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig04_variation");
     bench::banner(
         "Fig 4: core-to-core power and frequency variation histograms",
         "power ratio mostly 1.4-1.7 (mean ~1.53); frequency ratio "
@@ -35,7 +34,7 @@ main()
     Histogram freqHist(1.0, 1.6, 12);
     Summary powerSummary, freqSummary;
 
-    const auto ratios = perf.runDies(
+    const auto ratios = bench::runDies(
         params, diePopulationSeeds(numDies, 2026),
         [](const Die &die, std::size_t) {
             return bench::coreRatios(die);

@@ -21,7 +21,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig05_sigma_sweep");
     bench::banner(
         "Fig 5: power/frequency variation vs Vth sigma/mu",
         "ratios increase with sigma/mu; significant already at 0.06");
@@ -36,7 +35,7 @@ main()
     for (double sigma : {0.03, 0.06, 0.09, 0.12}) {
         DieParams params;
         params.variation.vthSigmaOverMu = sigma;
-        const auto ratios = perf.runDies(
+        const auto ratios = bench::runDies(
             params, seeds, [](const Die &die, std::size_t) {
                 return bench::coreRatios(die);
             });

@@ -22,7 +22,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig06_power_freq");
     bench::banner("Fig 6: power vs frequency for the MaxF and MinF "
                   "cores (bzip2, Vdd 0.6-1.0 V)",
                   "curves cross near 0.74 of MaxF's top frequency");

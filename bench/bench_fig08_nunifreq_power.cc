@@ -18,7 +18,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig08_nunifreq_power");
     bench::banner("Fig 8: NUniFreq power (a) and ED^2 (b) vs Random",
                   "VarP/VarP&AppP save ~14% power at 4 threads; ED^2 "
                   "gains smaller than Fig 7");
@@ -41,7 +40,7 @@ main()
                 "Random", "VarP", "VarP&AppP", "Random", "VarP",
                 "VarP&AppP");
     for (std::size_t threads : bench::threadSweep(true)) {
-        const auto r = perf.run(batch, threads, configs);
+        const auto r = bench::runBatch(batch, threads, configs);
         std::printf("%-8zu | %8.3f %9.3f %9.3f | %8.3f %9.3f %9.3f\n",
                     threads, r.relative[0].powerW.mean(),
                     r.relative[1].powerW.mean(),

@@ -19,7 +19,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig09_nunifreq_perf");
     bench::banner("Fig 9: NUniFreq frequency (a) and MIPS (b) vs "
                   "Random",
                   "VarF +10% frequency at 4 threads; VarF&AppIPC "
@@ -43,7 +42,7 @@ main()
                 "Random", "VarF", "VarF&AppIPC", "Random", "VarF",
                 "VarF&AppIPC");
     for (std::size_t threads : bench::threadSweep(true)) {
-        const auto r = perf.run(batch, threads, configs);
+        const auto r = bench::runBatch(batch, threads, configs);
         std::printf(
             "%-8zu | %8.3f %9.3f %11.3f | %8.3f %9.3f %11.3f\n",
             threads, r.relative[0].freqHz.mean(),

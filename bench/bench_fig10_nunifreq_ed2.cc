@@ -17,7 +17,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig10_nunifreq_ed2");
     bench::banner("Fig 10: NUniFreq ED^2 vs Random",
                   "VarF&AppIPC 10-13% better at 8-20 threads; worse "
                   "at <= 4 threads");
@@ -37,7 +36,7 @@ main()
     std::printf("%-8s | %8s %9s %11s\n", "threads", "Random", "VarF",
                 "VarF&AppIPC");
     for (std::size_t threads : bench::threadSweep(true)) {
-        const auto r = perf.run(batch, threads, configs);
+        const auto r = bench::runBatch(batch, threads, configs);
         std::printf("%-8zu | %8.3f %9.3f %11.3f\n", threads,
                     r.relative[0].ed2.mean(),
                     r.relative[1].ed2.mean(),

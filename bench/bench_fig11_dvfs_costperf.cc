@@ -19,7 +19,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig11_dvfs_costperf");
     bench::banner("Fig 11: NUniFreq+DVFS throughput (a) and ED^2 (b), "
                   "Cost-Performance environment (75 W at 20 threads)",
                   "LinOpt +12-17% MIPS, -30-38% ED^2 vs "
@@ -45,7 +44,7 @@ main()
             c.sannEvals = envSize("VARSCHED_SANN_EVALS", 8000);
         }
 
-        const auto r = perf.run(batch, threads, configs);
+        const auto r = bench::runBatch(batch, threads, configs);
         std::printf("threads=%zu (Ptarget %.1f W)\n", threads,
                     configs[0].ptargetW);
         std::printf("  %-22s %10s %10s\n", "algorithm", "rel MIPS",

@@ -18,7 +18,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig12_power_envs");
     bench::banner("Fig 12: throughput vs power environment "
                   "(20 threads)",
                   "LinOpt +16%/+12%/+11% at 50/75/100 W vs "
@@ -45,7 +44,7 @@ main()
             c.durationMs = 150.0;
             c.sannEvals = envSize("VARSCHED_SANN_EVALS", 8000);
         }
-        const auto r = perf.run(batch, 20, configs);
+        const auto r = bench::runBatch(batch, 20, configs);
         std::printf("%-10.0f | %14.3f %19.3f %18.3f %16.3f\n",
                     ptarget, r.relative[0].mips.mean(),
                     r.relative[1].mips.mean(),

@@ -18,7 +18,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig13_weighted");
     bench::banner("Fig 13: weighted throughput (a) and weighted ED^2 "
                   "(b), Cost-Performance environment",
                   "LinOpt +9-14% weighted MIPS, -24-33% weighted ED^2 "
@@ -58,7 +57,7 @@ main()
                 envFlag("VARSCHED_PHASE_SAMPLING", true);
         }
 
-        const auto r = perf.run(batch, threads, configs);
+        const auto r = bench::runBatch(batch, threads, configs);
         std::printf("threads=%zu\n", threads);
         std::printf("  %-22s %14s %14s %14s\n", "algorithm",
                     "rel wIPC", "rel wED^2", "rel progress");

@@ -18,7 +18,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_fig14_granularity");
     bench::banner("Fig 14: power deviation from Ptarget vs LinOpt "
                   "interval",
                   "deviation shrinks with the interval; <1% at 10 ms");
@@ -47,7 +46,7 @@ main()
             config.phaseSampling.enabled =
                 envFlag("VARSCHED_PHASE_SAMPLING", true);
             const auto r =
-                perf.run(batch, threadCounts[i], {config});
+                bench::runBatch(batch, threadCounts[i], {config});
             dev[i] = r.absolute[0].deviation.mean() * 100.0;
         }
         std::printf("%-12.0f %16.2f %16.2f\n", interval, dev[0],

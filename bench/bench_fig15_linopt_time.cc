@@ -17,7 +17,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/common.hh"
+#include <map>
+
+#include "chip/die.hh"
 #include "chip/sensors.hh"
 #include "core/linopt.hh"
 #include "core/sann.hh"
@@ -28,9 +30,6 @@ using namespace varsched;
 
 namespace
 {
-
-/** Whole-binary wall clock into the bench ledger (no batch here). */
-bench::PerfRecorder perf("bench_fig15_linopt_time");
 
 /** Snapshot cache shared by all benchmark repetitions. */
 const ChipSnapshot &

@@ -20,7 +20,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_table5_apps");
     bench::banner("Table 5: per-application dynamic power and IPC",
                   "dynamic power 1.5-4.4 W (2.9x spread); IPC 0.1-1.2 "
                   "(12x spread)");

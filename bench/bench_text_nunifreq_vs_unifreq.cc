@@ -15,7 +15,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_text_nunifreq_vs_unifreq");
     bench::banner("Section 7.4 text: NUniFreq vs UniFreq at 20 "
                   "threads",
                   "+15% frequency, +10% power, ~-20% ED^2");
@@ -33,7 +32,7 @@ main()
         c.durationMs = 150.0;
     }
 
-    const auto r = perf.run(batch, 20, configs);
+    const auto r = bench::runBatch(batch, 20, configs);
     std::printf("NUniFreq relative to UniFreq (paper in parens):\n");
     std::printf("  frequency: %.3f  (+15%% -> 1.15)\n",
                 r.relative[1].freqHz.mean());

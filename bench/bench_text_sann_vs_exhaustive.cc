@@ -21,7 +21,6 @@ using namespace varsched;
 int
 main()
 {
-    bench::PerfRecorder perf("bench_text_sann_vs_exhaustive");
     bench::banner("Section 6.5 text: SAnn vs exhaustive search "
                   "(<= 4 threads)",
                   "SAnn throughput within 1% of exhaustive in all "

@@ -2,25 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
 #include <optional>
 
-#include "runtime/metrics.hh"
 #include "runtime/threadpool.hh"
 #include "runtime/trace.hh"
 
 namespace varsched
 {
-
-bool
-envFlag(const char *name, bool fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    return !(value[0] == '0' && value[1] == '\0');
-}
 
 BatchConfig
 defaultBatch(std::size_t dies, std::size_t trials)
@@ -61,24 +49,14 @@ runTuple(const BatchConfig &batch, const Die &die, std::size_t d,
         randomWorkload(numThreads, workloadRng, batch.workloadPool);
     const std::uint64_t runSeed = workloadRng.next();
 
-    static metrics::Histogram &trialMs =
-        metrics::Registry::global().histogram("trial_ms");
-
     TupleRuns runs;
     runs.reserve(configs.size());
     for (const SystemConfig &proto : configs) {
         SystemConfig config = proto;
         config.seed = runSeed; // identical across configs
         SystemSimulator sim(die, apps, config);
-        const auto start = std::chrono::steady_clock::now();
-        {
-            TRACE_SCOPE("experiment.trial");
-            runs.push_back(sim.run());
-        }
-        trialMs.record(
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count());
+        TRACE_SCOPE("experiment.trial");
+        runs.push_back(sim.run());
     }
     return runs;
 }

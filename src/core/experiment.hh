@@ -74,13 +74,6 @@ Rng workloadRngFor(const BatchConfig &batch, std::size_t die,
  */
 BatchConfig defaultBatch(std::size_t dies, std::size_t trials);
 
-/**
- * Read a boolean environment override: unset (or empty) yields
- * @p fallback, "0" yields false, anything else true. envSize cannot
- * express "explicitly off" — it folds 0 back into the fallback.
- */
-bool envFlag(const char *name, bool fallback);
-
 /** Per-configuration absolute metrics (one sample per die x trial). */
 struct ConfigMetrics
 {

@@ -13,6 +13,7 @@
 
 #include "solver/rng.hh"
 
+#include "runtime/env.hh"
 #include "runtime/trace.hh"
 
 #include "core/exhaustive.hh"
@@ -299,8 +300,7 @@ SystemSimulator::run()
     // streams) and require the headline metrics to land
     // within the error budget. Managers are rebuilt on both sides so
     // warm internal state cannot leak between the runs.
-    const char *cmp = std::getenv("VARSCHED_BENCH_COMPARE");
-    if (cmp != nullptr && std::string(cmp) == "1") {
+    if (benchCompare()) {
         rebuildManager();
         const SystemResult exact = runImpl(false);
         rebuildManager();

@@ -10,22 +10,19 @@
  * through parallelFor and still produce results bit-identical at any
  * worker count: the result vector is ordered by die index (ordered
  * reduction), and no worker ever touches another die's state. The
- * VARSCHED_BENCH_COMPARE=1 guard in bench::PerfRecorder re-runs the
- * lot on one worker and aborts on any divergence.
+ * VARSCHED_BENCH_COMPARE=1 guard in bench::runDies re-runs the lot on
+ * one worker and aborts on any divergence.
  */
 
 #ifndef VARSCHED_RUNTIME_DIEPOP_HH
 #define VARSCHED_RUNTIME_DIEPOP_HH
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
 #include "chip/die.hh"
-#include "runtime/arena.hh"
-#include "runtime/metrics.hh"
 #include "runtime/threadpool.hh"
 #include "solver/rng.hh"
 
@@ -52,8 +49,6 @@ struct DiePopulationRun
 {
     /** Per-die results, ordered by die index regardless of workers. */
     std::vector<R> results;
-    /** Wall-clock seconds spent manufacturing + evaluating the lot. */
-    double mfgSec = 0.0;
 };
 
 /**
@@ -77,36 +72,17 @@ runDiePopulation(const DieParams &params,
     using R = std::decay_t<
         std::invoke_result_t<Fn &, const Die &, std::size_t>>;
 
-    const auto t0 = std::chrono::steady_clock::now();
     DiePopulationRun<R> run;
     run.results.resize(seeds.size());
 
     const std::size_t workers =
         workerOverride > 0 ? workerOverride : configuredThreads();
-    // Per-die manufacture+evaluate latency: the fan-out's unit of
-    // work, so its tail percentiles expose stragglers in the lot.
-    metrics::Histogram &dieMs =
-        metrics::Registry::global().histogram("die_ms");
-    const auto timedPerDie = [&](const Die &die, std::size_t i) {
-        const auto start = std::chrono::steady_clock::now();
-        auto result = perDie(die, i);
-        dieMs.record(std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
-        return result;
-    };
-
     // Manufacturing a die costs milliseconds, so stealing balances
-    // the lot; each worker's die scratch comes from its own
-    // thread-local dieScratchArena().
+    // the lot.
     parallelFor(workers, seeds.size(), [&](std::size_t i) {
         const Die die(params, seeds[i]);
-        run.results[i] = timedPerDie(die, i);
+        run.results[i] = perDie(die, i);
     });
-
-    run.mfgSec = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
     return run;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * The one parser for numeric environment knobs: VARSCHED_THREADS,
- * VARSCHED_DIES, VARSCHED_TRIALS, VARSCHED_TRACE_BUFFER and the other
- * size-valued overrides all read through envSize().
+ * The environment-knob parsers: VARSCHED_THREADS, VARSCHED_DIES,
+ * VARSCHED_TRIALS, VARSCHED_TRACE_BUFFER and the other size-valued
+ * overrides read through envSize(); on/off knobs read through
+ * envFlag(); the VARSCHED_BENCH_COMPARE guards read benchCompare().
  */
 
 #ifndef VARSCHED_RUNTIME_ENV_HH
@@ -39,6 +40,33 @@ inline std::size_t
 envSize(const char *name, std::size_t fallback)
 {
     return parseSize(std::getenv(name), fallback);
+}
+
+/**
+ * Read a boolean environment override: unset (or empty) yields
+ * @p fallback, "0" yields false, anything else true. envSize cannot
+ * express "explicitly off" — it folds 0 back into the fallback.
+ */
+inline bool
+envFlag(const char *name, bool fallback)
+{
+    const char *value = std::getenv(name);
+    if (value == nullptr || *value == '\0')
+        return fallback;
+    return !(value[0] == '0' && value[1] == '\0');
+}
+
+/**
+ * Whether VARSCHED_BENCH_COMPARE turns on the self-checking re-runs:
+ * the benches' parallel-vs-serial bit-identity guards and
+ * SystemSimulator::run's sampled-vs-exact guard. On when the value
+ * parses (parseSize) to 1, so "1" and "01" both enable every guard;
+ * unset, "0" or anything else leaves them all off.
+ */
+inline bool
+benchCompare()
+{
+    return envSize("VARSCHED_BENCH_COMPARE", 0) == 1;
 }
 
 } // namespace varsched

@@ -1,194 +1,7 @@
 #include "runtime/metrics.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-
-#include <sys/resource.h>
-
 namespace varsched::metrics
 {
-
-namespace
-{
-
-/** Lock-free accumulate into an atomic<double>. */
-void
-atomicAdd(std::atomic<double> &target, double delta)
-{
-    double cur = target.load(std::memory_order_relaxed);
-    while (!target.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed))
-        ;
-}
-
-void
-atomicMin(std::atomic<double> &target, double v)
-{
-    double cur = target.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !target.compare_exchange_weak(cur, v,
-                                         std::memory_order_relaxed))
-        ;
-}
-
-void
-atomicMax(std::atomic<double> &target, double v)
-{
-    double cur = target.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !target.compare_exchange_weak(cur, v,
-                                         std::memory_order_relaxed))
-        ;
-}
-
-/** Shortest round-trip representation of a finite double. */
-void
-appendNumber(std::string &out, double v)
-{
-    char buf[64];
-    if (!std::isfinite(v)) {
-        out += "0";
-        return;
-    }
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        std::fabs(v) < 1e15)
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(v));
-    else
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
-}
-
-} // namespace
-
-void
-Gauge::set(double v)
-{
-    if (!std::isfinite(v))
-        return;
-    value_.store(v, std::memory_order_relaxed);
-    atomicMax(max_, v);
-}
-
-int
-Histogram::bucketIndex(double v)
-{
-    if (!(v > 0.0))
-        return 0;
-    int exp = 0;
-    const double mantissa = std::frexp(v, &exp); // [0.5, 1)
-    if (exp < kMinExp)
-        return 0;
-    if (exp > kMaxExp)
-        return kBuckets - 1;
-    int sub = static_cast<int>((mantissa * 2.0 - 1.0) * kSubBuckets);
-    sub = std::min(std::max(sub, 0), kSubBuckets - 1);
-    return (exp - kMinExp) * kSubBuckets + sub;
-}
-
-double
-Histogram::bucketUpperBound(int index)
-{
-    const int exp = kMinExp + index / kSubBuckets;
-    const int sub = index % kSubBuckets;
-    return std::ldexp(1.0 + static_cast<double>(sub + 1) / kSubBuckets,
-                      exp - 1);
-}
-
-void
-Histogram::record(double v)
-{
-    if (!std::isfinite(v))
-        return;
-    buckets_[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    atomicAdd(sum_, v);
-    atomicMin(min_, v);
-    atomicMax(max_, v);
-}
-
-double
-Histogram::sum() const
-{
-    return sum_.load(std::memory_order_relaxed);
-}
-
-double
-Histogram::minValue() const
-{
-    const double v = min_.load(std::memory_order_relaxed);
-    return std::isfinite(v) ? v : 0.0;
-}
-
-double
-Histogram::maxValue() const
-{
-    const double v = max_.load(std::memory_order_relaxed);
-    return std::isfinite(v) ? v : 0.0;
-}
-
-double
-Histogram::percentile(double q) const
-{
-    const std::uint64_t n = count();
-    if (n == 0)
-        return 0.0;
-    q = std::min(std::max(q, 0.0), 1.0);
-    // Nearest-rank: the smallest bucket whose cumulative count covers
-    // rank ceil(q * n) (>= 1).
-    const std::uint64_t rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n))));
-    std::uint64_t cum = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-        cum += buckets_[i].load(std::memory_order_relaxed);
-        if (cum >= rank) {
-            const double hi = bucketUpperBound(i);
-            const double lo =
-                i % kSubBuckets == 0 && i / kSubBuckets == 0
-                    ? 0.0
-                    : bucketUpperBound(i - 1);
-            const double mid = 0.5 * (lo + hi);
-            return std::min(std::max(mid, minValue()), maxValue());
-        }
-    }
-    return maxValue(); // racing writers moved count; fall back
-}
-
-std::vector<std::pair<int, std::uint64_t>>
-Histogram::nonEmptyBuckets() const
-{
-    std::vector<std::pair<int, std::uint64_t>> out;
-    for (int i = 0; i < kBuckets; ++i) {
-        const std::uint64_t c =
-            buckets_[i].load(std::memory_order_relaxed);
-        if (c > 0)
-            out.emplace_back(i, c);
-    }
-    return out;
-}
-
-void
-Histogram::mergeFrom(const Histogram &other)
-{
-    std::uint64_t added = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-        const std::uint64_t c =
-            other.buckets_[i].load(std::memory_order_relaxed);
-        if (c > 0) {
-            buckets_[i].fetch_add(c, std::memory_order_relaxed);
-            added += c;
-        }
-    }
-    count_.fetch_add(added, std::memory_order_relaxed);
-    atomicAdd(sum_, other.sum_.load(std::memory_order_relaxed));
-    const double omin = other.min_.load(std::memory_order_relaxed);
-    const double omax = other.max_.load(std::memory_order_relaxed);
-    if (std::isfinite(omin))
-        atomicMin(min_, omin);
-    if (std::isfinite(omax))
-        atomicMax(max_, omax);
-}
 
 Counter &
 Registry::counter(const std::string &name)
@@ -200,142 +13,11 @@ Registry::counter(const std::string &name)
     return *slot;
 }
 
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = gauges_[name];
-    if (slot == nullptr)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
-Histogram &
-Registry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = histograms_[name];
-    if (slot == nullptr)
-        slot = std::make_unique<Histogram>();
-    return *slot;
-}
-
-void
-Registry::mergeFrom(const Registry &other)
-{
-    // Snapshot other's names first: counter()/gauge()/histogram() on
-    // *this* take our mutex, and other may be this.
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, std::pair<double, double>>> gauges;
-    std::vector<std::pair<std::string, const Histogram *>> histograms;
-    {
-        std::lock_guard<std::mutex> lock(other.mutex_);
-        for (const auto &kv : other.counters_)
-            counters.emplace_back(kv.first, kv.second->value());
-        for (const auto &kv : other.gauges_)
-            gauges.emplace_back(kv.first,
-                                std::make_pair(kv.second->value(),
-                                               kv.second->maxValue()));
-        for (const auto &kv : other.histograms_)
-            histograms.emplace_back(kv.first, kv.second.get());
-    }
-    for (const auto &kv : counters)
-        counter(kv.first).add(kv.second);
-    for (const auto &kv : gauges) {
-        Gauge &g = gauge(kv.first);
-        g.set(kv.second.second); // raises our max to other's max
-        g.set(kv.second.first);  // last value: other's last write
-    }
-    for (const auto &kv : histograms)
-        histogram(kv.first).mergeFrom(*kv.second);
-}
-
-std::string
-Registry::toJson() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{";
-    bool first = true;
-    const auto key = [&](const std::string &name) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += "\"";
-        out += name;
-        out += "\": ";
-    };
-    for (const auto &kv : counters_) {
-        key(kv.first);
-        appendNumber(out, static_cast<double>(kv.second->value()));
-    }
-    for (const auto &kv : gauges_) {
-        key(kv.first);
-        appendNumber(out, kv.second->value());
-    }
-    for (const auto &kv : histograms_) {
-        const Histogram &h = *kv.second;
-        key(kv.first);
-        out += "{\"count\": ";
-        appendNumber(out, static_cast<double>(h.count()));
-        if (h.count() > 0) {
-            out += ", \"sum\": ";
-            appendNumber(out, h.sum());
-            out += ", \"min\": ";
-            appendNumber(out, h.minValue());
-            out += ", \"max\": ";
-            appendNumber(out, h.maxValue());
-            out += ", \"p50\": ";
-            appendNumber(out, h.percentile(0.50));
-            out += ", \"p90\": ";
-            appendNumber(out, h.percentile(0.90));
-            out += ", \"p99\": ";
-            appendNumber(out, h.percentile(0.99));
-            out += ", \"buckets\": [";
-            bool firstBucket = true;
-            for (const auto &bucket : h.nonEmptyBuckets()) {
-                if (!firstBucket)
-                    out += ", ";
-                firstBucket = false;
-                out += "[";
-                appendNumber(
-                    out, Histogram::bucketUpperBound(bucket.first));
-                out += ", ";
-                appendNumber(out,
-                             static_cast<double>(bucket.second));
-                out += "]";
-            }
-            out += "]";
-        }
-        out += "}";
-    }
-    out += "}";
-    return out;
-}
-
-void
-Registry::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-}
-
 Registry &
 Registry::global()
 {
     static Registry *g = new Registry; // never destroyed: usable from
     return *g;                         // other static destructors
-}
-
-double
-peakRssKb()
-{
-    struct rusage usage;
-    if (getrusage(RUSAGE_SELF, &usage) != 0)
-        return 0.0;
-    // ru_maxrss is KiB on Linux, bytes on some BSDs; Linux-only repo.
-    return static_cast<double>(usage.ru_maxrss);
 }
 
 } // namespace varsched::metrics

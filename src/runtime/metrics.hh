@@ -1,30 +1,15 @@
 /**
  * @file
- * Process-wide metrics registry: counters, gauges, and log-bucketed
- * histograms with percentile extraction.
+ * Process-wide metrics registry of named event counters.
  *
- * Instruments publish through three primitive types, all safe for
- * concurrent recording on the hot path (relaxed atomics; no locks
- * after the handle is looked up):
- *
- *  - Counter: monotonically increasing uint64 (steals, accepts, ...).
- *  - Gauge: last-written double plus the maximum ever written
- *    (queue depth, peak RSS, ...).
- *  - Histogram: log-bucketed distribution of positive doubles with
- *    p50/p90/p99/max extraction. Buckets are base-2 octaves split
- *    into 16 linear sub-buckets (frexp on the value), giving a worst
- *    case relative quantile error of one sub-bucket width (~3.2%);
- *    exact min/max/sum/count are tracked alongside and percentiles
- *    are clamped to [min, max]. Merging adds bucket counts, so
- *    merges are associative and commutative across threads and
- *    processes.
- *
- * Handles returned by Registry::{counter,gauge,histogram} are stable
- * for the registry's lifetime; hot paths look a handle up once
- * (typically via a function-local static reference) and then touch
- * only the atomics. `Registry::global()` is the process registry
- * serialized into the `metrics` object of every bench JSON entry;
- * independent Registry instances can be constructed for tests.
+ * A Counter is a monotonically increasing uint64 (steals, accepts,
+ * settle rounds, ...), safe for concurrent recording on the hot path
+ * (one relaxed atomic add; no lock after the handle is looked up).
+ * Handles returned by Registry::counter are stable for the registry's
+ * lifetime; hot paths look a handle up once (typically via a
+ * function-local static reference) and then touch only the atomic.
+ * Readers take before/after deltas of `Registry::global()`'s counters;
+ * wall time is measured by the tracer's spans, not here.
  */
 
 #ifndef VARSCHED_RUNTIME_METRICS_HH
@@ -32,12 +17,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace varsched::metrics
 {
@@ -62,122 +45,22 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** Last-written value plus the maximum ever written. */
-class Gauge
-{
-  public:
-    void set(double v);
-
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    double
-    maxValue() const
-    {
-        return max_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<double> value_{0.0};
-    std::atomic<double> max_{0.0};
-};
-
 /**
- * Log-bucketed histogram of positive values. Octaves 2^(kMinExp-1)
- * .. 2^kMaxExp, 16 linear sub-buckets per octave; out-of-range
- * values clamp to the edge buckets (their exact value still lands in
- * min/max/sum).
- */
-class Histogram
-{
-  public:
-    static constexpr int kMinExp = -32; ///< Smallest frexp exponent.
-    static constexpr int kMaxExp = 63;  ///< Largest frexp exponent.
-    static constexpr int kSubBuckets = 16;
-    static constexpr int kBuckets =
-        (kMaxExp - kMinExp + 1) * kSubBuckets;
-
-    /** Record one observation. NaN/Inf are ignored; v <= 0 lands in
-     *  the lowest bucket. */
-    void record(double v);
-
-    std::uint64_t
-    count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    double sum() const;
-    double minValue() const; ///< 0 when empty.
-    double maxValue() const; ///< 0 when empty.
-
-    /** Quantile estimate for q in [0, 1] (nearest-rank over buckets,
-     *  bucket-midpoint representative, clamped to [min, max]).
-     *  Returns 0 when empty. */
-    double percentile(double q) const;
-
-    /** Inclusive upper bound of bucket @p index. */
-    static double bucketUpperBound(int index);
-    /** Bucket index for value @p v (clamped to the edge buckets). */
-    static int bucketIndex(double v);
-
-    /** Non-empty buckets as (index, count), ascending by index. */
-    std::vector<std::pair<int, std::uint64_t>> nonEmptyBuckets() const;
-
-    /** Add @p other's observations into this histogram. */
-    void mergeFrom(const Histogram &other);
-
-  private:
-    std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
-    std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-    std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-};
-
-/**
- * Named metric registry. Lookups take a mutex; returned references
+ * Named counter registry. Lookups take a mutex; returned references
  * are stable until the registry is destroyed.
  */
 class Registry
 {
   public:
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
 
-    /** Add every metric of @p other into this registry (counters and
-     *  histograms accumulate; gauges take the max-of-max and the
-     *  other's last value when this registry has not written one). */
-    void mergeFrom(const Registry &other);
-
-    /**
-     * Serialize as one JSON object: counters and gauge values as
-     * numbers keyed by name, histograms as nested objects
-     * {"count", "sum", "min", "max", "p50", "p90", "p99",
-     *  "buckets": [[upper_bound, count], ...]} (distribution fields
-     * omitted when empty). Single-line, no trailing newline.
-     */
-    std::string toJson() const;
-
-    /** Drop every registered metric (tests / per-bench isolation). */
-    void clear();
-
-    /** The process-wide registry serialized into bench JSON. */
+    /** The process-wide registry the library's instruments count in. */
     static Registry &global();
 
   private:
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/** Peak resident set size of this process in KiB (getrusage). */
-double peakRssKb();
 
 } // namespace varsched::metrics
 

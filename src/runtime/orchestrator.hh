@@ -10,8 +10,8 @@
  *
  *  - every task's lifecycle (pending / running / done / failed, with
  *    attempt counts) is journaled to disk, checkpointed after every
- *    state change via write-temp-then-rename under a sidecar flock
- *    (the bench::PerfRecorder merge idiom), so killing the
+ *    state change via write-temp-then-rename under a sidecar flock,
+ *    so killing the
  *    orchestrator at any instant loses at most the in-flight tasks,
  *    which a resumed run re-executes;
  *  - a watchdog enforces a per-task wall-clock timeout, escalating

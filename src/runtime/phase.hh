@@ -137,7 +137,7 @@ inline constexpr std::size_t kNumPhaseInvalidations = 6;
  */
 inline constexpr double kPhaseHardBudgetFactor = 3.0;
 
-/** Counters the sampler keeps for telemetry / bench JSON. */
+/** Counters the sampler keeps for telemetry. */
 struct PhaseSamplerStats
 {
     std::uint64_t evaluatedEpochs = 0;

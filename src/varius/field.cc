@@ -10,7 +10,6 @@
 #include <memory>
 #include <mutex>
 
-#include "runtime/arena.hh"
 #include "runtime/metrics.hh"
 #include "runtime/simd.hh"
 #include "solver/fft.hh"
@@ -222,11 +221,13 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
     const double *amp = amps->data();
 
     // The noise plane is per-die scratch — 1 MiB at the default size
-    // — that the arena hands back without malloc or the zero-fill a
-    // std::vector resize would pay.
-    BumpArena &arena = dieScratchArena();
-    const BumpArena::Scope scope(arena);
-    std::complex<double> *spec = arena.alloc<std::complex<double>>(total);
+    // — that each thread keeps across dies, so steady-state manufacture
+    // pays neither malloc nor zero-fill: the plane only grows, and
+    // every point is overwritten below before it is read.
+    static thread_local std::vector<std::complex<double>> plane;
+    if (plane.size() < total)
+        plane.resize(total);
+    std::complex<double> *spec = plane.data();
 
     // One Box-Muller pair per point through stack blocks, imaginary
     // (cos) half first: the committed golden fields bake in the
@@ -307,13 +308,11 @@ std::mutex sampleCacheMutex;
 std::map<FieldSampleKey, FieldSampleEntry> sampleCache;
 std::deque<FieldSampleKey> sampleCacheOrder;
 
-/** Registry handles for the sample cache: hits and misses per lookup,
- *  and the number of entries it holds. */
+/** Registry handles for the sample cache: hits and misses per lookup. */
 struct SampleCacheMetrics
 {
     metrics::Counter &hits;
     metrics::Counter &misses;
-    metrics::Gauge &entries;
 };
 
 SampleCacheMetrics &
@@ -321,8 +320,7 @@ sampleCacheMetrics()
 {
     static SampleCacheMetrics handles{
         metrics::Registry::global().counter("varius.field_cache.hits"),
-        metrics::Registry::global().counter("varius.field_cache.misses"),
-        metrics::Registry::global().gauge("varius.field_cache.entries")};
+        metrics::Registry::global().counter("varius.field_cache.misses")};
     return handles;
 }
 
@@ -361,8 +359,6 @@ storeSample(const FieldSampleKey &key, FieldSampleEntry entry)
             sampleCacheOrder.pop_front();
         }
     }
-    sampleCacheMetrics().entries.set(
-        static_cast<double>(sampleCache.size()));
 }
 
 /**
@@ -465,7 +461,6 @@ clearFieldSampleCache()
     std::lock_guard<std::mutex> lock(sampleCacheMutex);
     sampleCache.clear();
     sampleCacheOrder.clear();
-    sampleCacheMetrics().entries.set(0.0);
 }
 
 std::size_t

@@ -143,8 +143,8 @@ std::size_t fieldSpectrumCacheSize();
  * dozen fields) so paper-scale batches of distinct dies stream
  * through without accumulating memory. Thread-safe. Every lookup
  * counts into the global metrics registry as
- * `varius.field_cache.hits` or `varius.field_cache.misses`, and the
- * `varius.field_cache.entries` gauge tracks the cache's size.
+ * `varius.field_cache.hits` or `varius.field_cache.misses`;
+ * fieldSampleCacheSize() reports how many samples it holds.
  */
 void clearFieldSampleCache();
 /** Number of field samples currently cached. */

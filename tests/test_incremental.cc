@@ -4,21 +4,18 @@
  * tick-loop optimisation: the warm-started leakage-temperature fixed
  * point, the purity/bit-identity guarantees the steady-state condition
  * cache rests on, O(1) delta scoring in the SAnn annealer and the
- * exhaustive odometer (cross-checked against full rescoring), and the
- * PerfRecorder's locked JSON merge.
+ * exhaustive odometer (cross-checked against full rescoring).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench/common.hh"
 #include "chip/die.hh"
 #include "chip/sensors.hh"
 #include "core/exhaustive.hh"
@@ -315,9 +312,12 @@ TEST(SAnnDelta, EvalThroughputIsLevelWithCoreCount)
         (void)pm.selectLevels(snap); // warm the caches
         double best = 1e300;
         for (int rep = 0; rep < 3; ++rep) {
-            const double t0 = bench::nowSeconds();
+            const auto t0 = std::chrono::steady_clock::now();
             (void)pm.selectLevels(snap);
-            best = std::min(best, bench::nowSeconds() - t0);
+            best = std::min(best,
+                            std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
         }
         return best / static_cast<double>(cfg.maxEvals);
     };
@@ -387,45 +387,6 @@ TEST(ExhaustiveDelta, AllInfeasibleReturnsFloor)
     EXPECT_EQ(pm.selectLevels(snap), (std::vector<int>{0, 0, 0}));
 }
 
-TEST(PerfRecorder, ConcurrentMergesKeepEveryEntry)
-{
-    const std::string path =
-        ::testing::TempDir() + "varsched_bench_merge.json";
-    std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
-    ::setenv("VARSCHED_BENCH_JSON", path.c_str(), 1);
-
-    constexpr int kWriters = 8;
-    {
-        std::vector<std::thread> writers;
-        for (int i = 0; i < kWriters; ++i) {
-            writers.emplace_back([i]() {
-                bench::PerfRecorder rec("bench_merge_t" +
-                                        std::to_string(i));
-                // Destructor merges the entry.
-            });
-        }
-        for (auto &t : writers)
-            t.join();
-    }
-    ::unsetenv("VARSCHED_BENCH_JSON");
-
-    std::FILE *in = std::fopen(path.c_str(), "r");
-    ASSERT_NE(in, nullptr);
-    int entries = 0;
-    char line[1024];
-    while (std::fgets(line, sizeof line, in)) {
-        if (std::string(line).find("\"bench\": \"bench_merge_t") !=
-            std::string::npos)
-            ++entries;
-    }
-    std::fclose(in);
-    EXPECT_EQ(entries, kWriters)
-        << "concurrent merges dropped entries";
-    std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
-}
-
 // The whole-sample field cache must replay a generation exactly: same
 // values AND same post-generation RNG state, so downstream draws (core
 // timing, workloads) continue identically whether the field came from
@@ -438,11 +399,8 @@ TEST(FieldSampleCache, ReplaysGenerationBitIdentically)
     const metrics::Counter &hits = reg.counter("varius.field_cache.hits");
     const metrics::Counter &misses =
         reg.counter("varius.field_cache.misses");
-    const metrics::Gauge &entries =
-        reg.gauge("varius.field_cache.entries");
     const std::uint64_t hits0 = hits.value();
     const std::uint64_t misses0 = misses.value();
-    EXPECT_EQ(entries.value(), 0.0);
 
     Rng a(0xF1E1D);
     const FieldSample first = generateField(96, 0.5, a);
@@ -450,7 +408,6 @@ TEST(FieldSampleCache, ReplaysGenerationBitIdentically)
     EXPECT_EQ(fieldSampleCacheSize(), 1u);
     EXPECT_EQ(hits.value() - hits0, 0u);
     EXPECT_EQ(misses.value() - misses0, 1u);
-    EXPECT_EQ(entries.value(), 1.0);
 
     Rng b(0xF1E1D); // identical pre-generation state => cache hit
     const FieldSample second = generateField(96, 0.5, b);
@@ -472,11 +429,9 @@ TEST(FieldSampleCache, ReplaysGenerationBitIdentically)
     EXPECT_NE(third.at(0, 0), first.at(0, 0));
     EXPECT_EQ(hits.value() - hits0, 1u);
     EXPECT_EQ(misses.value() - misses0, 2u);
-    EXPECT_EQ(entries.value(), 2.0);
 
     clearFieldSampleCache();
     EXPECT_EQ(fieldSampleCacheSize(), 0u);
-    EXPECT_EQ(entries.value(), 0.0);
 }
 
 // corePowerSampled on sampleCoreVth output is the exact fold

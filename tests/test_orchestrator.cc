@@ -4,8 +4,7 @@
  * (pure-function, no sleeping), the structural JSON validator, the
  * sidecar-lock idiom, process-level orchestration against real
  * worker failures (nonzero exits, crashes, hangs, corrupt output),
- * journal resume semantics, and the PerfRecorder merge recovery the
- * orchestrator's locking utilities back.
+ * and journal resume semantics.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "bench/common.hh"
 #include "runtime/orchestrator.hh"
 #include "runtime/retry.hh"
 
@@ -617,65 +615,6 @@ TEST_F(SweepOrchestratorTest, StopRequestInterruptsAndCheckpoints)
     std::remove(out.c_str());
     std::remove(journal.c_str());
     std::remove((journal + ".lock").c_str());
-}
-
-// ---------------------------------------------------------------------
-// PerfRecorder merge recovery (rides on the same lock utilities).
-
-TEST(PerfRecorderRecovery, CorruptBenchJsonIsQuarantined)
-{
-    const std::string path = tempPath("bench_corrupt.json");
-    const std::string quarantine = path + ".corrupt";
-    std::remove(quarantine.c_str());
-    // A file killed mid-write: entry line with no closing brace.
-    const std::string garbage =
-        "[\n  {\"bench\": \"older_bench\", \"threads\": 4, \"par";
-    writeFile(path, garbage);
-    ::setenv("VARSCHED_BENCH_JSON", path.c_str(), 1);
-
-    { bench::PerfRecorder rec("recovery_bench"); }
-    ::unsetenv("VARSCHED_BENCH_JSON");
-
-    // The unparseable bytes moved aside verbatim...
-    std::string moved;
-    ASSERT_TRUE(readWholeFile(quarantine, moved));
-    EXPECT_EQ(moved, garbage);
-    // ...and the record restarted from this entry alone, as valid
-    // JSON.
-    std::string fresh;
-    ASSERT_TRUE(readWholeFile(path, fresh));
-    EXPECT_NE(fresh.find("\"bench\": \"recovery_bench\""),
-              std::string::npos);
-    EXPECT_EQ(fresh.find("older_bench"), std::string::npos);
-    EXPECT_TRUE(looksLikeCompleteJson(path));
-
-    std::remove(path.c_str());
-    std::remove(quarantine.c_str());
-    std::remove((path + ".lock").c_str());
-}
-
-TEST(PerfRecorderRecovery, SuccessfulMergeUnlinksStaleLockSidecar)
-{
-    const std::string path = tempPath("bench_stale_lock.json");
-    const std::string lockPath = path + ".lock";
-    std::remove(path.c_str());
-    // Pretend a previous bench crashed between lock and merge.
-    writeFile(lockPath, "");
-    ::setenv("VARSCHED_BENCH_JSON", path.c_str(), 1);
-
-    { bench::PerfRecorder rec("lock_cleanup_bench"); }
-    ::unsetenv("VARSCHED_BENCH_JSON");
-
-    struct stat st;
-    EXPECT_NE(::stat(lockPath.c_str(), &st), 0)
-        << "merge must clear the stale .lock sidecar";
-    std::string merged;
-    ASSERT_TRUE(readWholeFile(path, merged));
-    EXPECT_NE(merged.find("\"bench\": \"lock_cleanup_bench\""),
-              std::string::npos);
-
-    std::remove(path.c_str());
-    std::remove(lockPath.c_str());
 }
 
 } // namespace

@@ -611,6 +611,43 @@ TEST_F(PhaseSystemFixture, DvfsChurnForcesResample)
     EXPECT_GT(r.evaluatedEpochs, 0u);
 }
 
+/** A one-die, two-trial batch of baseConfig() on the traffic mix. */
+BatchResult
+runTrafficBatch(bool sampling)
+{
+    BatchConfig batch;
+    batch.dieParams.variation.gridSize = 48;
+    batch.numDies = 1;
+    batch.numTrials = 2;
+    batch.workerThreads = 2;
+    batch.workloadPool = &trafficApplications();
+    SystemConfig c;
+    c.durationMs = 150.0;
+    c.sched = SchedAlgo::VarFAppIPC;
+    c.pm = PmKind::LinOpt;
+    c.ptargetW = 75.0 * 8.0 / 20.0;
+    c.phaseSampling.enabled = sampling;
+    return runBatch(batch, 8, {c});
+}
+
+TEST(PhaseBatch, SampledBatchReportsSaneTickTelemetry)
+{
+    // The batch-level roll-up of the per-run sampling telemetry: some
+    // ticks were simulated, and the worst self-reported error is a
+    // fraction.
+    const BatchResult r = runTrafficBatch(true);
+    EXPECT_GT(r.exactTicks + r.sampledTicks, 0u);
+    EXPECT_GE(r.estErrMax, 0.0);
+    EXPECT_LE(r.estErrMax, 1.0);
+}
+
+TEST(PhaseBatch, SamplingOffBatchExtrapolatesNoTick)
+{
+    const BatchResult r = runTrafficBatch(false);
+    EXPECT_GT(r.exactTicks, 0u);
+    EXPECT_EQ(r.sampledTicks, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Traffic workload plumbing
 // ---------------------------------------------------------------------

@@ -280,6 +280,22 @@ TEST(EnvKnob, StrictParserRejectsTrailingNegativeAndOverflow)
     EXPECT_EQ(envSize("VARSCHED_TEST_SIZE", 7), 7u);
 }
 
+TEST(EnvKnob, BenchCompareIsOneParseForEveryGuard)
+{
+    // The benches' serial-rerun guards and SystemSimulator::run's
+    // sampled-vs-exact guard all read the knob through benchCompare(),
+    // so a value either turns every guard on or none of them.
+    unsetenv("VARSCHED_BENCH_COMPARE");
+    EXPECT_FALSE(benchCompare());
+    setenv("VARSCHED_BENCH_COMPARE", "0", 1);
+    EXPECT_FALSE(benchCompare());
+    setenv("VARSCHED_BENCH_COMPARE", "1", 1);
+    EXPECT_TRUE(benchCompare());
+    setenv("VARSCHED_BENCH_COMPARE", "01", 1);
+    EXPECT_TRUE(benchCompare());
+    unsetenv("VARSCHED_BENCH_COMPARE");
+}
+
 // ---------------------------------------------------------------------
 // Batch determinism.
 

@@ -14,7 +14,6 @@
 #include "chip/die.hh"
 #include "power/leakage.hh"
 #include "tests/leakage_oracle.hh"
-#include "runtime/arena.hh"
 #include "solver/fft.hh"
 #include "solver/rng.hh"
 #include "timing/alphapower.hh"
@@ -28,7 +27,6 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
-#include <thread>
 #include <vector>
 
 namespace varsched
@@ -463,35 +461,6 @@ TEST(SimdField, PairGenerationMatchesForcedScalarAndRngState)
             }
         }
     }
-    clearFieldSampleCache();
-}
-
-/** Scratch-arena capacity left behind by manufacturing one die on a
- *  fresh thread (so a fresh thread-local arena) under @p forceScalar. */
-std::size_t
-arenaBytesAfterDie(bool forceScalar, std::uint64_t seed)
-{
-    clearFieldSampleCache(); // a cache hit would skip the synthesis
-    const ScalarGuard guard(forceScalar);
-    std::size_t bytes = 0;
-    std::thread worker([&]() {
-        const Die die(DieParams{}, seed);
-        bytes = dieScratchArena().capacityBytes();
-    });
-    worker.join();
-    return bytes;
-}
-
-TEST(SimdField, VectorDieHoldsNoMoreScratchThanScalar)
-{
-    // The vector Box-Muller path stages through fixed stack blocks,
-    // so the per-worker arena keeps only the noise plane — exactly
-    // what the scalar path keeps.
-    const std::size_t scalarBytes = arenaBytesAfterDie(true, 0xA7E4A);
-    const std::size_t dispatchedBytes =
-        arenaBytesAfterDie(false, 0xA7E4A);
-    EXPECT_GT(scalarBytes, 0u);
-    EXPECT_EQ(dispatchedBytes, scalarBytes);
     clearFieldSampleCache();
 }
 

@@ -2,9 +2,8 @@
  * @file
  * Observability-layer suite: tracer ring-buffer semantics (bounded
  * memory, oldest-first drop, cross-thread export), the disabled-path
- * overhead contract, bit-identity of simulation results under
- * tracing, histogram percentile accuracy against exact quantiles,
- * and metrics-registry merge algebra.
+ * overhead contract, and bit-identity of simulation results under
+ * tracing.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 
 #include "cmpsim/workload.hh"
 #include "core/system.hh"
-#include "runtime/metrics.hh"
 #include "solver/rng.hh"
 #include "runtime/orchestrator.hh"
 #include "runtime/trace.hh"
@@ -262,173 +260,6 @@ TEST_F(TraceFixture, DisabledTraceSitesAreInvisiblyCheap)
     EXPECT_LT(ns, 150.0)
         << "disabled trace sites cost " << ns
         << " ns/iteration — the always-on contract is broken";
-}
-
-// ---------------------------------------------------------------------
-// Histograms vs exact quantiles.
-
-TEST(MetricsHistogram, PercentilesTrackExactQuantiles)
-{
-    metrics::Histogram h;
-    // Uniform 1..1000 — exact nearest-rank quantiles are q * 1000.
-    for (int v = 1; v <= 1000; ++v)
-        h.record(static_cast<double>(v));
-
-    EXPECT_EQ(h.count(), 1000u);
-    EXPECT_DOUBLE_EQ(h.minValue(), 1.0);
-    EXPECT_DOUBLE_EQ(h.maxValue(), 1000.0);
-    EXPECT_NEAR(h.sum(), 500500.0, 1e-9);
-
-    // One sub-bucket (1/16 octave) of relative error, plus midpoint
-    // representative: 5% covers the worst case with margin.
-    for (const double q : {0.50, 0.90, 0.99}) {
-        const double exact = std::ceil(q * 1000.0);
-        EXPECT_NEAR(h.percentile(q), exact, 0.05 * exact)
-            << "q = " << q;
-    }
-    // Degenerate quantiles clamp to the observed range.
-    EXPECT_GE(h.percentile(0.0), 1.0);
-    EXPECT_LE(h.percentile(1.0), 1000.0);
-}
-
-TEST(MetricsHistogram, LognormalTailPercentilesStayInBudget)
-{
-    metrics::Histogram h;
-    // Deterministic heavy-tail sample: exp(z), z on a fixed grid of
-    // normal deviates via inverse-CDF-ish spread. Exact quantiles
-    // come from sorting the same sample.
-    std::vector<double> values;
-    Rng rng(99);
-    for (int i = 0; i < 20000; ++i) {
-        const double u = rng.uniform();
-        const double v = rng.uniform();
-        const double z = std::sqrt(-2.0 * std::log(u + 1e-12)) *
-                         std::cos(6.283185307179586 * v);
-        values.push_back(std::exp(z));
-    }
-    for (const double v : values)
-        h.record(v);
-    std::vector<double> sorted(values);
-    std::sort(sorted.begin(), sorted.end());
-
-    for (const double q : {0.50, 0.90, 0.99}) {
-        const std::size_t rank = static_cast<std::size_t>(
-            std::ceil(q * static_cast<double>(sorted.size())));
-        const double exact = sorted[rank - 1];
-        EXPECT_NEAR(h.percentile(q), exact, 0.05 * exact)
-            << "q = " << q;
-    }
-}
-
-TEST(MetricsHistogram, BucketBoundsAreMonotonicAndCoverValues)
-{
-    double prev = 0.0;
-    for (int i = 0; i < metrics::Histogram::kBuckets; ++i) {
-        const double ub = metrics::Histogram::bucketUpperBound(i);
-        EXPECT_GT(ub, prev) << "bucket " << i;
-        prev = ub;
-    }
-    // A value always lands in a bucket whose bound brackets it.
-    for (const double v : {1e-9, 0.37, 1.0, 16.5, 1234.0, 9.9e12}) {
-        const int i = metrics::Histogram::bucketIndex(v);
-        EXPECT_LE(v, metrics::Histogram::bucketUpperBound(i) *
-                          (1.0 + 1e-12));
-        if (i > 0)
-            EXPECT_GT(v, metrics::Histogram::bucketUpperBound(i - 1) *
-                             (1.0 - 1e-12));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Registry merge algebra (the cross-thread / cross-process rollup).
-
-void
-populate(metrics::Registry &reg, std::uint64_t steals, double gauge,
-         const std::vector<double> &samples)
-{
-    reg.counter("steals").add(steals);
-    reg.gauge("depth").set(gauge);
-    metrics::Histogram &h = reg.histogram("latency");
-    for (const double v : samples)
-        h.record(v);
-}
-
-TEST(MetricsRegistry, MergeIsAssociative)
-{
-    const auto makeA = [](metrics::Registry &r) {
-        populate(r, 3, 5.0, {1.0, 2.0, 3.0});
-    };
-    const auto makeB = [](metrics::Registry &r) {
-        populate(r, 10, 9.0, {100.0, 200.0});
-    };
-    const auto makeC = [](metrics::Registry &r) {
-        populate(r, 1, 2.0, {0.5});
-    };
-
-    // (A + B) + C
-    metrics::Registry ab, left, a1, b1, c1;
-    makeA(a1);
-    makeB(b1);
-    makeC(c1);
-    ab.mergeFrom(a1);
-    ab.mergeFrom(b1);
-    left.mergeFrom(ab);
-    left.mergeFrom(c1);
-
-    // A + (B + C)
-    metrics::Registry bc, right, a2, b2, c2;
-    makeA(a2);
-    makeB(b2);
-    makeC(c2);
-    bc.mergeFrom(b2);
-    bc.mergeFrom(c2);
-    right.mergeFrom(a2);
-    right.mergeFrom(bc);
-
-    EXPECT_EQ(left.toJson(), right.toJson());
-    EXPECT_EQ(left.counter("steals").value(), 14u);
-    EXPECT_EQ(left.histogram("latency").count(), 6u);
-    EXPECT_DOUBLE_EQ(left.gauge("depth").maxValue(), 9.0);
-}
-
-TEST(MetricsRegistry, MergeMatchesRecordingEverythingInOne)
-{
-    metrics::Registry whole, partA, partB;
-    const std::vector<double> first = {1.0, 4.0, 9.0, 16.0};
-    const std::vector<double> second = {25.0, 36.0, 49.0};
-
-    populate(partA, 2, 1.0, first);
-    populate(partB, 5, 3.0, second);
-    std::vector<double> all(first);
-    all.insert(all.end(), second.begin(), second.end());
-    populate(whole, 7, 3.0, all);
-
-    metrics::Registry merged;
-    merged.mergeFrom(partA);
-    merged.mergeFrom(partB);
-    EXPECT_EQ(merged.toJson(), whole.toJson());
-}
-
-TEST(MetricsRegistry, JsonShapeIsValidatorCompatible)
-{
-    metrics::Registry reg;
-    populate(reg, 4, 2.5, {0.125, 8.0, 8.0, 64.0});
-    reg.gauge("peak_rss_kb").set(metrics::peakRssKb());
-    const std::string json = reg.toJson();
-
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
-    EXPECT_NE(json.find("\"steals\": 4"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"count\": 4"), std::string::npos) << json;
-    for (const char *key : {"\"sum\"", "\"min\"", "\"max\"",
-                            "\"p50\"", "\"p90\"", "\"p99\"",
-                            "\"buckets\""})
-        EXPECT_NE(json.find(key), std::string::npos) << json;
-    // Empty histograms serialize as a bare count (no percentiles).
-    metrics::Registry empty;
-    empty.histogram("nothing");
-    EXPECT_NE(empty.toJson().find("\"nothing\": {\"count\": 0}"),
-              std::string::npos);
 }
 
 } // namespace

@@ -25,11 +25,8 @@ smoke_pass() {
     rm -f "$trace"
 
     VARSCHED_PHASE_SAMPLING=$2 VARSCHED_TRACE="$trace" \
-        VARSCHED_BENCH_JSON="$dir/BENCH_TRACED.json" \
         "$bench" > "$dir/$name.traced.out"
-    VARSCHED_PHASE_SAMPLING=$2 \
-        VARSCHED_BENCH_JSON="$dir/BENCH_UNTRACED.json" \
-        "$bench" > "$dir/$name.untraced.out"
+    VARSCHED_PHASE_SAMPLING=$2 "$bench" > "$dir/$name.untraced.out"
 
     # Simulation output must not depend on whether tracing is on.
     cmp "$dir/$name.traced.out" "$dir/$name.untraced.out"
