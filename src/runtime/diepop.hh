@@ -77,8 +77,8 @@ runDiePopulation(const DieParams &params,
 
     const std::size_t workers =
         workerOverride > 0 ? workerOverride : configuredThreads();
-    // Manufacturing a die costs milliseconds, so stealing balances
-    // the lot.
+    // Manufacturing a die costs milliseconds, so each worker claiming
+    // the next die from the shared counter balances the lot.
     parallelFor(workers, seeds.size(), [&](std::size_t i) {
         const Die die(params, seeds[i]);
         run.results[i] = perDie(die, i);

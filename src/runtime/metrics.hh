@@ -2,7 +2,7 @@
  * @file
  * Process-wide metrics registry of named event counters.
  *
- * A Counter is a monotonically increasing uint64 (steals, accepts,
+ * A Counter is a monotonically increasing uint64 (pool tasks, accepts,
  * settle rounds, ...), safe for concurrent recording on the hot path
  * (one relaxed atomic add; no lock after the handle is looked up).
  * Handles returned by Registry::counter are stable for the registry's

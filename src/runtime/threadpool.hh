@@ -30,10 +30,10 @@ std::size_t configuredThreads();
  * Run fn(0) .. fn(count-1) on min(workers, count) new threads (at
  * least one) and return once every index has run.
  *
- * The threads start first; the caller then deals index i to worker
- * i mod W. Each worker takes its own newest index first and steals
- * the other workers' oldest first, so uneven item costs balance. If
- * any invocation throws, every other index still runs, and the first
+ * Every thread claims the next index from one shared counter until
+ * the counter passes count, so a thread that finishes a cheap item
+ * simply claims another and uneven item costs balance. If any
+ * invocation throws, every other index still runs, and the first
  * exception (by completion order) is rethrown after the threads are
  * joined. A body may itself call parallelFor.
  */

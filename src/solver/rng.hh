@@ -163,8 +163,8 @@ class Rng
      * Complete generator state — the xoshiro words plus the cached
      * Box-Muller spare — packed into an ordered, comparable array.
      * Two generators with equal captured states produce identical
-     * draw sequences, which is what lets state-keyed caches (the
-     * variation-field sample cache) replay a generation step exactly.
+     * draw sequences, so tests compare captured states to show that
+     * two code paths consumed the same stream.
      */
     std::array<std::uint64_t, 6>
     captureState() const
@@ -172,18 +172,6 @@ class Rng
         return {state_[0], state_[1], state_[2], state_[3],
                 std::bit_cast<std::uint64_t>(spare_),
                 static_cast<std::uint64_t>(haveSpare_)};
-    }
-
-    /** Restore a state captured with captureState(). */
-    void
-    restoreState(const std::array<std::uint64_t, 6> &snap)
-    {
-        state_[0] = snap[0];
-        state_[1] = snap[1];
-        state_[2] = snap[2];
-        state_[3] = snap[3];
-        spare_ = std::bit_cast<double>(snap[4]);
-        haveSpare_ = snap[5] != 0;
     }
 
   private:

@@ -5,12 +5,10 @@
 #include <cmath>
 #include <complex>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 
-#include "runtime/metrics.hh"
 #include "runtime/simd.hh"
 #include "solver/fft.hh"
 #include "solver/matrix.hh"
@@ -263,137 +261,6 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
     return FieldSample(n, std::move(values));
 }
 
-/**
- * Whole-sample cache: (pre-generation RNG state, n, phi, method) →
- * (sampled field, post-generation RNG state). Generation is a pure
- * function of that key, so a hit replays it exactly — same values,
- * same downstream RNG stream — which is what makes re-manufacturing
- * an identical die (thread sweeps re-running the same batch) free.
- * FIFO-bounded: a paper-scale batch of distinct dies misses on every
- * entry, and the cap keeps its memory flat instead of accumulating
- * hundreds of n² grids.
- */
-struct FieldSampleKey
-{
-    std::array<std::uint64_t, 6> rng;
-    std::size_t n;
-    double phi;
-    int method;
-
-    bool
-    operator<(const FieldSampleKey &o) const
-    {
-        if (rng != o.rng)
-            return rng < o.rng;
-        if (n != o.n)
-            return n < o.n;
-        if (phi != o.phi)
-            return phi < o.phi;
-        return method < o.method;
-    }
-};
-
-struct FieldSampleEntry
-{
-    FieldSample field;
-    FieldSample fieldB; ///< Second field of a pair entry; empty else.
-    std::array<std::uint64_t, 6> rngAfter;
-};
-
-/** Key-space tag separating pair entries from single-field entries. */
-constexpr int kPairMethodBit = 0x100;
-
-constexpr std::size_t kFieldSampleCacheCap = 64;
-std::mutex sampleCacheMutex;
-std::map<FieldSampleKey, FieldSampleEntry> sampleCache;
-std::deque<FieldSampleKey> sampleCacheOrder;
-
-/** Registry handles for the sample cache: hits and misses per lookup. */
-struct SampleCacheMetrics
-{
-    metrics::Counter &hits;
-    metrics::Counter &misses;
-};
-
-SampleCacheMetrics &
-sampleCacheMetrics()
-{
-    static SampleCacheMetrics handles{
-        metrics::Registry::global().counter("varius.field_cache.hits"),
-        metrics::Registry::global().counter("varius.field_cache.misses")};
-    return handles;
-}
-
-/**
- * Replay a cached generation for @p key: restore the post-generation
- * RNG state and copy the field(s) out. False on a miss.
- */
-bool
-replayCachedSample(const FieldSampleKey &key, Rng &rng,
-                   FieldSample &field, FieldSample *fieldB)
-{
-    std::lock_guard<std::mutex> lock(sampleCacheMutex);
-    const auto it = sampleCache.find(key);
-    if (it == sampleCache.end()) {
-        sampleCacheMetrics().misses.add();
-        return false;
-    }
-    sampleCacheMetrics().hits.add();
-    rng.restoreState(it->second.rngAfter);
-    field = it->second.field;
-    if (fieldB != nullptr)
-        *fieldB = it->second.fieldB;
-    return true;
-}
-
-void
-storeSample(const FieldSampleKey &key, FieldSampleEntry entry)
-{
-    std::lock_guard<std::mutex> lock(sampleCacheMutex);
-    // Two threads may have raced on the same die; insert-once keeps
-    // the FIFO order list consistent with the map.
-    if (sampleCache.emplace(key, std::move(entry)).second) {
-        sampleCacheOrder.push_back(key);
-        if (sampleCacheOrder.size() > kFieldSampleCacheCap) {
-            sampleCache.erase(sampleCacheOrder.front());
-            sampleCacheOrder.pop_front();
-        }
-    }
-}
-
-/**
- * One generation through the sample cache: replay a hit, else draw
- * @p fieldA (and @p fieldB for a pair) and store the result.
- */
-void
-generateCached(std::size_t n, double phi, Rng &rng, FieldMethod method,
-               FieldSample &fieldA, FieldSample *fieldB)
-{
-    assert(n >= 2);
-    assert(phi > 0.0);
-
-    const int pairBit = fieldB != nullptr ? kPairMethodBit : 0;
-    const FieldSampleKey key{rng.captureState(), n, phi,
-                             static_cast<int>(method) | pairBit};
-    if (replayCachedSample(key, rng, fieldA, fieldB))
-        return;
-
-    if (method == FieldMethod::Cholesky) {
-        // Exact path: a pair is two sequential draws, the same stream
-        // as two generateField() calls.
-        fieldA = generateCholesky(n, phi, rng);
-        if (fieldB != nullptr)
-            *fieldB = generateCholesky(n, phi, rng);
-    } else {
-        // One synthesis; a pair takes its Re and Im planes.
-        fieldA = generateCirculant(n, phi, rng, fieldB);
-    }
-
-    storeSample(key, FieldSampleEntry{fieldA,
-                                      fieldB ? *fieldB : FieldSample{},
-                                      rng.captureState()});
-}
-
 } // namespace
 
 std::size_t
@@ -455,34 +322,31 @@ fieldSpectrumCacheSize()
     return spectrumCache.size();
 }
 
-void
-clearFieldSampleCache()
-{
-    std::lock_guard<std::mutex> lock(sampleCacheMutex);
-    sampleCache.clear();
-    sampleCacheOrder.clear();
-}
-
-std::size_t
-fieldSampleCacheSize()
-{
-    std::lock_guard<std::mutex> lock(sampleCacheMutex);
-    return sampleCache.size();
-}
-
 FieldSample
 generateField(std::size_t n, double phi, Rng &rng, FieldMethod method)
 {
-    FieldSample field;
-    generateCached(n, phi, rng, method, field, nullptr);
-    return field;
+    assert(n >= 2);
+    assert(phi > 0.0);
+    if (method == FieldMethod::Cholesky)
+        return generateCholesky(n, phi, rng);
+    return generateCirculant(n, phi, rng);
 }
 
 void
 generateFieldPair(std::size_t n, double phi, Rng &rng, FieldMethod method,
                   FieldSample &fieldA, FieldSample &fieldB)
 {
-    generateCached(n, phi, rng, method, fieldA, &fieldB);
+    assert(n >= 2);
+    assert(phi > 0.0);
+    if (method == FieldMethod::Cholesky) {
+        // Exact path: a pair is two sequential draws, the same stream
+        // as two generateField() calls.
+        fieldA = generateCholesky(n, phi, rng);
+        fieldB = generateCholesky(n, phi, rng);
+    } else {
+        // One synthesis; the pair takes its Re and Im planes.
+        fieldA = generateCirculant(n, phi, rng, &fieldB);
+    }
 }
 
 } // namespace varsched

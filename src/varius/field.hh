@@ -132,24 +132,6 @@ void clearFieldSpectrumCache();
 /** Number of (n, phi) circulant spectra currently cached. */
 std::size_t fieldSpectrumCacheSize();
 
-/**
- * generateField additionally memoises whole *samples*, keyed by the
- * generator's complete state (Rng::captureState) plus (n, phi,
- * method). A die is a pure function of (params, seed), so when a
- * bench re-manufactures the same dies — e.g. one runBatch per point
- * of a thread sweep over an identical batch — the generation replays
- * from the cache bit-identically, including the post-generation RNG
- * state, instead of redoing the FFT synthesis. Bounded FIFO (a few
- * dozen fields) so paper-scale batches of distinct dies stream
- * through without accumulating memory. Thread-safe. Every lookup
- * counts into the global metrics registry as
- * `varius.field_cache.hits` or `varius.field_cache.misses`;
- * fieldSampleCacheSize() reports how many samples it holds.
- */
-void clearFieldSampleCache();
-/** Number of field samples currently cached. */
-std::size_t fieldSampleCacheSize();
-
 } // namespace varsched
 
 #endif // VARSCHED_VARIUS_FIELD_HH

@@ -276,6 +276,28 @@ TEST(DiePopulation, FanOutMatchesSerialBitIdentically)
     ASSERT_EQ(serial.results.size(), fanned.results.size());
     EXPECT_TRUE(serial.results == fanned.results)
         << "die-population fan-out diverged from the serial loop";
+
+    // A lot manufactured under two process settings that differ only
+    // in Vth sigma, one setting after the other on the same seeds, at
+    // any worker count gives the serial loop's results.
+    std::vector<DieParams> settings(2, params);
+    settings[0].variation.vthSigmaOverMu = 0.06;
+    settings[1].variation.vthSigmaOverMu = 0.12;
+    const auto lot = diePopulationSeeds(12, 0x107);
+    std::vector<std::vector<DieStat>> expected;
+    for (const DieParams &setting : settings)
+        expected.push_back(
+            runDiePopulation(setting, lot, perDie, 1).results);
+    EXPECT_FALSE(expected[0] == expected[1]);
+    for (const std::size_t workers : {1u, 2u, 7u}) {
+        for (std::size_t k = 0; k < settings.size(); ++k) {
+            const auto run =
+                runDiePopulation(settings[k], lot, perDie, workers);
+            EXPECT_TRUE(run.results == expected[k])
+                << "setting " << k << " diverged at " << workers
+                << " workers";
+        }
+    }
 }
 
 TEST(DiePopulation, EmptyLotIsANoOp)

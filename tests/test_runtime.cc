@@ -146,14 +146,16 @@ TEST(ParallelFor, NestedCallCompletes)
 TEST(ParallelFor, EveryIndexIsOneOwnPopOrOneSteal)
 {
     // The benchmark reads pool.pop_own + pool.steal as the task count.
+    // Every index is claimed from one shared counter, so each counts
+    // as one pop_own and nothing counts as a steal.
     auto &reg = metrics::Registry::global();
-    const auto taken = [&reg]() {
-        return reg.counter("pool.pop_own").value() +
-            reg.counter("pool.steal").value();
-    };
-    const std::uint64_t before = taken();
+    const metrics::Counter &popOwn = reg.counter("pool.pop_own");
+    const metrics::Counter &steal = reg.counter("pool.steal");
+    const std::uint64_t popsBefore = popOwn.value();
+    const std::uint64_t stealsBefore = steal.value();
     parallelFor(3, 100, [](std::size_t) {});
-    EXPECT_EQ(taken() - before, 100u);
+    EXPECT_EQ(popOwn.value() - popsBefore, 100u);
+    EXPECT_EQ(steal.value() - stealsBefore, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -552,9 +554,6 @@ TEST(FieldFactorCache, CachedFactorGivesIdenticalFields)
     const double phi = 0.5;
 
     clearFieldFactorCache();
-    // Clear the whole-sample cache too: these tests exercise the
-    // factor-on-miss path, which a sample-cache hit would bypass.
-    clearFieldSampleCache();
     EXPECT_EQ(fieldFactorCacheSize(), 0u);
 
     Rng cold(4242);
@@ -563,9 +562,7 @@ TEST(FieldFactorCache, CachedFactorGivesIdenticalFields)
     EXPECT_EQ(fieldFactorCacheSize(), 1u);
 
     // Same stream, now served from the cache: values must be
-    // bit-identical to the cold (factor-on-miss) path. (Drop the
-    // sample cache again so the hit lands on the factor cache.)
-    clearFieldSampleCache();
+    // bit-identical to the cold (factor-on-miss) path.
     Rng warm(4242);
     const FieldSample second =
         generateField(n, phi, warm, FieldMethod::Cholesky);
@@ -580,14 +577,12 @@ TEST(FieldFactorCache, CachedFactorGivesIdenticalFields)
     generateField(n + 2, phi, other, FieldMethod::Cholesky);
     EXPECT_EQ(fieldFactorCacheSize(), 2u);
     clearFieldFactorCache();
-    clearFieldSampleCache();
     EXPECT_EQ(fieldFactorCacheSize(), 0u);
 }
 
 TEST(FieldFactorCache, ConcurrentGenerationIsSafeAndDeterministic)
 {
     clearFieldFactorCache();
-    clearFieldSampleCache();
     const std::size_t n = 10;
     const double phi = 0.4;
 
@@ -595,7 +590,6 @@ TEST(FieldFactorCache, ConcurrentGenerationIsSafeAndDeterministic)
     const FieldSample expected =
         generateField(n, phi, ref, FieldMethod::Cholesky);
     clearFieldFactorCache();
-    clearFieldSampleCache();
 
     // Race many generators at the same cold cache; every one must
     // still see exactly the reference field for its seed.

@@ -424,14 +424,12 @@ TEST(SimdField, PairGenerationMatchesForcedScalarAndRngState)
     };
     for (const Grid grid : {Grid{4, 0.4}, Grid{16, 0.4}, Grid{64, 0.5}}) {
         const std::size_t n = grid.n;
-        clearFieldSampleCache();
         Rng rngA(0xF1E1D);
         FieldSample a1, a2;
         generateFieldPair(n, grid.phi, rngA, FieldMethod::CirculantFFT,
                           a1, a2);
         const auto stateA = rngA.captureState();
 
-        clearFieldSampleCache();
         Rng rngB(0xF1E1D);
         FieldSample b1, b2;
         {
@@ -461,7 +459,6 @@ TEST(SimdField, PairGenerationMatchesForcedScalarAndRngState)
             }
         }
     }
-    clearFieldSampleCache();
 }
 
 } // namespace

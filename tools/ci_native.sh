@@ -2,8 +2,9 @@
 # CI-style full pass in its own build directory: configure and build a
 # separate tree, run the fast test tiers (unit tests + bench smokes,
 # including the simd_forced_scalar fallback rerun, the sampling_guard
-# sampled-vs-exact tier and the physics_contract tier), then the
-# correctness checks of every benchmark/ workload at smoke scale. Given
+# sampled-vs-exact tier and the physics_contract tier), the pool's
+# tests under ThreadSanitizer in a second tree (<build-dir>-tsan), then
+# the correctness checks of every benchmark/ workload at smoke scale. Given
 # a base tree (a checkout of the parent commit), it also compares the
 # benchmark's end-to-end metrics in paired runs against that tree
 # (tools/bench_pairs.py), failing when a median is worse than its
@@ -29,6 +30,14 @@ ctest --test-dir "$build" -L sampling_guard --output-on-failure
 # Physics contracts: the leakage kernel against its per-sample oracle
 # (1e-12) and the settle's 0.01 C residual and round-count pins.
 ctest --test-dir "$build" -L physics_contract --output-on-failure
+
+# ThreadSanitizer pass over parallelFor and the code it fans out: the
+# test binary alone, in its own tree (TSan and ASan cannot share one).
+tsan="$build-tsan"
+cmake -B "$tsan" -S "$repo" -DVARSCHED_TSAN=ON
+cmake --build "$tsan" -j --target varsched_tests
+ctest --test-dir "$tsan" --output-on-failure \
+    -R "ParallelFor|ThreadPool|BatchDeterminism|FieldFactorCache"
 
 # The benchmark's correctness checks on all four workloads, shrunk to
 # seconds (run.sh exits nonzero when any check fails).
