@@ -8,11 +8,12 @@
  * (larger search space); worst case ~6 us on a 4 GHz core —
  * negligible against the 10 ms invocation period. The paper's
  * method solves LinOpt's LP with a general simplex, so BM_Simplex
- * times solveSimplex on that LP, built here from the manager's own
- * fit, and reports its pivots. BM_LinOpt times the whole decision as
- * the manager makes it, with the LP solved by the ratio rule. Also
- * measures SAnn at its evaluation budget for the "orders of
- * magnitude more expensive" comparison of Section 7.5.
+ * times solveSimplex on that LP, built from the manager's own fit by
+ * the contract tests' oracle (tests/lp_oracle.hh), and reports its
+ * pivots. BM_LinOpt times the whole decision as the manager makes
+ * it, with the LP solved by the ratio rule. Also measures SAnn at
+ * its evaluation budget for the "orders of magnitude more expensive"
+ * comparison of Section 7.5.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "core/sann.hh"
 #include "core/sched.hh"
 #include "solver/simplex.hh"
+#include "tests/lp_oracle.hh"
 
 using namespace varsched;
 
@@ -65,27 +67,6 @@ snapshotFor(std::size_t threads, double ptarget20)
                                   static_cast<double>(threads),
                               nullptr);
     return cache.emplace(key, std::move(snap)).first->second;
-}
-
-/**
- * LinOpt's LP in the simplex's form: maximise sum a_i x_i subject to
- * the budget row, then per core its cap row and x_i <= Vhigh - Vlow.
- */
-LinearProgram
-linOptProgram(const LinOptFit &fit)
-{
-    const std::size_t n = fit.a.size();
-    LinearProgram lp;
-    lp.objective = fit.a;
-    lp.addRow(fit.b, fit.budget);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> row(n, 0.0);
-        row[i] = fit.b[i];
-        lp.addRow(row, fit.cap[i]);
-        row[i] = 1.0;
-        lp.addRow(row, fit.span);
-    }
-    return lp;
 }
 
 void

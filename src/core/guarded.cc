@@ -7,9 +7,8 @@ namespace varsched
 {
 
 GuardedPowerManager::GuardedPowerManager(
-    std::unique_ptr<PowerManager> primary, const GuardConfig &config)
-    : config_(config), primary_(std::move(primary)),
-      validator_(config.validator)
+    std::unique_ptr<PowerManager> primary)
+    : primary_(std::move(primary))
 {
 }
 
@@ -54,7 +53,7 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
             if (actual <= 0.0 || level >= core.powerW.size())
                 continue;
             if (std::abs(core.powerW[level] - actual) >
-                config_.mistrustFraction * std::max(actual, 1.0))
+                kMistrustFraction * std::max(actual, 1.0))
                 validator_.reportMismatch(core.coreId);
         }
     }
@@ -62,8 +61,11 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
     ChipSnapshot validated = snap;
     validator_.sanitise(validated);
 
-    if (config_.degradeOnQuarantine && tier_ == GuardTier::Primary &&
-        !validator_.allTrusted()) {
+    // Drop from the primary to the Foxton* tier while any sensor is
+    // quarantined: the optimiser fits models to substituted data, the
+    // reduction baseline only needs the budget, so distrust alone is
+    // reason enough to prefer it.
+    if (tier_ == GuardTier::Primary && !validator_.allTrusted()) {
         tier_ = GuardTier::Fallback;
         ++stats_.fallbackEngagements;
         violationStreak_ = 0;
@@ -76,7 +78,7 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
     // temperature, so they systematically miss the warm-up).
     if (snap.ptargetW > 0.0) {
         validated.ptargetW =
-            std::max(snap.ptargetW * config_.minTargetFraction,
+            std::max(snap.ptargetW * kMinTargetFraction,
                      snap.ptargetW - biasW_);
     }
 
@@ -100,7 +102,7 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
     if (tier_ != GuardTier::SafeMode &&
         validated.ptargetW > 0.0 &&
         validated.powerAt(levels) >
-            validated.ptargetW * (1.0 + config_.violationTolerance)) {
+            validated.ptargetW * (1.0 + kViolationTolerance)) {
         const std::vector<int> reduced =
             fallback_.selectLevels(validated);
         for (std::size_t i = 0; i < n; ++i)
@@ -130,18 +132,18 @@ GuardedPowerManager::observeSettled(const ChipCondition &cond,
     // raising the budget above Ptarget.
     if (lastPredictedW_ > 0.0 && !settleScored_) {
         const double delta = cond.totalPowerW - lastPredictedW_;
-        biasW_ = std::max(0.0, (1.0 - config_.biasGain) * biasW_ +
-                                   config_.biasGain * delta);
+        biasW_ = std::max(0.0, (1.0 - kBiasGain) * biasW_ +
+                                   kBiasGain * delta);
         settleScored_ = true;
     }
 
     bool violated =
         ptargetW > 0.0 &&
         cond.totalPowerW >
-            ptargetW * (1.0 + config_.violationTolerance);
+            ptargetW * (1.0 + kViolationTolerance);
     if (pcoreMaxW > 0.0) {
         for (double p : cond.corePowerW) {
-            if (p > pcoreMaxW * (1.0 + config_.coreViolationTolerance))
+            if (p > pcoreMaxW * (1.0 + kCoreViolationTolerance))
                 violated = true;
         }
     }
@@ -153,7 +155,7 @@ GuardedPowerManager::observeSettled(const ChipCondition &cond,
         // the chip can react; don't punish it for stale violations.
         if (!awaitingDecision_) {
             ++violationStreak_;
-            if (violationStreak_ >= config_.degradeAfter &&
+            if (violationStreak_ >= kDegradeAfter &&
                 tier_ != GuardTier::SafeMode) {
                 tier_ = static_cast<GuardTier>(
                     static_cast<int>(tier_) + 1);
@@ -165,7 +167,7 @@ GuardedPowerManager::observeSettled(const ChipCondition &cond,
     } else {
         violationStreak_ = 0;
         ++cleanStreak_;
-        if (cleanStreak_ >= config_.recoverAfter &&
+        if (cleanStreak_ >= kRecoverAfter &&
             tier_ != GuardTier::Primary) {
             // The final step back to the primary additionally
             // requires every sensor to be trusted again.

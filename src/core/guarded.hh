@@ -44,39 +44,6 @@
 namespace varsched
 {
 
-/** Tuning of the guard's degrade/recover state machine. */
-struct GuardConfig
-{
-    /** Settled power above (1 + this) * Ptarget counts as violated. */
-    double violationTolerance = 0.05;
-    /** Per-core settled power above (1 + this) * Pcoremax, too. */
-    double coreViolationTolerance = 0.25;
-    /** Consecutive violated ticks before degrading one tier. */
-    int degradeAfter = 3;
-    /** Consecutive clean ticks before recovering one tier. */
-    int recoverAfter = 30;
-    /** Settled-vs-sensed disagreement that flags a sensor. */
-    double mistrustFraction = 0.30;
-    /**
-     * Drop from the primary to the Foxton* tier while any sensor is
-     * quarantined: the optimiser fits models to substituted data, the
-     * reduction baseline only needs the budget, so distrust alone is
-     * reason enough to prefer it.
-     */
-    bool degradeOnQuarantine = true;
-    /**
-     * Smoothing gain of the settle-bias estimate (0..1; higher reacts
-     * faster). The bias — how far above its own prediction the chip
-     * physically settles — is subtracted from the budget handed to
-     * the managers.
-     */
-    double biasGain = 0.5;
-    /** Never shave the effective budget below this fraction of it. */
-    double minTargetFraction = 0.5;
-    /** Sensor-validation thresholds. */
-    ValidatorConfig validator;
-};
-
 /** Fallback position: 0 = primary, 1 = Foxton*, 2 = safe mode. */
 enum class GuardTier
 {
@@ -102,8 +69,27 @@ struct GuardStats
 class GuardedPowerManager : public PowerManager
 {
   public:
-    explicit GuardedPowerManager(std::unique_ptr<PowerManager> primary,
-                                 const GuardConfig &config = {});
+    explicit GuardedPowerManager(std::unique_ptr<PowerManager> primary);
+
+    /** Settled power above (1 + this) * Ptarget counts as violated. */
+    static constexpr double kViolationTolerance = 0.05;
+    /** Per-core settled power above (1 + this) * Pcoremax, too. */
+    static constexpr double kCoreViolationTolerance = 0.25;
+    /** Consecutive violated ticks before degrading one tier. */
+    static constexpr int kDegradeAfter = 3;
+    /** Consecutive clean ticks before recovering one tier. */
+    static constexpr int kRecoverAfter = 30;
+    /** Settled-vs-sensed disagreement that flags a sensor. */
+    static constexpr double kMistrustFraction = 0.30;
+    /**
+     * Smoothing gain of the settle-bias estimate (0..1; higher reacts
+     * faster). The bias — how far above its own prediction the chip
+     * physically settles — is subtracted from the budget handed to
+     * the managers.
+     */
+    static constexpr double kBiasGain = 0.5;
+    /** Never shave the effective budget below this fraction of it. */
+    static constexpr double kMinTargetFraction = 0.5;
 
     std::string name() const override;
     std::vector<int> selectLevels(const ChipSnapshot &snap) override;
@@ -135,7 +121,6 @@ class GuardedPowerManager : public PowerManager
     double settleBiasW() const { return biasW_; }
 
   private:
-    GuardConfig config_;
     std::unique_ptr<PowerManager> primary_;
     FoxtonStarManager fallback_;
     SensorValidator validator_;

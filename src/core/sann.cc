@@ -9,6 +9,16 @@
 namespace varsched
 {
 
+namespace
+{
+
+/** Initial annealing temperature per thread (kMIPS units). */
+constexpr double kTempPerThread = 0.4;
+/** Penalty weight for power violations, kMIPS per watt. */
+constexpr double kPenaltyPerWatt = 50.0;
+
+} // namespace
+
 SAnnManager::SAnnManager(const SAnnConfig &config) : config_(config)
 {
 }
@@ -173,13 +183,13 @@ SAnnManager::selectLevels(const ChipSnapshot &snap)
     // numeric range as kMIPS so the annealing temperature and penalty
     // weights keep their meaning.
     SnapshotAnnealEnergy energy(
-        snap, config_.penaltyPerWatt,
+        snap, kPenaltyPerWatt,
         config_.objective == PmObjective::Weighted);
 
     AnnealOptions opts;
     opts.maxEvals = config_.maxEvals;
     // The paper raises the initial AT with problem complexity.
-    opts.initialTemp = config_.tempPerThread * static_cast<double>(n);
+    opts.initialTemp = kTempPerThread * static_cast<double>(n);
     opts.seed = epochSeeded_ ? epochSeed_ : config_.seed;
 
     const std::vector<int> levelBounds(n, numLevels);

@@ -98,10 +98,6 @@ struct SAnnConfig
      * while staying within ~1% of the 1e6 result (see tests).
      */
     std::size_t maxEvals = 20000;
-    /** Initial annealing temperature per thread (kMIPS units). */
-    double tempPerThread = 0.4;
-    /** Penalty weight for power violations, kMIPS per watt. */
-    double penaltyPerWatt = 50.0;
     /** Seed for the annealing chain. */
     std::uint64_t seed = 0xA55;
     /** What to maximise (Fig 11: Throughput; Fig 13: Weighted). */

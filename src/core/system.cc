@@ -99,31 +99,6 @@ validateSystemConfig(const SystemConfig &config, std::size_t numCores)
                 "guardedPm (the guard cross-checks every settled "
                 "tick)");
         }
-        if (config.phaseSampling.hysteresisTicks < 1) {
-            throw std::invalid_argument(
-                "SystemConfig::phaseSampling.hysteresisTicks must be "
-                ">= 1");
-        }
-        if (config.phaseSampling.samplePeriodEpochs < 1) {
-            throw std::invalid_argument(
-                "SystemConfig::phaseSampling.samplePeriodEpochs must "
-                "be >= 1");
-        }
-        if (config.phaseSampling.maxSamplePeriodEpochs <
-            config.phaseSampling.samplePeriodEpochs) {
-            throw std::invalid_argument(
-                "SystemConfig::phaseSampling.maxSamplePeriodEpochs "
-                "must be >= samplePeriodEpochs");
-        }
-        if (!(config.phaseSampling.quantStep > 0.0)) {
-            throw std::invalid_argument(
-                "SystemConfig::phaseSampling.quantStep must be > 0");
-        }
-        if (config.phaseSampling.warmupEpochs < 0) {
-            throw std::invalid_argument(
-                "SystemConfig::phaseSampling.warmupEpochs must be "
-                ">= 0");
-        }
         if (!(config.phaseSampling.basisBlend > 0.0) ||
             config.phaseSampling.basisBlend > 1.0) {
             throw std::invalid_argument(
@@ -203,8 +178,8 @@ SystemSimulator::rebuildManager()
                                 config_.seed ^ 0x5A5A,
                                 config_.pmObjective);
     if (config_.guardedPm && config_.pm != PmKind::None) {
-        auto guarded = std::make_unique<GuardedPowerManager>(
-            std::move(manager_), config_.guard);
+        auto guarded =
+            std::make_unique<GuardedPowerManager>(std::move(manager_));
         guard_ = guarded.get();
         manager_ = std::move(guarded);
     }
@@ -696,10 +671,9 @@ TickRun::buildSignature()
         std::uint64_t h = phaseMix(
             0xC0DE, static_cast<std::uint64_t>(
                         reinterpret_cast<std::uintptr_t>(w.app)));
-        h = phaseMix(h, phaseQuantise(w.cpiScale, samplerCfg.quantStep));
-        h = phaseMix(h, phaseQuantise(w.missScale, samplerCfg.quantStep));
-        h = phaseMix(h, phaseQuantise(w.activityScale,
-                                      samplerCfg.quantStep));
+        h = phaseMix(h, phaseQuantise(w.cpiScale, kPhaseQuantStep));
+        h = phaseMix(h, phaseQuantise(w.missScale, kPhaseQuantStep));
+        h = phaseMix(h, phaseQuantise(w.activityScale, kPhaseQuantStep));
         h = phaseMix(h, static_cast<std::uint64_t>(coreLevels[c] + 1));
         sig[c] = h != 0 ? h : 1;
     }
@@ -819,8 +793,8 @@ TickRun::epochStage(Tick &t)
     Rng epochNoise(deriveSeed(config.seed, 0x4E01, epochIndex));
     manager.beginEpoch(epochIndex);
     const ChipSnapshot snap = buildSnapshot(
-        evaluator, work, cond, config.ptargetW, pcoreMax,
-        config.sensorNoise ? &epochNoise : nullptr, &injector);
+        evaluator, work, cond, config.ptargetW, pcoreMax, &epochNoise,
+        &injector);
     const std::vector<int> active = manager.selectLevels(snap);
     std::size_t decisionSteps = 0;
     for (std::size_t i = 0; i < snap.cores.size(); ++i) {

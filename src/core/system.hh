@@ -65,9 +65,6 @@ struct SystemConfig
     double tickMs = 1.0;          ///< Physics/metrics step.
     double durationMs = 300.0;    ///< Simulated time.
 
-    /** Sensor noise on snapshot readings (0 disables). */
-    bool sensorNoise = true;
-
     /**
      * Thermal mode: false (default) settles the steady-state
      * leakage-temperature fixed point every tick; true integrates
@@ -126,9 +123,6 @@ struct SystemConfig
      * when pm == None.
      */
     bool guardedPm = false;
-
-    /** Guard tuning (used when guardedPm is set). */
-    GuardConfig guard;
 
     /**
      * Phase-sampled engine (runtime/phase.hh): detect steady workload

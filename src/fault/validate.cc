@@ -6,11 +6,6 @@
 namespace varsched
 {
 
-SensorValidator::SensorValidator(const ValidatorConfig &config)
-    : config_(config)
-{
-}
-
 bool
 SensorValidator::plausible(const CoreSnapshot &core,
                            const ChipSnapshot &snap,
@@ -20,22 +15,20 @@ SensorValidator::plausible(const CoreSnapshot &core,
         return false;
 
     const double ceiling = std::max(
-        config_.maxCoreW,
-        snap.pcoreMaxW > 0.0 ? 3.0 * snap.pcoreMaxW : 0.0);
+        kMaxCoreW, snap.pcoreMaxW > 0.0 ? 3.0 * snap.pcoreMaxW : 0.0);
     for (double p : core.powerW) {
-        if (!(p >= config_.minCoreW) || p > ceiling ||
-            !std::isfinite(p))
+        if (!(p >= kMinCoreW) || p > ceiling || !std::isfinite(p))
             return false;
     }
 
     // A live power curve rises with voltage; a stuck sensor is flat.
     const double lo = core.powerW.front();
     const double hi = core.powerW.back();
-    if (hi - lo < config_.minCurveSpreadFraction * std::max(hi, 1e-9))
+    if (hi - lo < kMinCurveSpreadFraction * std::max(hi, 1e-9))
         return false;
     for (std::size_t l = 1; l < core.powerW.size(); ++l) {
         if (core.powerW[l] <
-            core.powerW[l - 1] * (1.0 - config_.monotoneTolerance))
+            core.powerW[l - 1] * (1.0 - kMonotoneTolerance))
             return false;
     }
 
@@ -43,8 +36,7 @@ SensorValidator::plausible(const CoreSnapshot &core,
     if (!h.lastGood.empty() && h.staleness == 0 &&
         h.lastGood.size() == core.powerW.size()) {
         const double ref = h.lastGood.back();
-        if (std::abs(hi - ref) >
-            config_.maxChangeFraction * std::max(ref, 1.0))
+        if (std::abs(hi - ref) > kMaxChangeFraction * std::max(ref, 1.0))
             return false;
     }
     return true;
@@ -57,7 +49,7 @@ SensorValidator::pessimisticCurve(const ChipSnapshot &snap) const
     // cap at the top voltage, scaled down quadratically with V. Over-
     // estimating power makes every manager pick lower, safer levels.
     const double cap =
-        snap.pcoreMaxW > 0.0 ? snap.pcoreMaxW : config_.maxCoreW;
+        snap.pcoreMaxW > 0.0 ? snap.pcoreMaxW : kMaxCoreW;
     const double vTop =
         snap.voltage.empty() ? 1.0 : snap.voltage.back();
     std::vector<double> curve;
@@ -76,8 +68,7 @@ SensorValidator::sanitise(ChipSnapshot &snap)
         if (plausible(core, snap, h)) {
             h.badStreak = 0;
             ++h.goodStreak;
-            if (h.quarantined &&
-                h.goodStreak >= config_.recoverAfter)
+            if (h.quarantined && h.goodStreak >= kRecoverAfter)
                 h.quarantined = false;
             if (!h.quarantined) {
                 h.lastGood = core.powerW;
@@ -86,8 +77,7 @@ SensorValidator::sanitise(ChipSnapshot &snap)
         } else {
             h.goodStreak = 0;
             ++h.badStreak;
-            if (!h.quarantined &&
-                h.badStreak >= config_.quarantineAfter) {
+            if (!h.quarantined && h.badStreak >= kQuarantineAfter) {
                 h.quarantined = true;
                 ++quarantineEvents_;
             }
@@ -97,7 +87,7 @@ SensorValidator::sanitise(ChipSnapshot &snap)
             ++h.staleness;
             if (!h.lastGood.empty() &&
                 h.lastGood.size() == core.powerW.size() &&
-                h.staleness <= config_.maxStaleIntervals) {
+                h.staleness <= kMaxStaleIntervals) {
                 core.powerW = h.lastGood;
             } else {
                 core.powerW = pessimisticCurve(snap);
@@ -113,7 +103,7 @@ SensorValidator::reportMismatch(std::size_t coreId)
     SensorHealth &h = health_[coreId];
     h.goodStreak = 0;
     ++h.badStreak;
-    if (!h.quarantined && h.badStreak >= config_.quarantineAfter) {
+    if (!h.quarantined && h.badStreak >= kQuarantineAfter) {
         h.quarantined = true;
         ++quarantineEvents_;
     }

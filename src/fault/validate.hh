@@ -36,27 +36,6 @@
 namespace varsched
 {
 
-/** Plausibility thresholds of the sensor validator. */
-struct ValidatorConfig
-{
-    /** Absolute reading floor, W (a dropout reads ~0). */
-    double minCoreW = 1e-3;
-    /** Absolute ceiling, W (also bounded by 3x the per-core cap). */
-    double maxCoreW = 60.0;
-    /** Required (top - bottom) / top spread of a live curve. */
-    double minCurveSpreadFraction = 0.10;
-    /** Allowed per-level decrease (sensor noise headroom). */
-    double monotoneTolerance = 0.05;
-    /** Allowed change of the top-level reading between snapshots. */
-    double maxChangeFraction = 0.60;
-    /** Failed checks before a sensor is quarantined. */
-    int quarantineAfter = 1;
-    /** Consecutive clean checks before quarantine clears. */
-    int recoverAfter = 3;
-    /** Snapshots a last-known-good curve stays usable. */
-    int maxStaleIntervals = 5;
-};
-
 /** Health state of one core's power sensor. */
 struct SensorHealth
 {
@@ -73,7 +52,22 @@ struct SensorHealth
 class SensorValidator
 {
   public:
-    explicit SensorValidator(const ValidatorConfig &config = {});
+    /** Absolute reading floor, W (a dropout reads ~0). */
+    static constexpr double kMinCoreW = 1e-3;
+    /** Absolute ceiling, W (also bounded by 3x the per-core cap). */
+    static constexpr double kMaxCoreW = 60.0;
+    /** Required (top - bottom) / top spread of a live curve. */
+    static constexpr double kMinCurveSpreadFraction = 0.10;
+    /** Allowed per-level decrease (sensor noise headroom). */
+    static constexpr double kMonotoneTolerance = 0.05;
+    /** Allowed change of the top-level reading between snapshots. */
+    static constexpr double kMaxChangeFraction = 0.60;
+    /** Failed checks before a sensor is quarantined. */
+    static constexpr int kQuarantineAfter = 1;
+    /** Consecutive clean checks before quarantine clears. */
+    static constexpr int kRecoverAfter = 3;
+    /** Snapshots a last-known-good curve stays usable. */
+    static constexpr int kMaxStaleIntervals = 5;
 
     /**
      * Validate every core's power curve in @p snap, substituting
@@ -103,7 +97,6 @@ class SensorValidator
                    const SensorHealth &h) const;
     std::vector<double> pessimisticCurve(const ChipSnapshot &snap) const;
 
-    ValidatorConfig config_;
     std::unordered_map<std::size_t, SensorHealth> health_;
     std::size_t quarantineEvents_ = 0;
 };

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +43,9 @@ stopSignalHandler(int)
 {
     g_stopRequested = 1;
 }
+
+/** Seed of the retry-jitter stream (reproducible backoff schedule). */
+constexpr std::uint64_t kRetrySeed = 2026;
 
 /** FNV-1a over the task id: a stable per-task jitter-stream tag. */
 std::uint64_t
@@ -270,12 +274,6 @@ SweepOrchestrator::SweepOrchestrator(std::vector<SweepTask> tasks,
 {
     if (config_.maxWorkers == 0)
         config_.maxWorkers = 1;
-    if (!config_.validateOutput) {
-        config_.validateOutput = [](const SweepTask &,
-                                    const std::string &path) {
-            return looksLikeCompleteJson(path);
-        };
-    }
     for (const SweepTask &task : tasks_)
         records_[task.id] = TaskRecord{};
 }
@@ -366,7 +364,7 @@ SweepOrchestrator::loadJournal()
         case TaskState::Done:
             // Trust done only when the output is still present and
             // valid; a vanished/corrupt result file means re-run.
-            if (!config_.validateOutput(task, task.outputPath))
+            if (!looksLikeCompleteJson(task.outputPath))
                 record.state = TaskState::Pending;
             break;
         case TaskState::Running:
@@ -440,7 +438,7 @@ SweepOrchestrator::finishTask(const std::string &id, int exitStatus,
             task = &t;
 
     bool ok = exitStatus == 0 && !timedOut && task != nullptr;
-    if (ok && !config_.validateOutput(*task, task->outputPath)) {
+    if (ok && !looksLikeCompleteJson(task->outputPath)) {
         // Exit 0 but the result file is missing or torn: treat as a
         // failure and drop the bad file so a later attempt cannot be
         // shadowed by it.
@@ -460,8 +458,7 @@ SweepOrchestrator::finishTask(const std::string &id, int exitStatus,
     record.state = TaskState::Pending;
     // Decorrelated jitter, but on a stream that is a pure function of
     // (seed, task, attempt) so the schedule replays across resumes.
-    Rng jitter(deriveSeed(config_.retrySeed, idHash(id),
-                          record.attempts));
+    Rng jitter(deriveSeed(kRetrySeed, idHash(id), record.attempts));
     double &prev = prevDelay_[id];
     prev = config_.retry.nextDelay(prev, jitter);
     notBefore_[id] = nowSec + prev;

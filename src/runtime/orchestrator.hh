@@ -17,10 +17,10 @@
  *  - a watchdog enforces a per-task wall-clock timeout, escalating
  *    SIGTERM -> SIGKILL on the worker's whole process group;
  *  - failed and hung tasks are retried under a RetryPolicy (capped
- *    exponential backoff + decorrelated jitter, runtime/retry.hh);
- *  - task output files are validated before a task counts as done,
- *    so a worker that exits 0 after corrupting its output is retried
- *    like any other failure;
+ *    decorrelated-jitter backoff, runtime/retry.hh);
+ *  - task output files are validated (looksLikeCompleteJson) before
+ *    a task counts as done, so a worker that exits 0 after
+ *    corrupting its output is retried like any other failure;
  *  - when a task exhausts its attempts the sweep *completes anyway*:
  *    the merged results JSON covers every done task (ordered by task
  *    definition, byte-stable across worker counts and retries) and
@@ -38,8 +38,6 @@
 #define VARSCHED_RUNTIME_ORCHESTRATOR_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -104,14 +102,6 @@ struct OrchestratorConfig
     double killGraceSec = 2.0;
     /** Journal path; empty disables journaling (and resume). */
     std::string journalPath;
-    /** Seed of the jitter stream (reproducible backoff schedule). */
-    std::uint64_t retrySeed = 2026;
-    /**
-     * Output validator; a task only counts as done when its output
-     * file passes. Default: looksLikeCompleteJson.
-     */
-    std::function<bool(const SweepTask &, const std::string &path)>
-        validateOutput;
     /** Main-loop poll period, seconds (tests shrink it). */
     double pollSec = 0.02;
 };

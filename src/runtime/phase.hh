@@ -62,29 +62,6 @@ struct PhaseSamplingConfig
     double errorBudget = 0.01;
 
     /**
-     * Ticks a candidate signature must persist (within the churn
-     * tolerance) before the workload counts as steady. Guards against
-     * engaging on fast-churning workloads where sampling cannot win.
-     */
-    int hysteresisTicks = 5;
-
-    /** Initial epochs-per-evaluation once steady (1 = every epoch). */
-    int samplePeriodEpochs = 4;
-
-    /** Deepening cap for the adaptive sampling period. */
-    int maxSamplePeriodEpochs = 64;
-
-    /**
-     * Evaluated epochs that must elapse after a start or an
-     * invalidation before extrapolation may engage. The tick-level
-     * hysteresis sees only the workload; this gate makes the sampler
-     * survive whole *decision* periods, so it cannot freeze a basis
-     * while a power-management control loop is still converging
-     * (workload signatures look steady right through that transient).
-     */
-    int warmupEpochs = 2;
-
-    /**
      * EWMA weight of a fresh epoch-boundary settle in the
      * extrapolation basis (1 = extrapolate the latest settle
      * verbatim). Values below 1 average the controller's sensor-noise
@@ -100,10 +77,33 @@ struct PhaseSamplingConfig
      * min(0.5, 15 * errorBudget) from the budget.
      */
     double maxChurnFraction = -1.0;
-
-    /** Quantisation step for signature scale fingerprints. */
-    double quantStep = 1.0 / 64.0;
 };
+
+/**
+ * Ticks a candidate signature must persist (within the churn
+ * tolerance) before the workload counts as steady. Guards against
+ * engaging on fast-churning workloads where sampling cannot win.
+ */
+inline constexpr int kPhaseHysteresisTicks = 5;
+
+/** Initial epochs-per-evaluation once steady. */
+inline constexpr int kPhaseSamplePeriodEpochs = 4;
+
+/** Deepening cap for the adaptive sampling period. */
+inline constexpr int kPhaseMaxSamplePeriodEpochs = 64;
+
+/**
+ * Evaluated epochs that must elapse after a start or an invalidation
+ * before extrapolation may engage. The tick-level hysteresis sees
+ * only the workload; this gate makes the sampler survive whole
+ * *decision* periods, so it cannot freeze a basis while a
+ * power-management control loop is still converging (workload
+ * signatures look steady right through that transient).
+ */
+inline constexpr int kPhaseWarmupEpochs = 2;
+
+/** Quantisation step for signature scale fingerprints. */
+inline constexpr double kPhaseQuantStep = 1.0 / 64.0;
 
 /** Resolved churn tolerance (fraction of slots). */
 inline double
@@ -178,7 +178,7 @@ inline std::uint64_t
 phaseQuantise(double value, double step)
 {
     return static_cast<std::uint64_t>(
-        std::llround(value / (step > 0.0 ? step : 1.0 / 64.0)));
+        std::llround(value / (step > 0.0 ? step : kPhaseQuantStep)));
 }
 
 /**
@@ -226,7 +226,7 @@ class PhaseSampler
   public:
     PhaseSampler(const PhaseSamplingConfig &config, std::size_t slots)
         : config_(config), churnTol_(phaseChurnTolerance(config)),
-          period_(std::max(1, config.samplePeriodEpochs)),
+          period_(kPhaseSamplePeriodEpochs),
           basis_(slots, 0), candidate_(slots, 0)
     {
     }
@@ -254,7 +254,7 @@ class PhaseSampler
         }
         if (candidateValid_ &&
             phaseDistance(sig, candidate_) <= churnTol_) {
-            if (++matchTicks_ >= config_.hysteresisTicks &&
+            if (++matchTicks_ >= kPhaseHysteresisTicks &&
                 state_ == State::Unstable)
                 state_ = State::Armed;
         } else {
@@ -275,8 +275,8 @@ class PhaseSampler
     {
         verifying_ = false;
         if (config_.errorBudget <= 0.0 || state_ != State::Steady ||
-            warmup_ < config_.warmupEpochs) {
-            if (warmup_ < config_.warmupEpochs)
+            warmup_ < kPhaseWarmupEpochs) {
+            if (warmup_ < kPhaseWarmupEpochs)
                 ++warmup_;
             epochExtrapolate_ = false;
             extrapolating_ = false;
@@ -317,7 +317,7 @@ class PhaseSampler
         matchTicks_ = 0;
         extrapolating_ = false;
         epochExtrapolate_ = false;
-        period_ = std::max(1, config_.samplePeriodEpochs);
+        period_ = kPhaseSamplePeriodEpochs;
         sinceEval_ = 0;
         warmup_ = 0;
         verifyNext_ = false;
@@ -355,14 +355,12 @@ class PhaseSampler
         if (ctlErr > kPhaseHardBudgetFactor * config_.errorBudget) {
             invalidate(PhaseInvalidation::BudgetExceeded);
         } else if (ctlErr > config_.errorBudget) {
-            period_ = std::max(period_ / 2,
-                               std::max(1, config_.samplePeriodEpochs));
+            period_ = std::max(period_ / 2, kPhaseSamplePeriodEpochs);
         } else {
             const int factor =
                 ctlErr <= 0.5 * config_.errorBudget ? 4 : 2;
             period_ = std::min(period_ * factor,
-                               std::max(config_.maxSamplePeriodEpochs,
-                                        config_.samplePeriodEpochs));
+                               kPhaseMaxSamplePeriodEpochs);
         }
     }
 
@@ -385,7 +383,7 @@ class PhaseSampler
     resample(PhaseInvalidation cause)
     {
         ++stats_.invalidations[static_cast<std::size_t>(cause)];
-        period_ = std::max(1, config_.samplePeriodEpochs);
+        period_ = kPhaseSamplePeriodEpochs;
         sinceEval_ = period_ - 1;
     }
 

@@ -1,16 +1,15 @@
 /**
  * @file
- * Retry policy for the sweep orchestrator: capped exponential
- * backoff with decorrelated jitter.
+ * Retry policy for the sweep orchestrator: capped backoff with
+ * decorrelated jitter.
  *
  * A fleet-scale sweep retries crashed, hung, and corrupted tasks; if
  * every retry fires on the same schedule, the retries themselves
  * synchronise into load spikes (the thundering-herd failure mode).
- * The policy here is the standard fix: the deterministic component
- * grows exponentially up to a cap, and the jittered component draws
- * the next delay uniformly from [base, 3 * previous] ("decorrelated
- * jitter"), so concurrent retriers spread out instead of marching in
- * lockstep.
+ * The policy here is the standard fix: each delay is drawn uniformly
+ * from [base, 3 * previous] ("decorrelated jitter"), capped, so the
+ * delays grow roughly geometrically while concurrent retriers spread
+ * out instead of marching in lockstep.
  *
  * Everything is a pure function of (policy, attempt, rng) — no
  * clocks, no sleeping — so the schedule is unit-testable and the
@@ -38,33 +37,12 @@ struct RetryPolicy
     double baseDelaySec = 0.25;
     /** Ceiling on any one delay, seconds. */
     double maxDelaySec = 8.0;
-    /** Growth factor of the deterministic (capped) schedule. */
-    double multiplier = 2.0;
 
     /** True when a task that has run @p attempts times may run again. */
     bool
     shouldRetry(std::size_t attempts) const
     {
         return attempts < maxAttempts;
-    }
-
-    /**
-     * Deterministic capped-exponential delay before retry number
-     * @p retryIndex (1-based): min(maxDelay, base * multiplier^(k-1)).
-     * Used when the caller wants a reproducible schedule with no RNG.
-     */
-    double
-    cappedDelay(std::size_t retryIndex) const
-    {
-        if (retryIndex == 0)
-            return 0.0;
-        double delay = baseDelaySec;
-        for (std::size_t k = 1; k < retryIndex; ++k) {
-            delay *= multiplier;
-            if (delay >= maxDelaySec)
-                return maxDelaySec;
-        }
-        return std::min(delay, maxDelaySec);
     }
 
     /**

@@ -52,17 +52,18 @@ syntheticSnapshot(std::size_t n, double ptarget, double pcoremax,
 }
 
 /**
- * Settled condition with a given chip total. Per-core powers match
- * the synthetic snapshot's top-level reading (5 W) so the guard's
- * settled-vs-sensed cross-check stays quiet; the chip total alone
- * carries the violation signal.
+ * Settled condition with a given chip total. Pass as @p coreW the
+ * synthetic snapshot's reading at the commanded level — 5 W at the
+ * top, 5 * 0.6^2 W at the bottom — so the guard's settled-vs-sensed
+ * cross-check stays quiet; the chip total alone carries the
+ * violation signal.
  */
 ChipCondition
-settledCondition(std::size_t n, double totalW)
+settledCondition(std::size_t n, double totalW, double coreW = 5.0)
 {
     ChipCondition cond;
     cond.totalPowerW = totalW;
-    cond.corePowerW.assign(n, 5.0);
+    cond.corePowerW.assign(n, coreW);
     return cond;
 }
 
@@ -208,17 +209,16 @@ TEST(SensorValidator, DropoutAndImplausibleJumpCaught)
 
 TEST(SensorValidator, StaleLastGoodFallsBackToPessimisticCurve)
 {
-    ValidatorConfig config;
-    config.maxStaleIntervals = 2;
-    SensorValidator val(config);
+    SensorValidator val;
     auto good = syntheticSnapshot(1, 100.0, 10.0);
     val.sanitise(good);
 
-    for (int i = 0; i < 3; ++i) {
+    constexpr int kStale = SensorValidator::kMaxStaleIntervals;
+    for (int i = 0; i <= kStale; ++i) {
         auto bad = syntheticSnapshot(1, 100.0, 10.0);
         bad.cores[0].powerW.assign(5, 1.0);
         val.sanitise(bad);
-        if (i < 2) {
+        if (i < kStale) {
             EXPECT_DOUBLE_EQ(bad.cores[0].powerW.back(), 5.0);
         } else {
             // Last-good expired: pessimistic cap-at-top curve.
@@ -293,51 +293,55 @@ TEST(GuardedPm, OverridesBudgetBustingPrimaryDecision)
 
 TEST(GuardedPm, DegradesThroughChainAndRecoversWithHysteresis)
 {
-    GuardConfig config;
-    config.degradeAfter = 2;
-    config.recoverAfter = 3;
-    // This test exercises the violation state machine in isolation:
-    // the synthetic settled conditions are not level-consistent with
-    // the snapshot curves, so park the sensor cross-check.
-    config.mistrustFraction = 1e9;
+    constexpr int kDegrade = GuardedPowerManager::kDegradeAfter;
+    constexpr int kRecover = GuardedPowerManager::kRecoverAfter;
     // Generous snapshot budget so the decision override stays out of
-    // the picture; the settled feedback alone drives the tiers.
+    // the picture; the settled feedback alone drives the tiers. The
+    // primary and Foxton* both command the top level, safe mode the
+    // bottom one, and every settled condition reports the per-core
+    // power the sensors promised at those levels.
     const auto snap = syntheticSnapshot(3, 100.0, 100.0);
-    GuardedPowerManager guarded(std::make_unique<MaxLevelManager>(),
-                                config);
+    GuardedPowerManager guarded(std::make_unique<MaxLevelManager>());
     const auto violating = settledCondition(3, 90.0);
     const auto clean = settledCondition(3, 70.0);
+    const auto cleanSafe = settledCondition(3, 70.0, 5.0 * 0.6 * 0.6);
 
     guarded.selectLevels(snap);
-    guarded.observeSettled(violating, 75.0, 100.0);
+    for (int i = 0; i < kDegrade - 1; ++i)
+        guarded.observeSettled(violating, 75.0, 100.0);
+    EXPECT_EQ(guarded.tier(), GuardTier::Primary);
     guarded.observeSettled(violating, 75.0, 100.0);
     EXPECT_EQ(guarded.tier(), GuardTier::Fallback);
     EXPECT_EQ(guarded.stats().fallbackEngagements, 1u);
 
     // Stale violations before the new tier's decision applies must
     // not cascade the degradation further.
-    guarded.observeSettled(violating, 75.0, 100.0);
-    guarded.observeSettled(violating, 75.0, 100.0);
+    for (int i = 0; i < 2 * kDegrade; ++i)
+        guarded.observeSettled(violating, 75.0, 100.0);
     EXPECT_EQ(guarded.tier(), GuardTier::Fallback);
 
     // Fallback decision applied, still violating: safe mode.
-    guarded.selectLevels(snap);
-    guarded.observeSettled(violating, 75.0, 100.0);
-    guarded.observeSettled(violating, 75.0, 100.0);
+    EXPECT_EQ(guarded.selectLevels(snap), (std::vector<int>{4, 4, 4}));
+    for (int i = 0; i < kDegrade; ++i)
+        guarded.observeSettled(violating, 75.0, 100.0);
     EXPECT_EQ(guarded.tier(), GuardTier::SafeMode);
     EXPECT_EQ(guarded.stats().fallbackEngagements, 2u);
     EXPECT_EQ(guarded.selectLevels(snap),
               (std::vector<int>{0, 0, 0}));
 
     // Clean ticks climb back one tier per hysteresis window.
-    for (int i = 0; i < 3; ++i)
-        guarded.observeSettled(clean, 75.0, 100.0);
+    for (int i = 0; i < kRecover - 1; ++i)
+        guarded.observeSettled(cleanSafe, 75.0, 100.0);
+    EXPECT_EQ(guarded.tier(), GuardTier::SafeMode);
+    guarded.observeSettled(cleanSafe, 75.0, 100.0);
     EXPECT_EQ(guarded.tier(), GuardTier::Fallback);
     guarded.selectLevels(snap);
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < kRecover; ++i)
         guarded.observeSettled(clean, 75.0, 100.0);
     EXPECT_EQ(guarded.tier(), GuardTier::Primary);
     EXPECT_EQ(guarded.stats().recoveries, 1u);
+    // Settled and sensed power agreed at every commanded level.
+    EXPECT_EQ(guarded.sensorQuarantines(), 0u);
 }
 
 TEST(GuardedPm, CrossCheckCatchesPlausibleButWrongSensor)
@@ -367,34 +371,49 @@ TEST(GuardedPm, SettleBiasShavesTheEffectiveBudget)
     // A chip that settles 4 W above every prediction: the guard
     // learns the bias and steers the managers below Ptarget by it.
     const auto snap = syntheticSnapshot(3, 18.0, 100.0);
-    GuardConfig config;
-    config.mistrustFraction = 1e9;
-    GuardedPowerManager guarded(std::make_unique<LinOptManager>(),
-                                config);
+    GuardedPowerManager guarded(std::make_unique<LinOptManager>());
     const auto first = guarded.selectLevels(snap);
     EXPECT_DOUBLE_EQ(guarded.settleBiasW(), 0.0);
 
+    // Every core settles where its sensor said it would at the
+    // commanded level, so the cross-check stays quiet; only the chip
+    // total runs over.
     ChipCondition cond = settledCondition(3, snap.powerAt(first) + 4.0);
+    for (std::size_t i = 0; i < first.size(); ++i)
+        cond.corePowerW[i] =
+            snap.cores[i].powerW[static_cast<std::size_t>(first[i])];
     guarded.observeSettled(cond, 18.0, 100.0);
-    EXPECT_GT(guarded.settleBiasW(), 0.0);
+    EXPECT_NEAR(guarded.settleBiasW(),
+                GuardedPowerManager::kBiasGain * 4.0, 1e-12);
 
     const auto second = guarded.selectLevels(snap);
+    EXPECT_TRUE(guarded.validator().allTrusted());
+    EXPECT_EQ(guarded.tier(), GuardTier::Primary);
     // The shaved budget forces a strictly cheaper operating point.
     EXPECT_LT(snap.powerAt(second), snap.powerAt(first));
 }
 
 TEST(GuardedPm, PerCoreCapViolationAlsoCountsAsViolated)
 {
-    GuardConfig config;
-    config.degradeAfter = 1;
     const auto snap = syntheticSnapshot(2, 100.0, 100.0);
-    GuardedPowerManager guarded(std::make_unique<MaxLevelManager>(),
-                                config);
+    GuardedPowerManager guarded(std::make_unique<MaxLevelManager>());
     guarded.selectLevels(snap);
-    ChipCondition cond = settledCondition(2, 40.0); // under budget
-    cond.corePowerW[1] = 9.0; // way past a 6 W per-core cap
+
+    // Under budget, and a core at 7 W stays within the tolerance
+    // above a 6 W per-core cap: clean.
+    ChipCondition cond = settledCondition(2, 40.0);
+    cond.corePowerW[1] = 7.0;
     guarded.observeSettled(cond, 75.0, 6.0);
+    EXPECT_EQ(guarded.stats().violations, 0u);
+
+    cond.corePowerW[1] = 9.0; // way past the cap
+    for (int i = 0; i < GuardedPowerManager::kDegradeAfter; ++i) {
+        EXPECT_EQ(guarded.tier(), GuardTier::Primary);
+        guarded.observeSettled(cond, 75.0, 6.0);
+    }
     EXPECT_EQ(guarded.tier(), GuardTier::Fallback);
+    EXPECT_EQ(guarded.stats().violations,
+              static_cast<std::size_t>(GuardedPowerManager::kDegradeAfter));
 }
 
 TEST(GuardedPm, QuarantinedSensorDropsToFallbackTier)

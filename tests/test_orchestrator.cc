@@ -44,25 +44,6 @@ TEST(RetryPolicy, ShouldRetryCountsTheFirstRun)
     EXPECT_FALSE(policy.shouldRetry(1));
 }
 
-TEST(RetryPolicy, CappedDelayGrowsExponentiallyThenSaturates)
-{
-    RetryPolicy policy;
-    policy.baseDelaySec = 0.25;
-    policy.multiplier = 2.0;
-    policy.maxDelaySec = 8.0;
-
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(0), 0.0);
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(1), 0.25);
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(2), 0.5);
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(3), 1.0);
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(4), 2.0);
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(5), 4.0);
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(6), 8.0);
-    // Saturated: no overflow however deep the retry count goes.
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(7), 8.0);
-    EXPECT_DOUBLE_EQ(policy.cappedDelay(1000), 8.0);
-}
-
 TEST(RetryPolicy, NextDelayStaysInsideTheEnvelope)
 {
     RetryPolicy policy;

@@ -39,7 +39,7 @@ sigOf(std::initializer_list<std::uint64_t> words)
 
 TEST(PhaseSignature, QuantiseSnapsToLattice)
 {
-    const double step = 1.0 / 64.0;
+    const double step = kPhaseQuantStep;
     // Values within half a step quantise identically...
     EXPECT_EQ(phaseQuantise(1.0, step), phaseQuantise(1.007, step));
     // ...a full step apart they differ.
@@ -96,18 +96,14 @@ samplerConfig()
     PhaseSamplingConfig c;
     c.enabled = true;
     c.errorBudget = 0.01;
-    c.hysteresisTicks = 5;
-    c.samplePeriodEpochs = 4;
-    c.maxSamplePeriodEpochs = 64;
     return c;
 }
 
 /** Drive a constant signature until the sampler goes steady. */
 void
-driveSteady(PhaseSampler &sampler,
-            const std::vector<std::uint64_t> &sig, int hysteresis)
+driveSteady(PhaseSampler &sampler, const std::vector<std::uint64_t> &sig)
 {
-    for (int t = 0; t <= hysteresis; ++t) {
+    for (int t = 0; t <= kPhaseHysteresisTicks; ++t) {
         EXPECT_FALSE(sampler.observeTick(sig));
         EXPECT_TRUE(sampler.beginEpochEvaluate()); // not steady yet
         sampler.freezeBasis(sig);
@@ -138,11 +134,13 @@ TEST(PhaseSampler, SteadyPhaseSamplesAtThePeriod)
     PhaseSamplingConfig cfg = samplerConfig();
     PhaseSampler sampler(cfg, 4);
     const auto sig = sigOf({1, 2, 3, 4});
-    driveSteady(sampler, sig, cfg.hysteresisTicks);
+    driveSteady(sampler, sig);
 
-    // Once steady, only every 4th epoch is evaluated.
+    // Once steady, only every kPhaseSamplePeriodEpochs-th epoch is
+    // evaluated.
+    const int epochs = 4 * kPhaseSamplePeriodEpochs;
     int evaluated = 0, extrapolated = 0;
-    for (int e = 0; e < 16; ++e) {
+    for (int e = 0; e < epochs; ++e) {
         sampler.observeTick(sig);
         if (sampler.beginEpochEvaluate()) {
             ++evaluated;
@@ -153,25 +151,25 @@ TEST(PhaseSampler, SteadyPhaseSamplesAtThePeriod)
         }
     }
     EXPECT_EQ(evaluated, 4);
-    EXPECT_EQ(extrapolated, 12);
+    EXPECT_EQ(extrapolated, epochs - 4);
 }
 
 TEST(PhaseSampler, WarmupEpochsGateExtrapolation)
 {
-    PhaseSamplingConfig cfg = samplerConfig(); // warmupEpochs = 2
+    PhaseSamplingConfig cfg = samplerConfig();
     PhaseSampler sampler(cfg, 4);
     const auto sig = sigOf({1, 2, 3, 4});
 
     // Hysteresis completes mid-epoch: the workload looked steady
     // before a single epoch decision ran. Extrapolation must still
-    // wait out warmupEpochs evaluated decisions — the tick-level
+    // wait out kPhaseWarmupEpochs evaluated decisions — the tick-level
     // signature cannot see a control loop that is still converging.
-    for (int t = 0; t <= cfg.hysteresisTicks; ++t) {
+    for (int t = 0; t <= kPhaseHysteresisTicks; ++t) {
         EXPECT_FALSE(sampler.observeTick(sig));
         sampler.freezeBasis(sig);
     }
     EXPECT_TRUE(sampler.steady());
-    for (int e = 0; e < cfg.warmupEpochs; ++e) {
+    for (int e = 0; e < kPhaseWarmupEpochs; ++e) {
         EXPECT_TRUE(sampler.beginEpochEvaluate()) << "epoch " << e;
         sampler.freezeBasis(sig);
     }
@@ -179,7 +177,7 @@ TEST(PhaseSampler, WarmupEpochsGateExtrapolation)
 
     // Invalidation restarts the warmup along with the hysteresis.
     sampler.invalidate(PhaseInvalidation::Fault);
-    for (int t = 0; t <= cfg.hysteresisTicks; ++t) {
+    for (int t = 0; t <= kPhaseHysteresisTicks; ++t) {
         sampler.observeTick(sig);
         sampler.freezeBasis(sig);
     }
@@ -194,7 +192,7 @@ TEST(PhaseSampler, ChurnAtTheHysteresisBoundary)
     std::vector<std::uint64_t> sig(10);
     for (std::size_t i = 0; i < sig.size(); ++i)
         sig[i] = 100 + i;
-    driveSteady(sampler, sig, cfg.hysteresisTicks);
+    driveSteady(sampler, sig);
 
     // 1 of 10 slots changed: 0.10 <= 0.15 — rides on the basis.
     auto drift = sig;
@@ -222,17 +220,17 @@ TEST(PhaseSampler, InvalidationDropsBasisAndResetsPeriod)
     PhaseSamplingConfig cfg = samplerConfig();
     PhaseSampler sampler(cfg, 4);
     const auto sig = sigOf({1, 2, 3, 4});
-    driveSteady(sampler, sig, cfg.hysteresisTicks);
+    driveSteady(sampler, sig);
 
     // Deepen the period first (tiny checkpoint drift)...
     sampler.checkpoint(0.0, 0.0, true);
-    EXPECT_EQ(sampler.currentPeriod(), 16);
+    EXPECT_EQ(sampler.currentPeriod(), 4 * kPhaseSamplePeriodEpochs);
 
     // ...then a DVFS swing drops everything back to square one.
     sampler.invalidate(PhaseInvalidation::DvfsChange);
     EXPECT_FALSE(sampler.steady());
     EXPECT_FALSE(sampler.extrapolating());
-    EXPECT_EQ(sampler.currentPeriod(), cfg.samplePeriodEpochs);
+    EXPECT_EQ(sampler.currentPeriod(), kPhaseSamplePeriodEpochs);
     EXPECT_EQ(sampler.stats().invalidations[static_cast<std::size_t>(
                   PhaseInvalidation::DvfsChange)],
               1u);
@@ -246,7 +244,7 @@ TEST(PhaseSampler, CheckpointAdaptsOnlyAtBoundaries)
     PhaseSamplingConfig cfg = samplerConfig();
     PhaseSampler sampler(cfg, 4);
     const auto sig = sigOf({1, 2, 3, 4});
-    driveSteady(sampler, sig, cfg.hysteresisTicks);
+    driveSteady(sampler, sig);
     const int p0 = sampler.currentPeriod();
 
     // Mid-epoch (forced-resample) checkpoints never adapt the period.
@@ -287,14 +285,14 @@ TEST(PhaseSampler, CheckpointAdaptsOnlyAtBoundaries)
 
     // The point error alone never adapts: est_err accounting and
     // period control are separate signals.
-    driveSteady(sampler, sig, cfg.hysteresisTicks);
+    driveSteady(sampler, sig);
     sampler.checkpoint(10.0 * cfg.errorBudget, 0.0, true);
     EXPECT_TRUE(sampler.steady());
 
     // Deepening saturates at the cap once steady again.
     for (int i = 0; i < 12; ++i)
         sampler.checkpoint(0.0, 0.0, true);
-    EXPECT_EQ(sampler.currentPeriod(), cfg.maxSamplePeriodEpochs);
+    EXPECT_EQ(sampler.currentPeriod(), kPhaseMaxSamplePeriodEpochs);
 }
 
 TEST(PhaseSampler, ResampleKeepsSteadinessAndSchedulesAnEval)
@@ -302,11 +300,11 @@ TEST(PhaseSampler, ResampleKeepsSteadinessAndSchedulesAnEval)
     PhaseSamplingConfig cfg = samplerConfig();
     PhaseSampler sampler(cfg, 4);
     const auto sig = sigOf({1, 2, 3, 4});
-    driveSteady(sampler, sig, cfg.hysteresisTicks);
+    driveSteady(sampler, sig);
 
     // Deepen well past the initial period...
     sampler.checkpoint(0.0, 0.0, true);
-    EXPECT_EQ(sampler.currentPeriod(), 4 * cfg.samplePeriodEpochs);
+    EXPECT_EQ(sampler.currentPeriod(), 4 * kPhaseSamplePeriodEpochs);
 
     // ...then a regime jump: the caller reseeds its basis and calls
     // resample(). Steadiness is kept — no hysteresis, no warmup — but
@@ -314,7 +312,7 @@ TEST(PhaseSampler, ResampleKeepsSteadinessAndSchedulesAnEval)
     // converging controller gets checked decision by decision.
     sampler.resample(PhaseInvalidation::DvfsChange);
     EXPECT_TRUE(sampler.steady());
-    EXPECT_EQ(sampler.currentPeriod(), cfg.samplePeriodEpochs);
+    EXPECT_EQ(sampler.currentPeriod(), kPhaseSamplePeriodEpochs);
     EXPECT_EQ(sampler.stats().invalidations[static_cast<std::size_t>(
                   PhaseInvalidation::DvfsChange)],
               1u);
@@ -324,7 +322,7 @@ TEST(PhaseSampler, ResampleKeepsSteadinessAndSchedulesAnEval)
 
     // One quiet boundary later extrapolation resumes at the initial
     // period.
-    for (int e = 1; e < cfg.samplePeriodEpochs; ++e) {
+    for (int e = 1; e < kPhaseSamplePeriodEpochs; ++e) {
         sampler.observeTick(sig);
         EXPECT_FALSE(sampler.beginEpochEvaluate()) << "epoch " << e;
         sampler.noteExtrapolatedTick();
@@ -337,7 +335,7 @@ TEST(PhaseSampler, EstErrAccountsTicksSinceCheckpoint)
 {
     PhaseSampler sampler(samplerConfig(), 2);
     const auto sig = sigOf({7, 8});
-    driveSteady(sampler, sig, samplerConfig().hysteresisTicks);
+    driveSteady(sampler, sig);
     for (int t = 0; t < 9; ++t)
         sampler.noteExtrapolatedTick();
     sampler.checkpoint(0.004, 0.0, true);
@@ -411,17 +409,18 @@ TEST_F(PhaseSystemFixture, ValidationRejectsIncompatibleConfigs)
     c.guardedPm = true;
     EXPECT_THROW(validateSystemConfig(c, 20), std::invalid_argument);
 
+    // The basis blend is an EWMA weight in (0, 1].
     c = baseConfig();
-    c.phaseSampling.hysteresisTicks = 0;
+    c.phaseSampling.basisBlend = 0.0;
     EXPECT_THROW(validateSystemConfig(c, 20), std::invalid_argument);
 
     c = baseConfig();
-    c.phaseSampling.maxSamplePeriodEpochs = 1;
+    c.phaseSampling.basisBlend = 1.5;
     EXPECT_THROW(validateSystemConfig(c, 20), std::invalid_argument);
 
     c = baseConfig();
-    c.phaseSampling.quantStep = 0.0;
-    EXPECT_THROW(validateSystemConfig(c, 20), std::invalid_argument);
+    c.phaseSampling.basisBlend = 1.0;
+    EXPECT_NO_THROW(validateSystemConfig(c, 20));
 
     EXPECT_NO_THROW(validateSystemConfig(baseConfig(), 20));
 }

@@ -100,7 +100,6 @@ TEST_F(SystemDeepFixture, ExplicitPerCoreCapIsHonoured)
     c.ptargetW = 100.0;  // loose chip budget
     c.pcoreMaxW = 4.0;   // tight per-core cap dominates
     c.durationMs = 60.0;
-    c.sensorNoise = false;
     SystemSimulator sim(die_, apps, c);
     const auto r = sim.run();
     // With 8 active cores at <= 4 W plus uncore, chip power must sit

@@ -3,8 +3,10 @@
 # separate tree, run the fast test tiers (unit tests + bench smokes,
 # including the simd_forced_scalar fallback rerun, the sampling_guard
 # sampled-vs-exact tier and the physics_contract tier), the pool's
-# tests under ThreadSanitizer in a second tree (<build-dir>-tsan), then
-# the correctness checks of every benchmark/ workload at smoke scale. Given
+# tests under ThreadSanitizer in a second tree (<build-dir>-tsan), the
+# fault, guard, phase-sampling and orchestrator tests under
+# ASan+UBSan in a third (<build-dir>-asan), then the correctness
+# checks of every benchmark/ workload at smoke scale. Given
 # a base tree (a checkout of the parent commit), it also compares the
 # benchmark's end-to-end metrics in paired runs against that tree
 # (tools/bench_pairs.py), failing when a median is worse than its
@@ -38,6 +40,18 @@ cmake -B "$tsan" -S "$repo" -DVARSCHED_TSAN=ON
 cmake --build "$tsan" -j --target varsched_tests
 ctest --test-dir "$tsan" --output-on-failure \
     -R "ParallelFor|ThreadPool|BatchDeterminism|FieldFactorCache"
+
+# AddressSanitizer + UndefinedBehaviorSanitizer pass over the fault
+# injector, sensor validator, guard, phase sampler, config validation
+# and sweep orchestrator: the test binary alone, in its own tree.
+# halt_on_error makes a UBSan report fail its test instead of only
+# printing.
+asan="$build-asan"
+cmake -B "$asan" -S "$repo" -DVARSCHED_SANITIZE=ON
+cmake --build "$asan" -j --target varsched_tests
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir "$asan" --output-on-failure -R \
+    "GuardedPm|SensorValidator|FaultInjector|Phase|SystemConfigValidation|RetryPolicy|Orchestrator"
 
 # The benchmark's correctness checks on all four workloads, shrunk to
 # seconds (run.sh exits nonzero when any check fails).
