@@ -25,7 +25,7 @@
 #include "core/linopt.hh"
 #include "core/sann.hh"
 #include "core/sched.hh"
-#include "solver/simplex.hh"
+#include "tests/simplex.hh"
 #include "tests/lp_oracle.hh"
 
 using namespace varsched;

@@ -2,177 +2,57 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace varsched
 {
 
-CmpModel::CmpModel(const CoreConfig &config,
-                   const std::vector<const AppProfile *> &apps, Rng rng,
-                   std::uint64_t quantum)
-    : config_(config), l2_(l2Config()), quantum_(quantum)
+namespace
+{
+
+/** Instructions each core runs per round-robin turn. */
+constexpr std::uint64_t kQuantum = 256;
+
+} // namespace
+
+CmpModel::CmpModel(const std::vector<const AppProfile *> &apps, Rng rng)
+    : l2_(l2Config())
 {
     assert(!apps.empty());
-    cores_.resize(apps.size());
-    for (std::size_t c = 0; c < apps.size(); ++c) {
-        cores_[c].trace = std::make_unique<TraceGenerator>(
-            *apps[c], rng.fork(1000 + c));
-        // Prefill: every core's resident set lands in the shared L2;
-        // capacity pressure between sets is then visible immediately.
-        cores_[c].trace->prefill(cores_[c].l1d, l2_);
-    }
+    // Each core prefills its resident set into the shared L2 as it is
+    // built; capacity pressure between sets is then visible at once.
+    cores_.reserve(apps.size());
+    for (std::size_t c = 0; c < apps.size(); ++c)
+        cores_.emplace_back(*apps[c], l2_, rng.fork(1 + c));
 }
 
-void
-CmpModel::step(std::size_t c, bool record)
-{
-    CoreState &core = cores_[c];
-    SimStats &stats = core.stats;
-    const SynthInstr instr = core.trace->next();
-    const std::uint64_t i = core.index++;
-
-    double fetch = std::max(core.fetchClock, core.redirectUntil);
-    if (i >= config_.robSize) {
-        fetch = std::max(
-            fetch, core.commit[(i - config_.robSize) %
-                               CoreState::kWindow]);
-    }
-    core.fetchClock =
-        fetch + 1.0 / static_cast<double>(config_.fetchWidth);
-
-    double ready = fetch + 1.0;
-    if (instr.depDistance != 0 &&
-        instr.depDistance < CoreState::kWindow &&
-        instr.depDistance <= i) {
-        ready = std::max(ready,
-                         core.completion[(i - instr.depDistance) %
-                                         CoreState::kWindow]);
-    }
-
-    double issue = std::max(ready, core.issueClock);
-    core.issueClock = std::max(core.issueClock, issue - 8.0) +
-        1.0 / static_cast<double>(config_.issueWidth);
-
-    const double memCycles =
-        config_.memLatencyNs * 1e-9 * config_.freqHz;
-
-    double latency = config_.intLatency;
-    switch (instr.type) {
-      case InstrType::IntAlu:
-        if (record)
-            ++stats.intOps;
-        break;
-      case InstrType::FpAlu:
-        latency = config_.fpLatency;
-        if (record)
-            ++stats.fpOps;
-        break;
-      case InstrType::Store:
-        if (record)
-            ++stats.stores;
-        if (!core.l1d.access(instr.addr)) {
-            if (record)
-                ++stats.l1dMisses;
-            if (!l2_.access(instr.addr)) {
-                if (record)
-                    ++stats.l2Misses;
-                core.memPortFree = std::max(core.memPortFree, issue) +
-                    memCycles * 0.85;
-            }
-        }
-        latency = 1.0;
-        break;
-      case InstrType::Load:
-        if (record)
-            ++stats.loads;
-        if (core.l1d.access(instr.addr)) {
-            latency = config_.l1HitCycles;
-        } else if (l2_.access(instr.addr)) {
-            if (record)
-                ++stats.l1dMisses;
-            latency = config_.l2HitCycles;
-        } else {
-            if (record) {
-                ++stats.l1dMisses;
-                ++stats.l2Misses;
-            }
-            const double start = std::max(issue, core.memPortFree);
-            core.memPortFree = start + memCycles * 0.85;
-            latency = (start - issue) + memCycles;
-        }
-        break;
-      case InstrType::Branch:
-        if (record)
-            ++stats.branches;
-        if (!core.predictor.resolve(instr.addr, instr.taken)) {
-            if (record)
-                ++stats.branchMispredicts;
-            core.redirectUntil = std::max(
-                core.redirectUntil,
-                issue + latency +
-                    static_cast<double>(config_.mispredictPenalty));
-        }
-        break;
-    }
-
-    const double complete = issue + latency;
-    core.completion[i % CoreState::kWindow] = complete;
-    const double commit = std::max(complete, core.lastCommit) + 0.5;
-    core.commit[i % CoreState::kWindow] = commit;
-    core.lastCommit = commit;
-    if (record)
-        ++core.retired;
-}
-
-std::vector<CmpCoreStats>
+std::vector<SimStats>
 CmpModel::run(std::uint64_t instrsPerCore)
 {
-    const std::size_t n = cores_.size();
-
     // Shared warmup: interleave a slice of every core so the shared
     // L2 reaches a contended steady state before measuring.
-    const std::uint64_t warmup =
-        std::min<std::uint64_t>(20000, instrsPerCore / 4);
-    for (std::uint64_t done = 0; done < warmup; done += quantum_) {
-        for (std::size_t c = 0; c < n; ++c) {
-            for (std::uint64_t k = 0;
-                 k < std::min(quantum_, warmup - done); ++k)
-                step(c, false);
-        }
+    const std::uint64_t warmup = CoreModel::warmupLength(instrsPerCore);
+    for (std::uint64_t done = 0; done < warmup; done += kQuantum) {
+        for (auto &core : cores_)
+            core.advance(std::min(kQuantum, warmup - done));
     }
     for (auto &core : cores_)
-        core.measureStart = core.lastCommit;
+        core.openWindow(instrsPerCore);
 
-    // Measured region: round-robin quanta until every core retires
-    // its share (cores that finish early keep running unrecorded so
-    // they continue to exert L2 pressure on the stragglers).
-    for (;;) {
-        bool allDone = true;
-        for (const auto &core : cores_)
-            allDone = allDone && core.retired >= instrsPerCore;
-        if (allDone)
-            break;
-        for (std::size_t c = 0; c < n; ++c) {
-            for (std::uint64_t k = 0; k < quantum_; ++k)
-                step(c, cores_[c].retired < instrsPerCore);
-            if (cores_[c].retired >= instrsPerCore &&
-                cores_[c].measureEnd == 0.0) {
-                cores_[c].measureEnd = cores_[c].lastCommit;
-            }
-        }
+    // Measured region: round-robin quanta until every core's window
+    // has committed (cores that finish early keep running uncounted
+    // so they continue to exert L2 pressure on the stragglers).
+    const auto done = [](const CoreModel &core) {
+        return core.windowDone();
+    };
+    while (!std::all_of(cores_.begin(), cores_.end(), done)) {
+        for (auto &core : cores_)
+            core.advance(kQuantum);
     }
 
-    std::vector<CmpCoreStats> out(n);
-    for (std::size_t c = 0; c < n; ++c) {
-        CoreState &core = cores_[c];
-        core.stats.instructions = core.retired;
-        const double end =
-            core.measureEnd > 0.0 ? core.measureEnd : core.lastCommit;
-        core.stats.cycles = static_cast<std::uint64_t>(
-            std::max(1.0, end - core.measureStart));
-        out[c].stats = core.stats;
-        out[c].ipc = core.stats.ipc();
-    }
+    std::vector<SimStats> out;
+    out.reserve(cores_.size());
+    for (const auto &core : cores_)
+        out.push_back(core.windowStats());
     return out;
 }
 

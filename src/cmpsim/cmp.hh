@@ -3,44 +3,34 @@
  * Multi-core trace-driven CMP model with a *shared* L2 (Table 4's
  * actual memory system: private L1s, one 8 MB L2 for all 20 cores).
  *
- * The per-core CoreModel used for profiling gives each application a
- * private view of the L2; this model interleaves several cores'
- * synthetic traces over one shared L2 so that capacity and conflict
- * interference between co-scheduled applications is captured. It is
- * the substrate for validating (and bounding) the analytic profiles'
- * no-contention assumption: for the paper's workload mix, L2
- * interference is a second-order effect because the hot working sets
- * are L1-resident and the cold streams miss the L2 regardless — the
- * CmpInterference test suite and the contention ablation quantify
- * exactly that.
+ * The profiles come from measureApplication, which gives each
+ * application an L2 of its own. This model runs several CoreModels
+ * over one shared L2, so that capacity and conflict interference
+ * between co-scheduled applications is captured. It checks the
+ * analytic profiles' no-contention assumption: for the paper's
+ * workload mix, L2 interference is a second-order effect because the
+ * hot working sets are L1-resident and the cold streams miss the L2
+ * regardless. tests/test_cmp.cc asserts that bound against each
+ * core's own stream run solo.
  *
- * Timing: each core keeps the same O(1)-per-instruction pipeline
- * state as CoreModel; cores advance in round-robin instruction quanta
- * (a few hundred instructions), which approximates concurrent
- * execution well at L2-reuse granularity while staying fast.
+ * Timing: cores advance in round-robin quanta of a few hundred
+ * instructions, which approximates concurrent execution well at
+ * L2-reuse granularity while staying fast. Core c's trace draws
+ * rng.fork(1 + c), so a one-core CMP seeded like measureApplication
+ * is that solo run, bit for bit.
  */
 
 #ifndef VARSCHED_CMPSIM_CMP_HH
 #define VARSCHED_CMPSIM_CMP_HH
 
-#include <memory>
 #include <vector>
 
-#include "cmpsim/branch.hh"
 #include "cmpsim/cache.hh"
 #include "cmpsim/core.hh"
-#include "cmpsim/tracegen.hh"
 #include "cmpsim/workload.hh"
 
 namespace varsched
 {
-
-/** Per-core result of a shared-L2 CMP simulation. */
-struct CmpCoreStats
-{
-    SimStats stats;    ///< Same counters as the solo model.
-    double ipc = 0.0;  ///< Measured IPC under sharing.
-};
 
 /**
  * N cores with private L1s over one shared L2.
@@ -49,55 +39,27 @@ class CmpModel
 {
   public:
     /**
-     * @param config Core microarchitecture (shared by all cores).
      * @param apps One profile per core.
      * @param rng Seed stream; each core's trace forks from it.
-     * @param quantum Instructions each core runs per turn.
      */
-    CmpModel(const CoreConfig &config,
-             const std::vector<const AppProfile *> &apps, Rng rng,
-             std::uint64_t quantum = 256);
+    CmpModel(const std::vector<const AppProfile *> &apps, Rng rng);
+
+    // The cores point at l2_.
+    CmpModel(const CmpModel &) = delete;
+    CmpModel &operator=(const CmpModel &) = delete;
 
     /**
      * Run @p instrsPerCore instructions on every core (after a
      * shared warmup) and return per-core statistics.
      */
-    std::vector<CmpCoreStats> run(std::uint64_t instrsPerCore);
+    std::vector<SimStats> run(std::uint64_t instrsPerCore);
 
     /** Shared L2 miss ratio observed so far. */
     double sharedL2MissRatio() const { return l2_.missRatio(); }
 
   private:
-    /** Per-core pipeline state (mirrors CoreModel's rolling state). */
-    struct CoreState
-    {
-        std::unique_ptr<TraceGenerator> trace;
-        BranchPredictor predictor;
-        Cache l1d{l1Config()};
-
-        static constexpr std::size_t kWindow = 128;
-        double completion[kWindow] = {};
-        double commit[kWindow] = {};
-        std::uint64_t index = 0;
-        double fetchClock = 0.0;
-        double issueClock = 0.0;
-        double redirectUntil = 0.0;
-        double lastCommit = 0.0;
-        double memPortFree = 0.0;
-
-        SimStats stats;
-        std::uint64_t retired = 0;
-        double measureStart = 0.0;
-        double measureEnd = 0.0; ///< Commit clock at retirement quota.
-    };
-
-    /** Execute one instruction on core @p c (counts when recording). */
-    void step(std::size_t c, bool record);
-
-    CoreConfig config_;
-    std::vector<CoreState> cores_;
     Cache l2_;
-    std::uint64_t quantum_;
+    std::vector<CoreModel> cores_;
 };
 
 } // namespace varsched

@@ -22,6 +22,7 @@
 #ifndef VARSCHED_CMPSIM_CORE_HH
 #define VARSCHED_CMPSIM_CORE_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "cmpsim/branch.hh"
@@ -33,24 +34,6 @@
 
 namespace varsched
 {
-
-/** Microarchitecture configuration (defaults = Table 4). */
-struct CoreConfig
-{
-    unsigned fetchWidth = 4;
-    unsigned issueWidth = 2;
-    unsigned robSize = 80;
-    /** Frontend refill penalty after a mispredict, cycles. */
-    unsigned mispredictPenalty = 7;
-    unsigned intLatency = 1;
-    unsigned fpLatency = 4;
-    unsigned l1HitCycles = 2;
-    unsigned l2HitCycles = 10;
-    /** Main memory latency, nanoseconds (400 cycles at 4 GHz). */
-    double memLatencyNs = 100.0;
-    /** Core clock, Hz. */
-    double freqHz = 4.0e9;
-};
 
 /** Aggregate statistics of one simulation run. */
 struct SimStats
@@ -92,32 +75,65 @@ struct SimStats
     }
 };
 
-/** One core executing one application's synthetic trace. */
+/**
+ * One core executing one application's synthetic trace, with a
+ * private L1D and an L2 owned by the caller: its own (the solo
+ * profile, measureApplication) or one shared by every core of a
+ * CmpModel.
+ *
+ * Instructions before openWindow() are warmup; the window counts the
+ * next N and spans from the commit clock at its opening to the commit
+ * of its N-th instruction. Instructions past the window run
+ * uncounted, so a core that finishes early keeps loading a shared L2.
+ */
 class CoreModel
 {
   public:
     /**
-     * @param config Microarchitecture.
+     * Install the application's resident set in the L1D and @p l2.
+     *
      * @param app Application profile feeding the trace generator.
-     * @param rng Private stream for the trace.
+     * @param l2 L2 the core misses into; must outlive the core.
+     * @param trace Private stream of the trace generator.
+     * @param freqHz Core clock, Hz (memory stays 100 ns).
      */
-    CoreModel(const CoreConfig &config, const AppProfile &app, Rng rng);
+    CoreModel(const AppProfile &app, Cache &l2, Rng trace,
+              double freqHz = 4.0e9);
+
+    /** Warmup instructions run ahead of an N-instruction window. */
+    static std::uint64_t warmupLength(std::uint64_t numInstrs)
+    {
+        return std::min<std::uint64_t>(20000, numInstrs / 4);
+    }
 
     /**
-     * Run @p numInstrs instructions and return the statistics
-     * (includes a warmup that is excluded from the counts).
+     * Run warmupLength(@p numInstrs) uncounted instructions, then a
+     * window of @p numInstrs, and return its statistics.
      */
     SimStats run(std::uint64_t numInstrs);
 
-  private:
-    /** Execute one instruction; returns its commit time. */
-    double step(SimStats &stats, bool record);
+    /** Execute the next @p count instructions. */
+    void advance(std::uint64_t count);
 
-    CoreConfig config_;
+    /** Count the next @p numInstrs instructions from here on. */
+    void openWindow(std::uint64_t numInstrs);
+
+    /** True once every instruction of the window has committed. */
+    bool windowDone() const { return retired_ >= quota_; }
+
+    /** Statistics of the window, with measured activity factors. */
+    SimStats windowStats() const;
+
+  private:
+    /** Execute one instruction, counting it while the window is open. */
+    void step();
+
     TraceGenerator trace_;
     BranchPredictor predictor_;
     Cache l1d_;
-    Cache l2_;
+    Cache *l2_;
+    /** Main-memory latency in cycles at this core's clock. */
+    double memCycles_;
 
     // Rolling timing state (all in cycles, as doubles).
     static constexpr std::size_t kWindow = 128;
@@ -129,6 +145,13 @@ class CoreModel
     double redirectUntil_ = 0.0;
     double lastCommit_ = 0.0;
     double memPortFree_ = 0.0;
+
+    // Measured window.
+    SimStats stats_;
+    std::uint64_t quota_ = 0;
+    std::uint64_t retired_ = 0;
+    double windowStart_ = 0.0;
+    double windowEnd_ = 0.0; ///< Commit of the last counted instruction.
 };
 
 } // namespace varsched

@@ -7,10 +7,8 @@ MeasuredApp
 measureApplication(const AppProfile &app, std::uint64_t numInstrs,
                    double freqHz, std::uint64_t seed)
 {
-    CoreConfig config;
-    config.freqHz = freqHz;
-
-    CoreModel core(config, app, Rng(seed));
+    Cache l2(l2Config());
+    CoreModel core(app, l2, Rng(seed).fork(1), freqHz);
     MeasuredApp out;
     out.stats = core.run(numInstrs);
     out.ipc = out.stats.ipc();

@@ -20,7 +20,10 @@ TraceGenerator::TraceGenerator(const AppProfile &app, Rng rng)
     addrBase_ = (1 + (rng_.next() & 0xFFFF)) * 0x4000000ull;
 
     // Per-access escape probabilities from per-instruction targets.
-    retargetMissRates(1.0);
+    const double memFrac = std::max(1e-6, app_->memFraction);
+    pCold_ = std::clamp(app_->memMpi / memFrac, 0.0, 1.0);
+    pWarm_ = std::clamp((app_->l2Mpi - app_->memMpi) / memFrac, 0.0,
+                        1.0 - pCold_);
 
     // Branch sites: a hardBranchFraction subset is data-dependent
     // (50/50), the rest strongly biased and thus predictable.
@@ -32,23 +35,6 @@ TraceGenerator::TraceGenerator(const AppProfile &app, Rng rng)
         else
             branchBias_[i] = rng_.uniform() < 0.5 ? 0.05 : 0.95;
     }
-}
-
-void
-TraceGenerator::retargetMissRates(double missScale)
-{
-    const double memFrac = std::max(1e-6, app_->memFraction);
-    const double memMpi = app_->memMpi * missScale;
-    const double l2Mpi = app_->l2Mpi * missScale;
-    pCold_ = std::clamp(memMpi / memFrac, 0.0, 1.0);
-    pWarm_ = std::clamp((l2Mpi - memMpi) / memFrac, 0.0,
-                        1.0 - pCold_);
-}
-
-void
-TraceGenerator::setPhase(const Phase &phase)
-{
-    retargetMissRates(std::max(0.0, phase.missScale));
 }
 
 void

@@ -62,16 +62,6 @@ class TraceGenerator
     SynthInstr next();
 
     /**
-     * Retarget the memory-locality mix to a behavioural phase: the
-     * phase's missScale multiplies the profile's per-instruction miss
-     * targets, so a "lull" phase streams more warm/cold traffic and a
-     * "burst" phase stays L1-resident. Instruction mix and branch
-     * structure are phase-invariant, matching the workload model
-     * (Phase scales CPI/miss/activity, not the static code).
-     */
-    void setPhase(const Phase &phase);
-
-    /**
      * Install this application's resident working set: the hot pool
      * into L1 (and L2), the warm pool into L2. Equivalent to a long
      * cache warmup, so measurement can start in steady state.
@@ -80,8 +70,6 @@ class TraceGenerator
 
   private:
     std::uint64_t pickAddress();
-    /** Derive pWarm_/pCold_ from the profile at @p missScale. */
-    void retargetMissRates(double missScale);
 
     const AppProfile *app_;
     Rng rng_;

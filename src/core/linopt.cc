@@ -137,7 +137,7 @@ roundDownLevel(const std::vector<double> &voltage, double v)
 std::vector<int>
 LinOptManager::selectLevels(const ChipSnapshot &snap)
 {
-    diag_.status = LpResult::Status::Optimal;
+    diag_.feasible = true;
     diag_.pivots = 0;
     diag_.continuousV.clear();
     const std::size_t n = snap.cores.size();
@@ -152,7 +152,7 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
     if (!solveRatioRule(fit_, x_, order_)) {
         // Budget unreachable even at Vlow: pin everything to the
         // bottom level — the closest the controller can get.
-        diag_.status = LpResult::Status::Infeasible;
+        diag_.feasible = false;
         diag_.continuousV.assign(n, vLow);
         return levels;
     }

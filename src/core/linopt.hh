@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/pmalgo.hh"
-#include "solver/simplex.hh"
 
 namespace varsched
 {
@@ -98,7 +97,8 @@ int roundDownLevel(const std::vector<double> &voltage, double v);
 /** Diagnostics of the last LinOpt invocation (for benchmarks / tests). */
 struct LinOptDiag
 {
-    LpResult::Status status = LpResult::Status::Optimal;
+    /** False when the budget is unreachable even at Vlow. */
+    bool feasible = true;
     /** Cores the ratio rule raised above Vlow. */
     std::size_t pivots = 0;
     /** Continuous LP voltages before discretisation. */

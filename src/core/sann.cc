@@ -14,8 +14,6 @@ namespace
 
 /** Initial annealing temperature per thread (kMIPS units). */
 constexpr double kTempPerThread = 0.4;
-/** Penalty weight for power violations, kMIPS per watt. */
-constexpr double kPenaltyPerWatt = 50.0;
 
 } // namespace
 
@@ -24,9 +22,8 @@ SAnnManager::SAnnManager(const SAnnConfig &config) : config_(config)
 }
 
 SnapshotAnnealEnergy::SnapshotAnnealEnergy(const ChipSnapshot &snap,
-                                           double penaltyPerWatt,
                                            bool weighted)
-    : snap_(&snap), penalty_(penaltyPerWatt), weighted_(weighted)
+    : snap_(&snap), weighted_(weighted)
 {
 }
 
@@ -36,8 +33,8 @@ SnapshotAnnealEnergy::energyOfSums() const
     const double obj = weighted_ ? objSum_ * 2000.0 : objSum_;
     double e = -obj / 1000.0;
     if (power_ > snap_->ptargetW)
-        e += (power_ - snap_->ptargetW) * penalty_;
-    e += capEx_ * penalty_;
+        e += (power_ - snap_->ptargetW) * kPenaltyPerWatt;
+    e += capEx_ * kPenaltyPerWatt;
     return e;
 }
 
@@ -183,8 +180,7 @@ SAnnManager::selectLevels(const ChipSnapshot &snap)
     // numeric range as kMIPS so the annealing temperature and penalty
     // weights keep their meaning.
     SnapshotAnnealEnergy energy(
-        snap, kPenaltyPerWatt,
-        config_.objective == PmObjective::Weighted);
+        snap, config_.objective == PmObjective::Weighted);
 
     AnnealOptions opts;
     opts.maxEvals = config_.maxEvals;

@@ -25,6 +25,9 @@
 namespace varsched
 {
 
+/** Penalty weight for power violations, kMIPS per watt. */
+inline constexpr double kPenaltyPerWatt = 50.0;
+
 /**
  * Incremental annealing-energy oracle over a ChipSnapshot: the SAnn
  * energy (-objective in kMIPS plus steep per-watt penalties for chip-
@@ -43,12 +46,10 @@ class SnapshotAnnealEnergy : public AnnealEnergy
   public:
     /**
      * @param snap Snapshot to score against.
-     * @param penaltyPerWatt Violation penalty (kMIPS per watt).
      * @param weighted Score weighted throughput (x2000, Fig 13)
      *        instead of plain MIPS.
      */
-    SnapshotAnnealEnergy(const ChipSnapshot &snap, double penaltyPerWatt,
-                         bool weighted);
+    SnapshotAnnealEnergy(const ChipSnapshot &snap, bool weighted);
 
     double fullEnergy(const std::vector<int> &state) override;
     double moveDelta(std::size_t coord, int oldLevel,
@@ -67,7 +68,6 @@ class SnapshotAnnealEnergy : public AnnealEnergy
     void noteVisited();
 
     const ChipSnapshot *snap_;
-    double penalty_;
     bool weighted_;
 
     std::vector<int> state_; ///< Committed + pending levels.

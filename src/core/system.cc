@@ -671,9 +671,9 @@ TickRun::buildSignature()
         std::uint64_t h = phaseMix(
             0xC0DE, static_cast<std::uint64_t>(
                         reinterpret_cast<std::uintptr_t>(w.app)));
-        h = phaseMix(h, phaseQuantise(w.cpiScale, kPhaseQuantStep));
-        h = phaseMix(h, phaseQuantise(w.missScale, kPhaseQuantStep));
-        h = phaseMix(h, phaseQuantise(w.activityScale, kPhaseQuantStep));
+        h = phaseMix(h, phaseQuantise(w.cpiScale));
+        h = phaseMix(h, phaseQuantise(w.missScale));
+        h = phaseMix(h, phaseQuantise(w.activityScale));
         h = phaseMix(h, static_cast<std::uint64_t>(coreLevels[c] + 1));
         sig[c] = h != 0 ? h : 1;
     }

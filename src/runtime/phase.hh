@@ -175,10 +175,10 @@ phaseMix(std::uint64_t h, std::uint64_t v)
 
 /** Quantise a scale factor onto the signature lattice. */
 inline std::uint64_t
-phaseQuantise(double value, double step)
+phaseQuantise(double value)
 {
     return static_cast<std::uint64_t>(
-        std::llround(value / (step > 0.0 ? step : kPhaseQuantStep)));
+        std::llround(value / kPhaseQuantStep));
 }
 
 /**

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/linopt.hh"
-#include "solver/simplex.hh"
+#include "tests/simplex.hh"
 
 namespace varsched
 {

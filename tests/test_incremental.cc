@@ -266,10 +266,10 @@ TEST(SAnnDelta, AnnealerMatchesLegacyFullRescore)
         for (const bool weighted : {false, true}) {
             std::vector<int> legacyBest;
             double legacyBestMips = -1.0;
-            const auto legacy = legacyEnergy(snap, 50.0, weighted,
+            const auto legacy = legacyEnergy(snap, kPenaltyPerWatt, weighted,
                                              legacyBest,
                                              legacyBestMips);
-            SnapshotAnnealEnergy delta(snap, 50.0, weighted);
+            SnapshotAnnealEnergy delta(snap, weighted);
 
             AnnealOptions opts;
             opts.maxEvals = 4000;

@@ -70,7 +70,7 @@ TEST_P(LinOptDieSweep, ContinuousSolutionWithinVoltageBounds)
                 diag.continuousV[i],
             0.3 + 1e-9); // refill may raise above the LP point
     }
-    EXPECT_EQ(diag.status, LpResult::Status::Optimal);
+    EXPECT_TRUE(diag.feasible);
 }
 
 TEST_P(LinOptDieSweep, MonitoredBudgetAlwaysRespected)

@@ -21,7 +21,7 @@
 #include "core/pmalgo.hh"
 #include "core/sched.hh"
 #include "solver/fft.hh"
-#include "solver/simplex.hh"
+#include "tests/simplex.hh"
 
 namespace varsched
 {

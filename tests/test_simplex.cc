@@ -11,7 +11,7 @@
 #include <cmath>
 
 #include "solver/rng.hh"
-#include "solver/simplex.hh"
+#include "tests/simplex.hh"
 
 namespace varsched
 {
