@@ -96,7 +96,7 @@ BM_LinOpt(benchmark::State &state)
     const ChipSnapshot &snap = snapshotFor(threads, ptarget20);
     LinOptManager manager;
     for (auto _ : state) {
-        auto levels = manager.selectLevels(snap);
+        const auto &levels = manager.selectLevels(snap);
         benchmark::DoNotOptimize(levels);
     }
 }
@@ -110,7 +110,7 @@ BM_SAnn(benchmark::State &state)
     config.maxEvals = static_cast<std::size_t>(state.range(1));
     SAnnManager manager(config);
     for (auto _ : state) {
-        auto levels = manager.selectLevels(snap);
+        const auto &levels = manager.selectLevels(snap);
         benchmark::DoNotOptimize(levels);
     }
 }
@@ -122,7 +122,7 @@ BM_FoxtonStar(benchmark::State &state)
     const ChipSnapshot &snap = snapshotFor(threads, 75);
     FoxtonStarManager manager;
     for (auto _ : state) {
-        auto levels = manager.selectLevels(snap);
+        const auto &levels = manager.selectLevels(snap);
         benchmark::DoNotOptimize(levels);
     }
 }

@@ -14,7 +14,10 @@ ChipEvaluator::ChipEvaluator(const Die &die)
     : die_(&die), response_(die.thermalModel().blockResponse()),
       t0_(die.thermalModel().zeroPowerTemps()), phi_(t0_.size()),
       step_(response_.cols()),
-      jacobian_(response_.cols(), response_.cols())
+      jacobian_(response_.cols(), response_.cols()),
+      rowWork_(die.numCores()),
+      rowIpc_(die.numCores() * die.numLevels()),
+      rowDynW_(die.numCores() * die.numLevels())
 {
 }
 
@@ -41,6 +44,28 @@ ChipEvaluator::nominalDynamicPower(const AppProfile &app) const
         model.calibrateActivity(app.activityShape, app.dynPowerW),
         model.params().nominalVdd, model.params().nominalFreqHz));
     return actVals_.back();
+}
+
+ChipEvaluator::SensorRows
+ChipEvaluator::sensorRows(std::size_t c, const CoreWork &work) const
+{
+    assert(work.app != nullptr && c < rowWork_.size());
+    const std::size_t numLevels = die_->numLevels();
+    double *ipc = rowIpc_.data() + c * numLevels;
+    double *dynW = rowDynW_.data() + c * numLevels;
+    if (!(rowWork_[c] == work)) {
+        // dynamicPower() with the nominal-power lookup out of the loop.
+        const double nominalDynW = nominalDynamicPower(*work.app);
+        for (std::size_t l = 0; l < numLevels; ++l) {
+            const double f = die_->freqAt(c, l);
+            ipc[l] = ipcOf(*work.app, work, f);
+            dynW[l] = die_->dynamicModel().scaleToPoint(
+                          nominalDynW, die_->voltage(l), f) *
+                work.activityScale;
+        }
+        rowWork_[c] = work;
+    }
+    return {ipc, dynW};
 }
 
 double
@@ -275,7 +300,7 @@ ChipSnapshot::powerAt(const std::vector<int> &levels) const
     assert(levels.size() == cores.size());
     double p = uncorePowerW;
     for (std::size_t i = 0; i < cores.size(); ++i)
-        p += cores[i].powerW[static_cast<std::size_t>(levels[i])];
+        p += powerW[cell(i, levels[i])];
     return p;
 }
 
@@ -285,8 +310,8 @@ ChipSnapshot::mipsAt(const std::vector<int> &levels) const
     assert(levels.size() == cores.size());
     double m = 0.0;
     for (std::size_t i = 0; i < cores.size(); ++i) {
-        const auto l = static_cast<std::size_t>(levels[i]);
-        m += cores[i].ipc[l] * cores[i].freqHz[l] / 1.0e6;
+        const std::size_t k = cell(i, levels[i]);
+        m += ipc[k] * freqHz[k] / 1.0e6;
     }
     return m;
 }
@@ -297,9 +322,8 @@ ChipSnapshot::weightedAt(const std::vector<int> &levels) const
     assert(levels.size() == cores.size());
     double w = 0.0;
     for (std::size_t i = 0; i < cores.size(); ++i) {
-        const auto l = static_cast<std::size_t>(levels[i]);
-        w += cores[i].ipc[l] * cores[i].freqHz[l] / 1.0e6 /
-            cores[i].refMips;
+        const std::size_t k = cell(i, levels[i]);
+        w += ipc[k] * freqHz[k] / 1.0e6 / cores[i].refMips;
     }
     return w;
 }
@@ -307,10 +331,10 @@ ChipSnapshot::weightedAt(const std::vector<int> &levels) const
 bool
 ChipSnapshot::feasible(const std::vector<int> &levels) const
 {
+    assert(levels.size() == cores.size());
     double p = uncorePowerW;
     for (std::size_t i = 0; i < cores.size(); ++i) {
-        const double cp =
-            cores[i].powerW[static_cast<std::size_t>(levels[i])];
+        const double cp = powerW[cell(i, levels[i])];
         if (cp > pcoreMaxW + 1e-9)
             return false;
         p += cp;
@@ -318,77 +342,66 @@ ChipSnapshot::feasible(const std::vector<int> &levels) const
     return p <= ptargetW + 1e-9;
 }
 
-ChipSnapshot
-buildSnapshot(const ChipEvaluator &evaluator,
-              const std::vector<CoreWork> &work,
-              const ChipCondition &current, double ptargetW,
-              double pcoreMaxW, Rng *noise, SensorTamper *tamper)
+void
+buildSnapshotInto(ChipSnapshot &snap, const ChipEvaluator &evaluator,
+                  const std::vector<CoreWork> &work,
+                  const ChipCondition &current, double ptargetW,
+                  double pcoreMaxW, Rng *noise, SensorTamper *tamper)
 {
     const Die &die = evaluator.die();
     const std::size_t numLevels = die.numLevels();
-    ChipSnapshot snap;
+    assert(work.size() == die.numCores());
     snap.ptargetW = ptargetW;
     snap.pcoreMaxW = pcoreMaxW;
     snap.uncorePowerW = current.l2PowerW;
+    snap.voltage.resize(numLevels);
     for (std::size_t l = 0; l < numLevels; ++l)
-        snap.voltage.push_back(die.voltage(l));
+        snap.voltage[l] = die.voltage(l);
 
-    const std::size_t active = static_cast<std::size_t>(
-        std::count_if(work.begin(), work.end(),
-                      [](const CoreWork &w) { return w.app != nullptr; }));
-    snap.cores.reserve(active);
+    snap.cores.clear();
+    for (std::size_t c = 0; c < work.size(); ++c) {
+        if (work[c].app != nullptr)
+            snap.cores.push_back({c, snap.cores.size(),
+                                  work[c].app->ipcAt4GHz * 4.0e9 / 1.0e6});
+    }
+    const std::size_t cells = snap.cores.size() * numLevels;
+    snap.freqHz.resize(cells);
+    snap.ipc.resize(cells);
+    snap.powerW.resize(cells);
 
     // Sensor noise, one batch: an IPC then a power draw per (core,
-    // level), in that order.
-    static thread_local std::vector<double> draws;
-    const std::size_t readings = noise ? numLevels * active : 0;
-    draws.resize(2 * readings);
-    const double *ipcNoise = draws.data();
-    const double *powerNoise = draws.data() + readings;
+    // level), in that order, drawn straight into the two tables and
+    // folded into the readings below.
     if (noise)
-        simd::normalPairSweep(*noise, draws.data(), draws.data() + readings,
-                              readings);
-    auto jitter = [&](double x, const double *&draw) {
-        return noise ? x * (1.0 + 0.01 * *draw++) : x;
-    };
-
-    std::size_t threadId = 0;
-    for (std::size_t c = 0; c < die.numCores(); ++c) {
-        if (work[c].app == nullptr)
-            continue;
-        CoreSnapshot cs;
-        cs.coreId = c;
-        cs.threadId = threadId++;
-        cs.refMips = work[c].app->ipcAt4GHz * 4.0e9 / 1.0e6;
-        cs.freqHz.reserve(numLevels);
-        cs.ipc.reserve(numLevels);
-        cs.powerW.reserve(numLevels);
+        simd::normalPairSweep(*noise, snap.ipc.data(), snap.powerW.data(),
+                              cells);
+    for (std::size_t i = 0; i < snap.cores.size(); ++i) {
+        const std::size_t c = snap.cores[i].coreId;
+        const ChipEvaluator::SensorRows rows =
+            evaluator.sensorRows(c, work[c]);
         // Sensor power: dynamic + leakage at the *current* (frozen)
-        // temperature of this core, so one leakage kernel and one
-        // effective capacitance serve every level.
+        // temperature of this core, so one leakage kernel serves
+        // every level.
         const CoreLeakageKernel kernel =
             die.leakageKernel(c, current.coreTempC[c]);
-        const double nominalDynW = evaluator.nominalDynamicPower(*work[c].app);
+        double *freq = snap.freqHz.data() + i * numLevels;
+        double *ipc = snap.ipc.data() + i * numLevels;
+        double *power = snap.powerW.data() + i * numLevels;
         for (std::size_t l = 0; l < numLevels; ++l) {
-            const double v = die.voltage(l);
-            const double f = die.freqAt(c, l);
-            cs.freqHz.push_back(f);
-            cs.ipc.push_back(
-                jitter(ChipEvaluator::ipcOf(*work[c].app, work[c], f),
-                       ipcNoise));
-            const double dynW =
-                die.dynamicModel().scaleToPoint(nominalDynW, v, f) *
-                work[c].activityScale;
-            double p =
-                jitter(dynW + die.leakageModel().corePowerAt(kernel, v),
-                       powerNoise);
-            if (tamper)
-                p = tamper->tamperPower(c, l, p);
-            cs.powerW.push_back(p);
+            freq[l] = die.freqAt(c, l);
+            ipc[l] =
+                noise ? rows.ipc[l] * (1.0 + 0.01 * ipc[l]) : rows.ipc[l];
         }
-        snap.cores.push_back(std::move(cs));
+        for (std::size_t l = 0; l < numLevels; ++l) {
+            const double p = rows.dynW[l] +
+                die.leakageModel().corePowerAt(kernel, snap.voltage[l]);
+            power[l] = noise ? p * (1.0 + 0.01 * power[l]) : p;
+        }
+        if (tamper) {
+            for (std::size_t l = 0; l < numLevels; ++l)
+                power[l] = tamper->tamperPower(c, l, power[l]);
+        }
     }
-    return snap;
 }
 
 } // namespace varsched

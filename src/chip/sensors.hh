@@ -10,18 +10,29 @@
  *    point (Su et al.) and reports the actual power, temperature, and
  *    throughput. The system simulator advances time with it.
  *
- *  - buildSnapshot is "what the algorithms are allowed to know"
+ *  - buildSnapshotInto is "what the algorithms are allowed to know"
  *    (Table 3): per selected thread-core pair, the manufacturer's
  *    (voltage, frequency) table, IPC read from performance counters,
  *    and power read from sensors at the *current* temperature —
  *    optionally noisy. LinOpt additionally restricts itself to three
  *    of these power readings, per Section 5.2.
+ *
+ * A ChipSnapshot is flat: the three readings are (active core, level)
+ * tables, row-major, and a tick loop refills one snapshot in place
+ * every DVFS epoch, so a decision allocates nothing once the tables
+ * have grown. The noiseless IPC and dynamic-power rows of each core
+ * depend only on what the core runs, so the evaluator keeps them per
+ * core and rebuilds a row only when that core's CoreWork changes.
+ * Noise, leakage at the current temperature and the tamper hook run on
+ * every fill. buildSnapshot is the by-value wrapper over the fill.
  */
 
 #ifndef VARSCHED_CHIP_SENSORS_HH
 #define VARSCHED_CHIP_SENSORS_HH
 
+#include <cassert>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "chip/die.hh"
@@ -145,6 +156,24 @@ class ChipEvaluator
 
     const Die &die() const { return *die_; }
 
+    /** Noiseless per-level sensor rows of one core (see sensorRows). */
+    struct SensorRows
+    {
+        const double *ipc;  ///< IPC per level.
+        const double *dynW; ///< Dynamic power per level, W.
+    };
+
+    /**
+     * Core @p c's noiseless IPC and dynamic power at every level while
+     * it runs @p work (not idle), for the snapshot fill. The rows are
+     * kept per core and rebuilt only when @p work differs from the
+     * work they were built for, so profiles must not change while the
+     * evaluator lives (the assumption the tick loop's settle cache
+     * makes too). The pointers stay valid until the next call for the
+     * same core.
+     */
+    SensorRows sensorRows(std::size_t c, const CoreWork &work) const;
+
     /**
      * Dynamic power of @p app at nominal (V, f), memoised per profile
      * address and dynPowerW (profiles are immutable during a run).
@@ -182,16 +211,19 @@ class ChipEvaluator
     mutable Matrix jacobian_;
     mutable std::vector<std::pair<const AppProfile *, double>> actKeys_;
     mutable std::vector<double> actVals_;
+    // sensorRows() memo: per core, the work its rows were built for
+    // (an idle CoreWork before the first build) and its IPC and
+    // dynamic-power rows, row-major by core.
+    mutable std::vector<CoreWork> rowWork_;
+    mutable std::vector<double> rowIpc_, rowDynW_;
 };
 
-/** Per-(thread, core) slice of the sensor/profile snapshot. */
+/** One active thread-core pair of the snapshot; its readings are the
+ *  matching row of the ChipSnapshot tables. */
 struct CoreSnapshot
 {
     std::size_t coreId = 0;   ///< Physical core.
     std::size_t threadId = 0; ///< Index into the workload.
-    std::vector<double> freqHz; ///< Manufacturer (V, f) table.
-    std::vector<double> ipc;    ///< Counter-estimated IPC per level.
-    std::vector<double> powerW; ///< Sensor power per level (frozen T).
     /**
      * The thread's reference throughput (MIPS at nominal 4 GHz and
      * its profile IPC) — the denominator of the weighted-throughput
@@ -200,14 +232,49 @@ struct CoreSnapshot
     double refMips = 1.0;
 };
 
-/** Everything a power-management algorithm may consult. */
+/**
+ * Everything a power-management algorithm may consult.
+ *
+ * The readings are three flat tables indexed (active core, level),
+ * row-major: row i belongs to cores[i] and has voltage.size() columns,
+ * so the cell of core i at level l is [i * numLevels() + l]. A
+ * hand-built snapshot appends a core's record to `cores` and its
+ * numLevels() readings to each table. buildSnapshotInto refills one
+ * in place, reusing the tables' capacity.
+ */
 struct ChipSnapshot
 {
     std::vector<CoreSnapshot> cores; ///< Active thread-core pairs.
     std::vector<double> voltage;     ///< Volts per level.
+    std::vector<double> freqHz; ///< Manufacturer (V, f) table.
+    std::vector<double> ipc;    ///< Counter-estimated IPC.
+    std::vector<double> powerW; ///< Sensor power (frozen T), W.
     double uncorePowerW = 0.0; ///< L2 etc. — not manageable, counted.
     double ptargetW = 0.0;     ///< Chip-wide budget.
     double pcoreMaxW = 0.0;    ///< Per-core cap.
+
+    /** Columns per table row. */
+    std::size_t numLevels() const { return voltage.size(); }
+
+    /** Table index of active core @p i at @p level. */
+    std::size_t cell(std::size_t i, int level) const
+    {
+        assert(level >= 0 && static_cast<std::size_t>(level) < numLevels());
+        return rowStart(i) + static_cast<std::size_t>(level);
+    }
+
+    /** Active core @p i's frequency per level. */
+    std::span<const double> freqRow(std::size_t i) const
+    { return {freqHz.data() + rowStart(i), numLevels()}; }
+    /** Active core @p i's IPC per level. */
+    std::span<const double> ipcRow(std::size_t i) const
+    { return {ipc.data() + rowStart(i), numLevels()}; }
+    /** Active core @p i's sensor power per level. */
+    std::span<const double> powerRow(std::size_t i) const
+    { return {powerW.data() + rowStart(i), numLevels()}; }
+    /** Writable power row, for validators that substitute readings. */
+    std::span<double> powerRow(std::size_t i)
+    { return {powerW.data() + rowStart(i), numLevels()}; }
 
     /** Chip power if each active core ran at levels[i]. */
     double powerAt(const std::vector<int> &levels) const;
@@ -217,6 +284,16 @@ struct ChipSnapshot
     double weightedAt(const std::vector<int> &levels) const;
     /** True when levels satisfy both power constraints. */
     bool feasible(const std::vector<int> &levels) const;
+
+  private:
+    /** First cell of active core @p i's row; checks the tables' shape. */
+    std::size_t rowStart(std::size_t i) const
+    {
+        assert(i < cores.size());
+        assert(freqHz.size() == cores.size() * numLevels() &&
+               ipc.size() == freqHz.size() && powerW.size() == freqHz.size());
+        return i * numLevels();
+    }
 };
 
 /**
@@ -242,7 +319,9 @@ class SensorTamper
 };
 
 /**
- * Assemble the sensor view of the chip.
+ * Assemble the sensor view of the chip into @p snap, in place: its
+ * vectors keep their capacity, so refilling a snapshot of the same
+ * shape allocates nothing.
  *
  * @param evaluator Physics (used to synthesise the sensor readings).
  * @param work Current per-core workload.
@@ -254,11 +333,25 @@ class SensorTamper
  * @param tamper Optional fault model applied to each power reading
  *        (after noise — a broken sensor replaces the noisy value).
  */
-ChipSnapshot buildSnapshot(const ChipEvaluator &evaluator,
-                           const std::vector<CoreWork> &work,
-                           const ChipCondition &current, double ptargetW,
-                           double pcoreMaxW, Rng *noise = nullptr,
-                           SensorTamper *tamper = nullptr);
+void buildSnapshotInto(ChipSnapshot &snap, const ChipEvaluator &evaluator,
+                       const std::vector<CoreWork> &work,
+                       const ChipCondition &current, double ptargetW,
+                       double pcoreMaxW, Rng *noise = nullptr,
+                       SensorTamper *tamper = nullptr);
+
+/** By-value buildSnapshotInto(), for one-off snapshots. */
+inline ChipSnapshot
+buildSnapshot(const ChipEvaluator &evaluator,
+              const std::vector<CoreWork> &work,
+              const ChipCondition &current, double ptargetW,
+              double pcoreMaxW, Rng *noise = nullptr,
+              SensorTamper *tamper = nullptr)
+{
+    ChipSnapshot snap;
+    buildSnapshotInto(snap, evaluator, work, current, ptargetW, pcoreMaxW,
+                      noise, tamper);
+    return snap;
+}
 
 } // namespace varsched
 

@@ -12,15 +12,16 @@ ExhaustiveManager::ExhaustiveManager(std::size_t maxStates,
 {
 }
 
-std::vector<int>
+const std::vector<int> &
 ExhaustiveManager::selectLevels(const ChipSnapshot &snap)
 {
     const std::size_t n = snap.cores.size();
     lastStates_ = 0;
+    levels_.assign(n, 0);
     if (n == 0)
-        return {};
+        return levels_;
 
-    const int numLevels = static_cast<int>(snap.voltage.size());
+    const int numLevels = static_cast<int>(snap.numLevels());
     const double stateCount =
         std::pow(static_cast<double>(numLevels), static_cast<double>(n));
     assert(stateCount <= static_cast<double>(maxStates_) &&
@@ -28,27 +29,24 @@ ExhaustiveManager::selectLevels(const ChipSnapshot &snap)
     (void)stateCount;
 
     std::vector<int> state(n, 0);
-    std::vector<int> best(n, 0);
     double bestMips = -1.0;
 
-    // Per-(core, level) tables, flattened [core * numLevels + level]:
-    // power draw, objective contribution, and whether the level busts
-    // the per-core cap. Scoring a state then never touches the
-    // snapshot again.
+    // Per-(core, level) tables in the snapshot's layout [core *
+    // numLevels + level]: the power draw is the snapshot's own table;
+    // the objective contribution and whether the level busts the
+    // per-core cap are folded once, so scoring a state reads three
+    // flat arrays.
     const auto L = static_cast<std::size_t>(numLevels);
     const bool weighted = objective_ == PmObjective::Weighted;
-    std::vector<double> powTab(n * L), objTab(n * L);
+    const std::vector<double> &powTab = snap.powerW;
+    assert(powTab.size() == n * L && snap.ipc.size() == n * L &&
+           snap.freqHz.size() == n * L);
+    std::vector<double> objTab(n * L);
     std::vector<char> violTab(n * L);
-    for (std::size_t i = 0; i < n; ++i) {
-        const CoreSnapshot &c = snap.cores[i];
-        for (std::size_t l = 0; l < L; ++l) {
-            const double cp = c.powerW[l];
-            powTab[i * L + l] = cp;
-            objTab[i * L + l] = weighted
-                ? c.ipc[l] * c.freqHz[l] / 1.0e6 / c.refMips
-                : c.ipc[l] * c.freqHz[l] / 1.0e6;
-            violTab[i * L + l] = cp > snap.pcoreMaxW + 1e-9 ? 1 : 0;
-        }
+    for (std::size_t k = 0; k < n * L; ++k) {
+        const double mips = snap.ipc[k] * snap.freqHz[k] / 1.0e6;
+        objTab[k] = weighted ? mips / snap.cores[k / L].refMips : mips;
+        violTab[k] = powTab[k] > snap.pcoreMaxW + 1e-9 ? 1 : 0;
     }
 
     // Suffix folds over cores i..n-1 at the current state: the
@@ -77,7 +75,7 @@ ExhaustiveManager::selectLevels(const ChipSnapshot &snap)
             const double mips = sufObj[0];
             if (mips > bestMips) {
                 bestMips = mips;
-                best = state;
+                levels_ = state;
             }
         }
         // Odometer increment.
@@ -94,7 +92,7 @@ ExhaustiveManager::selectLevels(const ChipSnapshot &snap)
             refold(i);
     }
 
-    return bestMips >= 0.0 ? best : std::vector<int>(n, 0);
+    return levels_; // all zero when no state was feasible
 }
 
 } // namespace varsched

@@ -28,7 +28,7 @@ class ExhaustiveManager : public PowerManager
         PmObjective objective = PmObjective::Throughput);
 
     std::string name() const override { return "Exhaustive"; }
-    std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+    const std::vector<int> &selectLevels(const ChipSnapshot &snap) override;
 
     /** States visited by the last invocation. */
     std::size_t lastStates() const { return lastStates_; }

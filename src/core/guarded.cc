@@ -18,7 +18,7 @@ GuardedPowerManager::name() const
     return "Guarded(" + primary_->name() + ")";
 }
 
-std::vector<int>
+const std::vector<int> &
 GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
 {
     const std::size_t n = snap.cores.size();
@@ -26,7 +26,8 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
         lastDecision_.clear();
         lastPredictedW_ = -1.0;
         awaitingDecision_ = false;
-        return {};
+        levels_.clear();
+        return levels_;
     }
 
     // Cross-check the raw readings against the previous tick's
@@ -36,30 +37,29 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
     // drift; a plausible-but-wrong one (stuck at yesterday's curve)
     // is caught here even though its shape passes every check.
     if (haveSettled_) {
-        for (const CoreSnapshot &core : snap.cores) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t coreId = snap.cores[i].coreId;
             int commanded = -1;
             for (const auto &[id, level] : lastDecision_) {
-                if (id == core.coreId) {
+                if (id == coreId) {
                     commanded = level;
                     break;
                 }
             }
-            if (commanded < 0 ||
-                core.coreId >= lastSettled_.corePowerW.size())
+            if (commanded < 0 || coreId >= lastSettled_.corePowerW.size())
                 continue;
-            const double actual =
-                lastSettled_.corePowerW[core.coreId];
+            const double actual = lastSettled_.corePowerW[coreId];
             const auto level = static_cast<std::size_t>(commanded);
-            if (actual <= 0.0 || level >= core.powerW.size())
+            if (actual <= 0.0 || level >= snap.numLevels())
                 continue;
-            if (std::abs(core.powerW[level] - actual) >
+            if (std::abs(snap.powerRow(i)[level] - actual) >
                 kMistrustFraction * std::max(actual, 1.0))
-                validator_.reportMismatch(core.coreId);
+                validator_.reportMismatch(coreId);
         }
     }
 
-    ChipSnapshot validated = snap;
-    validator_.sanitise(validated);
+    validated_ = snap;
+    validator_.sanitise(validated_);
 
     // Drop from the primary to the Foxton* tier while any sensor is
     // quarantined: the optimiser fits models to substituted data, the
@@ -77,21 +77,20 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
     // settling (sensor models freeze leakage at the pre-decision
     // temperature, so they systematically miss the warm-up).
     if (snap.ptargetW > 0.0) {
-        validated.ptargetW =
+        validated_.ptargetW =
             std::max(snap.ptargetW * kMinTargetFraction,
                      snap.ptargetW - biasW_);
     }
 
-    std::vector<int> levels;
     switch (tier_) {
       case GuardTier::Primary:
-        levels = primary_->selectLevels(validated);
+        levels_ = primary_->selectLevels(validated_);
         break;
       case GuardTier::Fallback:
-        levels = fallback_.selectLevels(validated);
+        levels_ = fallback_.selectLevels(validated_);
         break;
       case GuardTier::SafeMode:
-        levels.assign(n, 0);
+        levels_.assign(n, 0);
         break;
     }
 
@@ -100,23 +99,23 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
     // infeasible LP, a bugged manager), override with the Foxton*
     // reduction and keep the elementwise minimum of the two.
     if (tier_ != GuardTier::SafeMode &&
-        validated.ptargetW > 0.0 &&
-        validated.powerAt(levels) >
-            validated.ptargetW * (1.0 + kViolationTolerance)) {
-        const std::vector<int> reduced =
-            fallback_.selectLevels(validated);
+        validated_.ptargetW > 0.0 &&
+        validated_.powerAt(levels_) >
+            validated_.ptargetW * (1.0 + kViolationTolerance)) {
+        const std::vector<int> &reduced =
+            fallback_.selectLevels(validated_);
         for (std::size_t i = 0; i < n; ++i)
-            levels[i] = std::min(levels[i], reduced[i]);
+            levels_[i] = std::min(levels_[i], reduced[i]);
         ++stats_.decisionOverrides;
     }
 
     lastDecision_.clear();
     for (std::size_t i = 0; i < n; ++i)
-        lastDecision_.emplace_back(snap.cores[i].coreId, levels[i]);
-    lastPredictedW_ = validated.powerAt(levels);
+        lastDecision_.emplace_back(snap.cores[i].coreId, levels_[i]);
+    lastPredictedW_ = validated_.powerAt(levels_);
     settleScored_ = false;
     awaitingDecision_ = false;
-    return levels;
+    return levels_;
 }
 
 void

@@ -92,7 +92,7 @@ class GuardedPowerManager : public PowerManager
     static constexpr double kMinTargetFraction = 0.5;
 
     std::string name() const override;
-    std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+    const std::vector<int> &selectLevels(const ChipSnapshot &snap) override;
     void beginEpoch(std::uint64_t epochIndex) override
     { primary_->beginEpoch(epochIndex); }
     // The degraded tiers run the Foxton* fallback (always cheap), so
@@ -124,6 +124,8 @@ class GuardedPowerManager : public PowerManager
     std::unique_ptr<PowerManager> primary_;
     FoxtonStarManager fallback_;
     SensorValidator validator_;
+    /** The validated copy of the last snapshot, reused between calls. */
+    ChipSnapshot validated_;
     GuardStats stats_;
 
     GuardTier tier_ = GuardTier::Primary;

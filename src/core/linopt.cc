@@ -45,25 +45,26 @@ fitLinOpt(const ChipSnapshot &snap, int powerSamplePoints,
     double pv[3], pw[3];
 
     for (std::size_t i = 0; i < n; ++i) {
-        const CoreSnapshot &core = snap.cores[i];
-
         // f_i(v): fit over the full manufacturer table.
-        const auto [fb, fc] = fitLine(snap.voltage, core.freqHz);
+        const auto [fb, fc] =
+            fitLine(snap.voltage.data(), snap.freqRow(i).data(), numLevels);
 
         // Objective: tp_i = ipc_i * f_i(v) with IPC read once (at the
         // middle level) and assumed frequency-independent. In
         // weighted mode every thread's throughput is normalised by
         // its reference MIPS, so slow-intrinsic threads count too.
-        const double ipc = core.ipc[numLevels / 2];
-        const double weight =
-            objective == PmObjective::Weighted ? 1.0 / core.refMips : 1.0;
+        const double ipc = snap.ipcRow(i)[numLevels / 2];
+        const double weight = objective == PmObjective::Weighted
+            ? 1.0 / snap.cores[i].refMips
+            : 1.0;
         fit.a[i] = weight * ipc * fb / 1.0e6; // (weighted) MIPS per volt
         fit.d[i] = fit.a[i] * vLow + weight * ipc * fc / 1.0e6;
 
         // p_i(v) = b_i v + c_i from the sampled sensor powers (Fig 1).
+        const std::span<const double> power = snap.powerRow(i);
         for (std::size_t s = 0; s < points; ++s) {
             pv[s] = snap.voltage[sampleLevels[s]];
-            pw[s] = core.powerW[sampleLevels[s]];
+            pw[s] = power[sampleLevels[s]];
         }
         const auto [pb, pc] = fitLine(pv, pw, points);
         fit.b[i] = pb;
@@ -134,27 +135,27 @@ roundDownLevel(const std::vector<double> &voltage, double v)
     return level;
 }
 
-std::vector<int>
+const std::vector<int> &
 LinOptManager::selectLevels(const ChipSnapshot &snap)
 {
     diag_.feasible = true;
     diag_.pivots = 0;
     diag_.continuousV.clear();
     const std::size_t n = snap.cores.size();
+    levels_.assign(n, 0);
     if (n == 0)
-        return {};
+        return levels_;
 
-    const std::size_t numLevels = snap.voltage.size();
+    const std::size_t numLevels = snap.numLevels();
     const double vLow = snap.voltage.front();
     fitLinOpt(snap, config_.powerSamplePoints, config_.objective, fit_);
 
-    std::vector<int> levels(n, 0);
     if (!solveRatioRule(fit_, x_, order_)) {
         // Budget unreachable even at Vlow: pin everything to the
         // bottom level — the closest the controller can get.
         diag_.feasible = false;
         diag_.continuousV.assign(n, vLow);
-        return levels;
+        return levels_;
     }
 
     // Round the continuous voltages down to legal levels.
@@ -163,7 +164,7 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
         const double v = vLow + x_[i];
         diag_.continuousV[i] = v;
         diag_.pivots += x_[i] > 0.0 ? 1 : 0;
-        levels[i] = roundDownLevel(snap.voltage, v);
+        levels_[i] = roundDownLevel(snap.voltage, v);
     }
 
     // The LP solution can overshoot or undershoot the real budget
@@ -174,36 +175,34 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
     // down while over budget, then (optionally) refill remaining
     // slack with the best marginal MIPS-per-watt step up.
     auto corePower = [&](std::size_t i, int level) {
-        return snap.cores[i].powerW[static_cast<std::size_t>(level)];
+        return snap.powerW[snap.cell(i, level)];
     };
     auto coreMips = [&](std::size_t i, int level) {
         // IPC assumed frequency-independent, as in the objective;
         // weighted mode scores normalised progress instead of MIPS.
-        const double ipc = snap.cores[i].ipc[numLevels / 2];
+        const double ipc = snap.ipcRow(i)[numLevels / 2];
         const double weight = config_.objective == PmObjective::Weighted
             ? 1.0 / snap.cores[i].refMips
             : 1.0;
-        return weight * ipc *
-            snap.cores[i].freqHz[static_cast<std::size_t>(level)] /
-            1.0e6;
+        return weight * ipc * snap.freqHz[snap.cell(i, level)] / 1.0e6;
     };
 
     for (std::size_t i = 0; i < n; ++i) {
-        while (levels[i] > 0 &&
-               corePower(i, levels[i]) > snap.pcoreMaxW) {
-            --levels[i];
+        while (levels_[i] > 0 &&
+               corePower(i, levels_[i]) > snap.pcoreMaxW) {
+            --levels_[i];
         }
     }
-    while (snap.powerAt(levels) > snap.ptargetW) {
+    while (snap.powerAt(levels_) > snap.ptargetW) {
         double bestCost = 1e300;
         std::size_t bestCore = n;
         for (std::size_t i = 0; i < n; ++i) {
-            if (levels[i] == 0)
+            if (levels_[i] == 0)
                 continue;
-            const double dPower = corePower(i, levels[i]) -
-                corePower(i, levels[i] - 1);
-            const double dMips = coreMips(i, levels[i]) -
-                coreMips(i, levels[i] - 1);
+            const double dPower = corePower(i, levels_[i]) -
+                corePower(i, levels_[i] - 1);
+            const double dMips = coreMips(i, levels_[i]) -
+                coreMips(i, levels_[i] - 1);
             const double cost =
                 dPower > 1e-12 ? dMips / dPower : 1e300;
             if (cost < bestCost) {
@@ -213,28 +212,28 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
         }
         if (bestCore == n)
             break; // everything at the floor; budget unreachable
-        --levels[bestCore];
+        --levels_[bestCore];
     }
 
     if (!config_.greedyRefill)
-        return levels;
+        return levels_;
 
     for (;;) {
         double bestGain = -1.0;
         std::size_t bestCore = n;
-        const double currentPower = snap.powerAt(levels);
+        const double currentPower = snap.powerAt(levels_);
         for (std::size_t i = 0; i < n; ++i) {
-            const int next = levels[i] + 1;
+            const int next = levels_[i] + 1;
             if (next >= static_cast<int>(numLevels))
                 continue;
             const double dPower =
-                corePower(i, next) - corePower(i, levels[i]);
+                corePower(i, next) - corePower(i, levels_[i]);
             if (currentPower + dPower > snap.ptargetW ||
                 corePower(i, next) > snap.pcoreMaxW) {
                 continue;
             }
             const double dMips =
-                coreMips(i, next) - coreMips(i, levels[i]);
+                coreMips(i, next) - coreMips(i, levels_[i]);
             const double gain = dPower > 1e-12 ? dMips / dPower : dMips;
             if (gain > bestGain) {
                 bestGain = gain;
@@ -243,9 +242,9 @@ LinOptManager::selectLevels(const ChipSnapshot &snap)
         }
         if (bestCore == n)
             break;
-        ++levels[bestCore];
+        ++levels_[bestCore];
     }
-    return levels;
+    return levels_;
 }
 
 } // namespace varsched

@@ -112,7 +112,7 @@ class LinOptManager : public PowerManager
     explicit LinOptManager(const LinOptConfig &config = {});
 
     std::string name() const override { return "LinOpt"; }
-    std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+    const std::vector<int> &selectLevels(const ChipSnapshot &snap) override;
 
     /** Diagnostics of the most recent selectLevels call. */
     const LinOptDiag &lastDiag() const { return diag_; }
@@ -120,7 +120,8 @@ class LinOptManager : public PowerManager
   private:
     LinOptConfig config_;
     LinOptDiag diag_;
-    // Per-call scratch, kept so a decision allocates only its result.
+    // Per-call scratch, kept so a steady run of decisions allocates
+    // nothing.
     LinOptFit fit_;
     std::vector<double> x_;
     LpOrder order_;

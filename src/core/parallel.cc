@@ -14,9 +14,8 @@ barrierSpeed(const ChipSnapshot &snap, const std::vector<int> &levels)
     assert(levels.size() == snap.cores.size());
     double worst = 1e300;
     for (std::size_t i = 0; i < snap.cores.size(); ++i) {
-        const auto l = static_cast<std::size_t>(levels[i]);
-        worst = std::min(worst, snap.cores[i].ipc[l] *
-                             snap.cores[i].freqHz[l] / 1.0e6);
+        const std::size_t k = snap.cell(i, levels[i]);
+        worst = std::min(worst, snap.ipc[k] * snap.freqHz[k] / 1.0e6);
     }
     return snap.cores.empty() ? 0.0 : worst;
 }
@@ -77,46 +76,46 @@ solveWaterFill(const LinOptFit &fit, std::vector<double> &x, double &pace,
     return true;
 }
 
-std::vector<int>
+const std::vector<int> &
 LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
 {
     const std::size_t n = snap.cores.size();
+    levels_.assign(n, 0);
     if (n == 0)
-        return {};
+        return levels_;
 
-    const std::size_t numLevels = snap.voltage.size();
+    const std::size_t numLevels = snap.numLevels();
     // Same linear fits as LinOpt (core/linopt.cc).
     fitLinOpt(snap, 3, PmObjective::Throughput, fit_);
-    std::vector<int> levels(n, 0);
     double pace = 0.0;
     if (!solveWaterFill(fit_, x_, pace, order_))
-        return levels;
+        return levels_;
     for (std::size_t i = 0; i < n; ++i)
-        levels[i] = roundDownLevel(snap.voltage, snap.voltage.front() + x_[i]);
+        levels_[i] =
+            roundDownLevel(snap.voltage, snap.voltage.front() + x_[i]);
 
     // Sensor-guided repair (monitored powers, as in LinOpt):
     // enforce caps, then budget by trimming the step that costs the
     // barrier the least — i.e. the *fastest* worker steps down first.
     auto corePower = [&](std::size_t i, int level) {
-        return snap.cores[i].powerW[static_cast<std::size_t>(level)];
+        return snap.powerW[snap.cell(i, level)];
     };
     auto coreMips = [&](std::size_t i, int level) {
-        const auto l = static_cast<std::size_t>(level);
-        return snap.cores[i].ipc[numLevels / 2] *
-            snap.cores[i].freqHz[l] / 1.0e6;
+        return snap.ipcRow(i)[numLevels / 2] *
+            snap.freqHz[snap.cell(i, level)] / 1.0e6;
     };
 
     for (std::size_t i = 0; i < n; ++i) {
-        while (levels[i] > 0 && corePower(i, levels[i]) > snap.pcoreMaxW)
-            --levels[i];
+        while (levels_[i] > 0 && corePower(i, levels_[i]) > snap.pcoreMaxW)
+            --levels_[i];
     }
-    while (snap.powerAt(levels) > snap.ptargetW) {
+    while (snap.powerAt(levels_) > snap.ptargetW) {
         std::size_t fastest = n;
         double best = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (levels[i] == 0)
+            if (levels_[i] == 0)
                 continue;
-            const double pace = coreMips(i, levels[i]);
+            const double pace = coreMips(i, levels_[i]);
             if (pace > best) {
                 best = pace;
                 fastest = i;
@@ -124,7 +123,7 @@ LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
         }
         if (fastest == n)
             break;
-        --levels[fastest];
+        --levels_[fastest];
     }
 
     // Refill remaining slack on the *slowest* worker — the one gating
@@ -133,9 +132,9 @@ LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
         std::size_t slowest = n;
         double worst = 1e300;
         for (std::size_t i = 0; i < n; ++i) {
-            if (levels[i] + 1 >= static_cast<int>(numLevels))
+            if (levels_[i] + 1 >= static_cast<int>(numLevels))
                 continue;
-            const double pace = coreMips(i, levels[i]);
+            const double pace = coreMips(i, levels_[i]);
             if (pace < worst) {
                 worst = pace;
                 slowest = i;
@@ -143,16 +142,16 @@ LinOptMaxMinManager::selectLevels(const ChipSnapshot &snap)
         }
         if (slowest == n)
             break;
-        const int next = levels[slowest] + 1;
+        const int next = levels_[slowest] + 1;
         const double dPower = corePower(slowest, next) -
-            corePower(slowest, levels[slowest]);
-        if (snap.powerAt(levels) + dPower > snap.ptargetW ||
+            corePower(slowest, levels_[slowest]);
+        if (snap.powerAt(levels_) + dPower > snap.ptargetW ||
             corePower(slowest, next) > snap.pcoreMaxW) {
             break;
         }
-        levels[slowest] = next;
+        levels_[slowest] = next;
     }
-    return levels;
+    return levels_;
 }
 
 } // namespace varsched

@@ -56,10 +56,11 @@ class LinOptMaxMinManager : public PowerManager
 {
   public:
     std::string name() const override { return "LinOptMaxMin"; }
-    std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+    const std::vector<int> &selectLevels(const ChipSnapshot &snap) override;
 
   private:
-    // Per-call scratch, kept so a decision allocates only its result.
+    // Per-call scratch, kept so a steady run of decisions allocates
+    // nothing.
     LinOptFit fit_;
     std::vector<double> x_;
     LpOrder order_;

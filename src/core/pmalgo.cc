@@ -3,32 +3,30 @@
 namespace varsched
 {
 
-std::vector<int>
+const std::vector<int> &
 MaxLevelManager::selectLevels(const ChipSnapshot &snap)
 {
-    std::vector<int> levels;
-    levels.reserve(snap.cores.size());
-    for (const auto &core : snap.cores)
-        levels.push_back(static_cast<int>(core.freqHz.size()) - 1);
-    return levels;
+    levels_.assign(snap.cores.size(),
+                   static_cast<int>(snap.numLevels()) - 1);
+    return levels_;
 }
 
-std::vector<int>
+const std::vector<int> &
 FoxtonStarManager::selectLevels(const ChipSnapshot &snap)
 {
     const std::size_t n = snap.cores.size();
+    const int top = static_cast<int>(snap.numLevels()) - 1;
+    levels_.assign(n, top);
     if (n == 0)
-        return {};
-
-    const int top = static_cast<int>(snap.voltage.size()) - 1;
-    std::vector<int> levels(n, top);
+        return levels_;
 
     // First satisfy the per-core cap (local, no round-robin needed).
     for (std::size_t i = 0; i < n; ++i) {
-        while (levels[i] > 0 &&
-               snap.cores[i].powerW[static_cast<std::size_t>(
-                   levels[i])] > snap.pcoreMaxW) {
-            --levels[i];
+        const std::span<const double> power = snap.powerRow(i);
+        while (levels_[i] > 0 &&
+               power[static_cast<std::size_t>(levels_[i])] >
+                   snap.pcoreMaxW) {
+            --levels_[i];
         }
     }
 
@@ -36,16 +34,16 @@ FoxtonStarManager::selectLevels(const ChipSnapshot &snap)
     // chip-wide budget is met or everything sits at the bottom.
     std::size_t cursor = 0;
     std::size_t stuck = 0;
-    while (snap.powerAt(levels) > snap.ptargetW && stuck < n) {
-        if (levels[cursor] > 0) {
-            --levels[cursor];
+    while (snap.powerAt(levels_) > snap.ptargetW && stuck < n) {
+        if (levels_[cursor] > 0) {
+            --levels_[cursor];
             stuck = 0;
         } else {
             ++stuck;
         }
         cursor = (cursor + 1) % n;
     }
-    return levels;
+    return levels_;
 }
 
 } // namespace varsched

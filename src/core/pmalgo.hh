@@ -47,9 +47,13 @@ class PowerManager
      * Choose a voltage level for every active core.
      *
      * @param snap Sensor/profile view of the chip.
-     * @return One level per snap.cores entry.
+     * @return One level per snap.cores entry, in a buffer the manager
+     *         owns and overwrites on its next selectLevels call, so a
+     *         steady run of decisions allocates nothing. Copy it to
+     *         keep it past that call.
      */
-    virtual std::vector<int> selectLevels(const ChipSnapshot &snap) = 0;
+    virtual const std::vector<int> &
+    selectLevels(const ChipSnapshot &snap) = 0;
 
     /**
      * Announce the DVFS epoch the next selectLevels call decides for.
@@ -75,6 +79,10 @@ class PowerManager
      * sampled; that is where the wall time is.
      */
     virtual bool cheapDecision() const { return false; }
+
+  protected:
+    /** The decision selectLevels returns a reference to. */
+    std::vector<int> levels_;
 };
 
 /** No power management: every core at the top level (NUniFreq). */
@@ -82,7 +90,7 @@ class MaxLevelManager : public PowerManager
 {
   public:
     std::string name() const override { return "MaxLevel"; }
-    std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+    const std::vector<int> &selectLevels(const ChipSnapshot &snap) override;
     bool cheapDecision() const override { return true; }
 };
 
@@ -94,7 +102,7 @@ class FoxtonStarManager : public PowerManager
 {
   public:
     std::string name() const override { return "Foxton*"; }
-    std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+    const std::vector<int> &selectLevels(const ChipSnapshot &snap) override;
     bool cheapDecision() const override { return true; }
 };
 

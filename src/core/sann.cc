@@ -59,14 +59,14 @@ SnapshotAnnealEnergy::fullEnergy(const std::vector<int> &state)
     objSum_ = 0.0;
     capEx_ = 0.0;
     coreViol_ = 0;
-    for (std::size_t i = 0; i < snap_->cores.size(); ++i) {
-        const CoreSnapshot &c = snap_->cores[i];
-        const auto l = static_cast<std::size_t>(state[i]);
-        const double cp = c.powerW[l];
+    const ChipSnapshot &s = *snap_;
+    for (std::size_t i = 0; i < s.cores.size(); ++i) {
+        const std::size_t k = s.cell(i, state[i]);
+        const double cp = s.powerW[k];
         power_ += cp;
         objSum_ += weighted_
-            ? c.ipc[l] * c.freqHz[l] / 1.0e6 / c.refMips
-            : c.ipc[l] * c.freqHz[l] / 1.0e6;
+            ? s.ipc[k] * s.freqHz[k] / 1.0e6 / s.cores[i].refMips
+            : s.ipc[k] * s.freqHz[k] / 1.0e6;
         if (cp > snap_->pcoreMaxW) {
             capEx_ += cp - snap_->pcoreMaxW;
             ++coreViol_;
@@ -87,16 +87,16 @@ SnapshotAnnealEnergy::moveDelta(std::size_t coord, int oldLevel,
         coreViol0_ = coreViol_;
     }
     const double before = energyOfSums();
-    const CoreSnapshot &c = snap_->cores[coord];
-    const auto lo = static_cast<std::size_t>(oldLevel);
-    const auto ln = static_cast<std::size_t>(newLevel);
-    const double pOld = c.powerW[lo];
-    const double pNew = c.powerW[ln];
+    const ChipSnapshot &s = *snap_;
+    const std::size_t lo = s.cell(coord, oldLevel);
+    const std::size_t ln = s.cell(coord, newLevel);
+    const double pOld = s.powerW[lo];
+    const double pNew = s.powerW[ln];
     power_ += pNew - pOld;
     objSum_ += weighted_
-        ? (c.ipc[ln] * c.freqHz[ln] - c.ipc[lo] * c.freqHz[lo]) /
-              1.0e6 / c.refMips
-        : (c.ipc[ln] * c.freqHz[ln] - c.ipc[lo] * c.freqHz[lo]) /
+        ? (s.ipc[ln] * s.freqHz[ln] - s.ipc[lo] * s.freqHz[lo]) /
+              1.0e6 / s.cores[coord].refMips
+        : (s.ipc[ln] * s.freqHz[ln] - s.ipc[lo] * s.freqHz[lo]) /
               1.0e6;
     if (pOld > snap_->pcoreMaxW) {
         capEx_ -= pOld - snap_->pcoreMaxW;
@@ -138,15 +138,16 @@ SnapshotAnnealEnergy::discard()
     coreViol_ = coreViol0_;
 }
 
-std::vector<int>
+const std::vector<int> &
 SAnnManager::selectLevels(const ChipSnapshot &snap)
 {
     const std::size_t n = snap.cores.size();
     lastEvals_ = 0;
+    levels_.clear();
     if (n == 0)
-        return {};
+        return levels_;
 
-    const int numLevels = static_cast<int>(snap.voltage.size());
+    const int numLevels = static_cast<int>(snap.numLevels());
 
     // Greedy initial state: top levels, then per-core cap, then
     // round-robin down to the budget (the Foxton*-style heuristic the
@@ -154,10 +155,8 @@ SAnnManager::selectLevels(const ChipSnapshot &snap)
     std::vector<int> initial(n, numLevels - 1);
     for (std::size_t i = 0; i < n; ++i) {
         while (initial[i] > 0 &&
-               snap.cores[i].powerW[static_cast<std::size_t>(
-                   initial[i])] > snap.pcoreMaxW) {
+               snap.powerW[snap.cell(i, initial[i])] > snap.pcoreMaxW)
             --initial[i];
-        }
     }
     std::size_t cursor = 0, stuck = 0;
     while (snap.powerAt(initial) > snap.ptargetW && stuck < n) {
@@ -206,13 +205,16 @@ SAnnManager::selectLevels(const ChipSnapshot &snap)
                          : 0);
     }
 
+    // A chain optimum carrying a violation falls back to the best
+    // feasible state actually visited, or the greedy seed as a last
+    // resort.
     if (snap.feasible(result.best))
-        return result.best;
-    // Chain optimum carries a violation: deploy the best feasible
-    // state actually visited, or the greedy seed as a last resort.
-    if (!energy.bestFeasible().empty())
-        return energy.bestFeasible();
-    return initial;
+        levels_ = std::move(result.best);
+    else if (!energy.bestFeasible().empty())
+        levels_ = energy.bestFeasible();
+    else
+        levels_ = std::move(initial);
+    return levels_;
 }
 
 void

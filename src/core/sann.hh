@@ -111,7 +111,7 @@ class SAnnManager : public PowerManager
     explicit SAnnManager(const SAnnConfig &config = {});
 
     std::string name() const override { return "SAnn"; }
-    std::vector<int> selectLevels(const ChipSnapshot &snap) override;
+    const std::vector<int> &selectLevels(const ChipSnapshot &snap) override;
 
     /**
      * Derive the annealing seed from (config seed, epoch) so each

@@ -467,6 +467,11 @@ struct TickRun
 
     Rng rng;
     FaultInjector injector;
+    /** The injector when it has sensor faults to apply, else null: a
+     *  fault-free tamper call returns its input and draws nothing. */
+    SensorTamper *const tamper;
+    /** The manager's input, refilled in place every DVFS epoch. */
+    ChipSnapshot snap;
     /** Per-thread phase sequencers. */
     std::vector<PhaseSequencer> phases;
 
@@ -578,6 +583,7 @@ TickRun::TickRun(const Die &die,
       // schedule does not perturb placement/phase/noise draws.
       injector(config.faults,
                config.seed * 0x9e3779b97f4a7c15ull ^ 0xFA0175EEDull),
+      tamper(config.faults.sensorFaults.empty() ? nullptr : &injector),
       work(numCores), coreLevels(numCores,
                                  static_cast<int>(die.maxLevel())),
       coreOk(numCores, true),
@@ -792,10 +798,9 @@ TickRun::epochStage(Tick &t)
     TRACE_INSTANT("pm.epoch", "epoch", static_cast<double>(epochIndex));
     Rng epochNoise(deriveSeed(config.seed, 0x4E01, epochIndex));
     manager.beginEpoch(epochIndex);
-    const ChipSnapshot snap = buildSnapshot(
-        evaluator, work, cond, config.ptargetW, pcoreMax, &epochNoise,
-        &injector);
-    const std::vector<int> active = manager.selectLevels(snap);
+    buildSnapshotInto(snap, evaluator, work, cond, config.ptargetW,
+                      pcoreMax, &epochNoise, tamper);
+    const std::vector<int> &active = manager.selectLevels(snap);
     std::size_t decisionSteps = 0;
     for (std::size_t i = 0; i < snap.cores.size(); ++i) {
         const std::size_t core = snap.cores[i].coreId;

@@ -7,34 +7,33 @@ namespace varsched
 {
 
 bool
-SensorValidator::plausible(const CoreSnapshot &core,
+SensorValidator::plausible(std::span<const double> curve,
                            const ChipSnapshot &snap,
                            const SensorHealth &h) const
 {
-    if (core.powerW.empty())
+    if (curve.empty())
         return false;
 
     const double ceiling = std::max(
         kMaxCoreW, snap.pcoreMaxW > 0.0 ? 3.0 * snap.pcoreMaxW : 0.0);
-    for (double p : core.powerW) {
+    for (double p : curve) {
         if (!(p >= kMinCoreW) || p > ceiling || !std::isfinite(p))
             return false;
     }
 
     // A live power curve rises with voltage; a stuck sensor is flat.
-    const double lo = core.powerW.front();
-    const double hi = core.powerW.back();
+    const double lo = curve.front();
+    const double hi = curve.back();
     if (hi - lo < kMinCurveSpreadFraction * std::max(hi, 1e-9))
         return false;
-    for (std::size_t l = 1; l < core.powerW.size(); ++l) {
-        if (core.powerW[l] <
-            core.powerW[l - 1] * (1.0 - kMonotoneTolerance))
+    for (std::size_t l = 1; l < curve.size(); ++l) {
+        if (curve[l] < curve[l - 1] * (1.0 - kMonotoneTolerance))
             return false;
     }
 
     // Rate-of-change vs the last curve that passed (fresh only).
     if (!h.lastGood.empty() && h.staleness == 0 &&
-        h.lastGood.size() == core.powerW.size()) {
+        h.lastGood.size() == curve.size()) {
         const double ref = h.lastGood.back();
         if (std::abs(hi - ref) > kMaxChangeFraction * std::max(ref, 1.0))
             return false;
@@ -42,8 +41,9 @@ SensorValidator::plausible(const CoreSnapshot &core,
     return true;
 }
 
-std::vector<double>
-SensorValidator::pessimisticCurve(const ChipSnapshot &snap) const
+void
+SensorValidator::pessimisticCurve(const ChipSnapshot &snap,
+                                  std::span<double> out)
 {
     // Conservative stand-in: assume the core burns its full per-core
     // cap at the top voltage, scaled down quadratically with V. Over-
@@ -52,26 +52,26 @@ SensorValidator::pessimisticCurve(const ChipSnapshot &snap) const
         snap.pcoreMaxW > 0.0 ? snap.pcoreMaxW : kMaxCoreW;
     const double vTop =
         snap.voltage.empty() ? 1.0 : snap.voltage.back();
-    std::vector<double> curve;
-    curve.reserve(snap.voltage.size());
-    for (double v : snap.voltage)
-        curve.push_back(cap * (v / vTop) * (v / vTop));
-    return curve;
+    for (std::size_t l = 0; l < out.size(); ++l) {
+        const double v = snap.voltage[l];
+        out[l] = cap * (v / vTop) * (v / vTop);
+    }
 }
 
 std::size_t
 SensorValidator::sanitise(ChipSnapshot &snap)
 {
     std::size_t substituted = 0;
-    for (CoreSnapshot &core : snap.cores) {
-        SensorHealth &h = health_[core.coreId];
-        if (plausible(core, snap, h)) {
+    for (std::size_t i = 0; i < snap.cores.size(); ++i) {
+        const std::span<double> curve = snap.powerRow(i);
+        SensorHealth &h = health_[snap.cores[i].coreId];
+        if (plausible(curve, snap, h)) {
             h.badStreak = 0;
             ++h.goodStreak;
             if (h.quarantined && h.goodStreak >= kRecoverAfter)
                 h.quarantined = false;
             if (!h.quarantined) {
-                h.lastGood = core.powerW;
+                h.lastGood.assign(curve.begin(), curve.end());
                 h.staleness = 0;
             }
         } else {
@@ -85,12 +85,12 @@ SensorValidator::sanitise(ChipSnapshot &snap)
         if (h.quarantined) {
             ++substituted;
             ++h.staleness;
-            if (!h.lastGood.empty() &&
-                h.lastGood.size() == core.powerW.size() &&
+            if (!h.lastGood.empty() && h.lastGood.size() == curve.size() &&
                 h.staleness <= kMaxStaleIntervals) {
-                core.powerW = h.lastGood;
+                std::copy(h.lastGood.begin(), h.lastGood.end(),
+                          curve.begin());
             } else {
-                core.powerW = pessimisticCurve(snap);
+                pessimisticCurve(snap, curve);
             }
         }
     }

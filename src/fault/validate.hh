@@ -28,6 +28,7 @@
 #define VARSCHED_FAULT_VALIDATE_HH
 
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -93,9 +94,11 @@ class SensorValidator
     const SensorHealth &health(std::size_t coreId) const;
 
   private:
-    bool plausible(const CoreSnapshot &core, const ChipSnapshot &snap,
+    bool plausible(std::span<const double> curve, const ChipSnapshot &snap,
                    const SensorHealth &h) const;
-    std::vector<double> pessimisticCurve(const ChipSnapshot &snap) const;
+    /** Write the conservative stand-in curve of @p snap into @p out. */
+    static void pessimisticCurve(const ChipSnapshot &snap,
+                                 std::span<double> out);
 
     std::unordered_map<std::size_t, SensorHealth> health_;
     std::size_t quarantineEvents_ = 0;

@@ -103,9 +103,13 @@ TEST(CmpModel, SharedL2InterferenceIsSecondOrderForSpecMix)
 TEST(CmpModel, CapacityPressureRaisesMissesMeasurably)
 {
     // 20 copies of a warm-set-heavy app squeeze each other's L2
-    // share: total L2 misses per instruction must not *fall* vs solo,
-    // and the shared-L2 miss ratio should exceed a 2-copy run's.
+    // share: the shared-L2 miss ratio exceeds a 2-copy run's (about
+    // 0.96 against 0.89), and core 0 misses the L2 far more often than
+    // the same stream alone (about 90 against 20 MPKI).
     const auto &app = findApplication("apsi");
+
+    CmpModel solo({&app}, Rng(13));
+    const double soloMpki = solo.run(20000)[0].l2Mpki();
 
     CmpModel small({&app, &app}, Rng(13));
     small.run(20000);
@@ -113,8 +117,9 @@ TEST(CmpModel, CapacityPressureRaisesMissesMeasurably)
 
     std::vector<const AppProfile *> big(20, &app);
     CmpModel large(big, Rng(13));
-    large.run(20000);
-    EXPECT_GE(large.sharedL2MissRatio(), smallRatio * 0.9);
+    const auto crowded = large.run(20000);
+    EXPECT_GT(large.sharedL2MissRatio(), smallRatio);
+    EXPECT_GT(crowded[0].l2Mpki(), soloMpki);
 }
 
 TEST(CmpModel, DeterministicGivenSeed)

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "chip/sensors.hh"
@@ -42,13 +44,20 @@ syntheticSnapshot(std::size_t n, double ptarget, double pcoremax,
         core.coreId = i;
         core.threadId = i;
         for (double v : snap.voltage) {
-            core.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
-            core.ipc.push_back(ipc);
-            core.powerW.push_back(5.0 * v * v);
+            snap.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
+            snap.ipc.push_back(ipc);
+            snap.powerW.push_back(5.0 * v * v);
         }
-        snap.cores.push_back(std::move(core));
+        snap.cores.push_back(core);
     }
     return snap;
+}
+
+/** A copy of one snapshot row, for whole-curve comparisons. */
+std::vector<double>
+curve(std::span<const double> row)
+{
+    return {row.begin(), row.end()};
 }
 
 /**
@@ -179,13 +188,13 @@ TEST(SensorValidator, FlatCurveQuarantinedAndLastGoodSubstituted)
 {
     SensorValidator val;
     auto snap = syntheticSnapshot(2, 100.0, 10.0);
-    const auto goodCurve = snap.cores[0].powerW;
+    const std::vector<double> goodCurve = curve(snap.powerRow(0));
     EXPECT_EQ(val.sanitise(snap), 0u);
 
     auto bad = syntheticSnapshot(2, 100.0, 10.0);
-    bad.cores[0].powerW.assign(5, 1.0); // stuck sensor: flat curve
+    std::ranges::fill(bad.powerRow(0), 1.0); // stuck sensor: flat curve
     EXPECT_EQ(val.sanitise(bad), 1u);
-    EXPECT_EQ(bad.cores[0].powerW, goodCurve); // fresh last-good
+    EXPECT_EQ(curve(bad.powerRow(0)), goodCurve); // fresh last-good
     EXPECT_TRUE(val.health(0).quarantined);
     EXPECT_FALSE(val.health(1).quarantined);
     EXPECT_FALSE(val.allTrusted());
@@ -199,8 +208,8 @@ TEST(SensorValidator, DropoutAndImplausibleJumpCaught)
     EXPECT_EQ(val.sanitise(snap), 0u);
 
     auto dead = syntheticSnapshot(2, 100.0, 10.0);
-    dead.cores[0].powerW.assign(5, 0.0); // offline sensor
-    for (auto &p : dead.cores[1].powerW)
+    std::ranges::fill(dead.powerRow(0), 0.0); // offline sensor
+    for (auto &p : dead.powerRow(1))
         p *= 2.5; // 150% jump between consecutive snapshots
     EXPECT_EQ(val.sanitise(dead), 2u);
     EXPECT_TRUE(val.health(0).quarantined);
@@ -216,14 +225,14 @@ TEST(SensorValidator, StaleLastGoodFallsBackToPessimisticCurve)
     constexpr int kStale = SensorValidator::kMaxStaleIntervals;
     for (int i = 0; i <= kStale; ++i) {
         auto bad = syntheticSnapshot(1, 100.0, 10.0);
-        bad.cores[0].powerW.assign(5, 1.0);
+        std::ranges::fill(bad.powerRow(0), 1.0);
         val.sanitise(bad);
         if (i < kStale) {
-            EXPECT_DOUBLE_EQ(bad.cores[0].powerW.back(), 5.0);
+            EXPECT_DOUBLE_EQ(bad.powerRow(0).back(), 5.0);
         } else {
             // Last-good expired: pessimistic cap-at-top curve.
-            EXPECT_DOUBLE_EQ(bad.cores[0].powerW.back(), 10.0);
-            EXPECT_DOUBLE_EQ(bad.cores[0].powerW.front(),
+            EXPECT_DOUBLE_EQ(bad.powerRow(0).back(), 10.0);
+            EXPECT_DOUBLE_EQ(bad.powerRow(0).front(),
                              10.0 * 0.36);
         }
     }
@@ -235,7 +244,7 @@ TEST(SensorValidator, RecoversAfterConsecutiveCleanChecks)
     auto good = syntheticSnapshot(1, 100.0, 10.0);
     val.sanitise(good);
     auto bad = syntheticSnapshot(1, 100.0, 10.0);
-    bad.cores[0].powerW.assign(5, 1.0);
+    std::ranges::fill(bad.powerRow(0), 1.0);
     val.sanitise(bad);
     EXPECT_TRUE(val.health(0).quarantined);
 
@@ -381,7 +390,7 @@ TEST(GuardedPm, SettleBiasShavesTheEffectiveBudget)
     ChipCondition cond = settledCondition(3, snap.powerAt(first) + 4.0);
     for (std::size_t i = 0; i < first.size(); ++i)
         cond.corePowerW[i] =
-            snap.cores[i].powerW[static_cast<std::size_t>(first[i])];
+            snap.powerRow(i)[static_cast<std::size_t>(first[i])];
     guarded.observeSettled(cond, 18.0, 100.0);
     EXPECT_NEAR(guarded.settleBiasW(),
                 GuardedPowerManager::kBiasGain * 4.0, 1e-12);
@@ -424,7 +433,7 @@ TEST(GuardedPm, QuarantinedSensorDropsToFallbackTier)
     EXPECT_EQ(guarded.tier(), GuardTier::Primary);
 
     auto bad = syntheticSnapshot(3, 100.0, 10.0);
-    bad.cores[0].powerW.assign(5, 1.0); // stuck sensor
+    std::ranges::fill(bad.powerRow(0), 1.0); // stuck sensor
     guarded.selectLevels(bad);
     // Distrust alone engages the conservative tier.
     EXPECT_EQ(guarded.tier(), GuardTier::Fallback);

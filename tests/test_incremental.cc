@@ -83,15 +83,15 @@ randomSnapshot(Rng &rng, std::size_t n)
         const double pScale = 3.0 + 4.0 * rng.uniform();
         core.refMips = 1000.0 + 4000.0 * rng.uniform();
         for (double v : snap.voltage) {
-            core.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8 *
+            snap.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8 *
                                   (0.9 + 0.2 * rng.uniform()));
-            core.ipc.push_back(ipc * (0.95 + 0.1 * rng.uniform()));
-            core.powerW.push_back(pScale * v * v *
+            snap.ipc.push_back(ipc * (0.95 + 0.1 * rng.uniform()));
+            snap.powerW.push_back(pScale * v * v *
                                   (1.0 + 0.05 * rng.uniform()));
         }
-        maxCore = std::max(maxCore, core.powerW.back());
-        fullPower += core.powerW.back();
-        snap.cores.push_back(std::move(core));
+        maxCore = std::max(maxCore, snap.powerW.back());
+        fullPower += snap.powerW.back();
+        snap.cores.push_back(core);
     }
     snap.ptargetW = 0.55 * fullPower;
     snap.pcoreMaxW = 0.85 * maxCore;
@@ -120,7 +120,7 @@ legacyEnergy(const ChipSnapshot &snap, double penaltyPerWatt,
             feasible = false;
         }
         for (std::size_t i = 0; i < snap.cores.size(); ++i) {
-            const double cp = snap.cores[i].powerW[
+            const double cp = snap.powerRow(i)[
                 static_cast<std::size_t>(levels[i])];
             if (cp > snap.pcoreMaxW) {
                 e += (cp - snap.pcoreMaxW) * penaltyPerWatt;

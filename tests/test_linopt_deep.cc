@@ -80,8 +80,9 @@ TEST_P(LinOptDieSweep, MonitoredBudgetAlwaysRespected)
     LinOptManager pm;
     const auto levels = pm.selectLevels(snap);
     const std::vector<int> floor(snap.cores.size(), 0);
-    if (snap.feasible(floor))
+    if (snap.feasible(floor)) {
         EXPECT_LE(snap.powerAt(levels), snap.ptargetW + 1e-6);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LinOptDieSweep,

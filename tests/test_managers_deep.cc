@@ -39,11 +39,11 @@ makeSnapshot(std::size_t n, double ptarget, double pcoremax,
         core.refMips = refMips.empty() ? 4000.0 : refMips[i];
         const double ps = powerScale.empty() ? 1.0 : powerScale[i];
         for (double v : snap.voltage) {
-            core.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
-            core.ipc.push_back(ipcs[i]);
-            core.powerW.push_back(5.0 * v * v * ps);
+            snap.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
+            snap.ipc.push_back(ipcs[i]);
+            snap.powerW.push_back(5.0 * v * v * ps);
         }
-        snap.cores.push_back(std::move(core));
+        snap.cores.push_back(core);
     }
     return snap;
 }

@@ -35,11 +35,11 @@ syntheticSnapshot(std::size_t n, double ptarget,
         const double ps =
             powerScale.empty() ? 1.0 : powerScale[i];
         for (double v : snap.voltage) {
-            core.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
-            core.ipc.push_back(ipcs[i]);
-            core.powerW.push_back(5.0 * v * v * ps);
+            snap.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
+            snap.ipc.push_back(ipcs[i]);
+            snap.powerW.push_back(5.0 * v * v * ps);
         }
-        snap.cores.push_back(std::move(core));
+        snap.cores.push_back(core);
     }
     return snap;
 }
@@ -127,7 +127,7 @@ TEST(LinOptMaxMin, RespectsPerCoreCap)
     LinOptMaxMinManager pm;
     const auto levels = pm.selectLevels(snap);
     for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_LE(snap.cores[i].powerW[static_cast<std::size_t>(
+        EXPECT_LE(snap.powerRow(i)[static_cast<std::size_t>(
                       levels[i])],
                   3.3 + 1e-9);
     }

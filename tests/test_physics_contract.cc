@@ -113,19 +113,21 @@ TEST(LeakageKernelOracle, SnapshotPowersMatchOracle)
         ASSERT_EQ(snap.cores.size(), die.numCores());
 
         const LeakageParams &lp = die.params().leakage;
-        for (const CoreSnapshot &cs : snap.cores) {
-            const std::size_t c = cs.coreId;
+        for (std::size_t i = 0; i < snap.cores.size(); ++i) {
+            const std::size_t c = snap.cores[i].coreId;
+            const auto freq = snap.freqRow(i);
+            const auto power = snap.powerRow(i);
             const auto samples = die.leakageModel().sampleCoreVth(
                 die.variationMap(), die.floorplan(), c);
             for (std::size_t l = 0; l < die.numLevels(); ++l) {
                 const double v = die.voltage(l);
                 const long double want =
-                    ev.dynamicPower(work[c], v, cs.freqHz[l]) +
+                    ev.dynamicPower(work[c], v, freq[l]) +
                     oracle::corePower(lp, samples,
                                       die.variationMap().vthSigmaRandom(),
                                       v, cond.coreTempC[c],
                                       die.vthBias(c));
-                EXPECT_TRUE(relClose(want, cs.powerW[l]))
+                EXPECT_TRUE(relClose(want, power[l]))
                     << "die " << die.seed() << " core " << c << " level "
                     << l;
             }

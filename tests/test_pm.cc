@@ -42,11 +42,11 @@ syntheticSnapshot(std::size_t n, double ptarget, double pcoremax,
         core.coreId = i;
         core.threadId = i;
         for (double v : snap.voltage) {
-            core.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
-            core.ipc.push_back(ipcs[i]);
-            core.powerW.push_back(5.0 * v * v);
+            snap.freqHz.push_back(4.0e9 * (v - 0.2) / 0.8);
+            snap.ipc.push_back(ipcs[i]);
+            snap.powerW.push_back(5.0 * v * v);
         }
-        snap.cores.push_back(std::move(core));
+        snap.cores.push_back(core);
     }
     return snap;
 }
@@ -89,7 +89,7 @@ TEST(FoxtonStar, EnforcesPerCoreCap)
     FoxtonStarManager pm;
     const auto levels = pm.selectLevels(snap);
     for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_LE(snap.cores[i].powerW[static_cast<std::size_t>(
+        EXPECT_LE(snap.powerRow(i)[static_cast<std::size_t>(
                       levels[i])],
                   4.0 + 1e-9);
     }
@@ -188,7 +188,7 @@ TEST(LinOpt, RespectsPerCoreCap)
     LinOptManager pm;
     const auto levels = pm.selectLevels(snap);
     for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_LE(snap.cores[i].powerW[static_cast<std::size_t>(
+        EXPECT_LE(snap.powerRow(i)[static_cast<std::size_t>(
                       levels[i])],
                   3.3 + 1e-9);
     }

@@ -283,12 +283,15 @@ TEST(SnapshotProperty, LevelMonotonicity)
     const auto snap =
         buildSnapshot(evaluator, work, cond, 75.0, 10.0, nullptr);
 
-    for (const auto &core : snap.cores) {
+    for (std::size_t i = 0; i < snap.cores.size(); ++i) {
+        const auto power = snap.powerRow(i);
+        const auto freq = snap.freqRow(i);
+        const auto ipc = snap.ipcRow(i);
         for (std::size_t l = 1; l < snap.voltage.size(); ++l) {
-            EXPECT_GT(core.powerW[l], core.powerW[l - 1]);
-            EXPECT_GE(core.freqHz[l], core.freqHz[l - 1]);
+            EXPECT_GT(power[l], power[l - 1]);
+            EXPECT_GE(freq[l], freq[l - 1]);
             // IPC falls (weakly) with frequency for every app.
-            EXPECT_LE(core.ipc[l], core.ipc[l - 1] + 1e-12);
+            EXPECT_LE(ipc[l], ipc[l - 1] + 1e-12);
         }
     }
 }

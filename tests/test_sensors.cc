@@ -135,7 +135,7 @@ TEST_F(SensorsFixture, SnapshotCoversActiveCoresOnly)
     ASSERT_EQ(snap.cores.size(), 2u);
     EXPECT_EQ(snap.cores[0].coreId, 3u);
     EXPECT_EQ(snap.cores[1].coreId, 7u);
-    EXPECT_EQ(snap.cores[0].freqHz.size(), die_.numLevels());
+    EXPECT_EQ(snap.freqRow(0).size(), die_.numLevels());
 }
 
 TEST_F(SensorsFixture, SnapshotPowerMatchesConditionAtSameLevels)
@@ -178,9 +178,9 @@ TEST_F(SensorsFixture, SensorNoiseIsSmall)
         buildSnapshot(evaluator_, work, cond, 75.0, 7.5, nullptr);
     for (std::size_t i = 0; i < clean.cores.size(); ++i) {
         for (std::size_t l = 0; l < die_.numLevels(); ++l) {
-            EXPECT_NEAR(noisy.cores[i].powerW[l],
-                        clean.cores[i].powerW[l],
-                        0.06 * clean.cores[i].powerW[l]);
+            EXPECT_NEAR(noisy.powerRow(i)[l],
+                        clean.powerRow(i)[l],
+                        0.06 * clean.powerRow(i)[l]);
         }
     }
 }
@@ -208,12 +208,12 @@ TEST_F(SensorsFixture, SensorNoiseFollowsSequentialDrawOrder)
         ASSERT_EQ(noisy.cores.size(), clean.cores.size());
         for (std::size_t i = 0; i < clean.cores.size(); ++i) {
             for (std::size_t l = 0; l < die_.numLevels(); ++l) {
-                const double ipc = clean.cores[i].ipc[l] *
+                const double ipc = clean.ipcRow(i)[l] *
                     (1.0 + 0.01 * sequential.normal());
-                const double power = clean.cores[i].powerW[l] *
+                const double power = clean.powerRow(i)[l] *
                     (1.0 + 0.01 * sequential.normal());
-                EXPECT_NEAR(noisy.cores[i].ipc[l], ipc, 1e-12 * ipc);
-                EXPECT_NEAR(noisy.cores[i].powerW[l], power,
+                EXPECT_NEAR(noisy.ipcRow(i)[l], ipc, 1e-12 * ipc);
+                EXPECT_NEAR(noisy.powerRow(i)[l], power,
                             1e-12 * power);
             }
         }

@@ -4,10 +4,10 @@
 # including the simd_forced_scalar fallback rerun, the sampling_guard
 # sampled-vs-exact tier and the physics_contract tier), the pool's
 # tests under ThreadSanitizer in a second tree (<build-dir>-tsan), the
-# fault, guard, phase-sampling, orchestrator, core/CMP-model, simplex
-# and LinOpt tests under ASan+UBSan in a third (<build-dir>-asan),
-# then the correctness checks of every benchmark/ workload at smoke
-# scale. Given a base tree (a checkout of the parent commit), it also
+# fault, guard, phase-sampling, orchestrator, core/CMP-model, simplex,
+# snapshot and power-manager tests under ASan+UBSan, asserts kept, in a
+# third (<build-dir>-asan), then the correctness checks of every
+# benchmark/ workload at smoke scale. Given a base tree (a checkout of the parent commit), it also
 # compares the benchmark's end-to-end metrics in paired runs against
 # that tree (tools/bench_pairs.py), failing when a median is worse
 # than its bound in BENCHMARK.json. A trailing observability tier
@@ -43,15 +43,17 @@ ctest --test-dir "$tsan" --output-on-failure \
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass over the fault
 # injector, sensor validator, guard, phase sampler, config validation,
-# sweep orchestrator, trace-driven core and CMP models, simplex and
-# LinOpt: the test binary alone, in its own tree. The build aborts on
-# a UBSan report (-fno-sanitize-recover); halt_on_error says so again.
+# sweep orchestrator, trace-driven core and CMP models, simplex, the
+# sensor snapshot and its fill, LinOpt, Foxton*, SAnn and Exhaustive:
+# the test binary alone, in its own tree, with asserts kept. The build
+# aborts on a UBSan report (-fno-sanitize-recover); halt_on_error says
+# so again.
 asan="$build-asan"
 cmake -B "$asan" -S "$repo" -DVARSCHED_SANITIZE=ON
 cmake --build "$asan" -j --target varsched_tests
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir "$asan" --output-on-failure -R \
-    "GuardedPm|SensorValidator|FaultInjector|Phase|SystemConfigValidation|RetryPolicy|Orchestrator|CmpModel|CoreModel|TraceGen|Simplex|LinOpt"
+    "GuardedPm|SensorValidator|FaultInjector|Phase|SystemConfigValidation|RetryPolicy|Orchestrator|CmpModel|CoreModel|TraceGen|Simplex|LinOpt|Sensors|Snapshot|FoxtonStar|FoxtonDeep|SAnn|Exhaustive"
 
 # The benchmark's correctness checks on all four workloads, shrunk to
 # seconds (run.sh exits nonzero when any check fails).
