@@ -52,7 +52,7 @@ main()
         DieParams params;
         params.abbStrength = strength;
 
-        const auto dies = bench::runDies(
+        const auto dies = runDiePopulation(
             params, seeds, [](const Die &die, std::size_t) {
                 double fLo = 1e300, fHi = 0.0;
                 double pLo = 1e300, pHi = 0.0;
@@ -70,7 +70,7 @@ main()
                 a.powerRatio = pHi / pLo;
                 a.uniFreqHz = die.uniformFreq();
                 return a;
-            });
+            }).results;
 
         Summary freqRatio, powerRatio, uniFreq, staticTotal;
         for (const DieAbb &a : dies) {

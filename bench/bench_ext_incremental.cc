@@ -7,9 +7,8 @@
  * the same 0.01 C residual of one fixed point, so the run-averaged
  * metrics must agree to well under 0.5%; a larger gap
  * means the warm start changed the physics, not just the iteration
- * count. Run under VARSCHED_BENCH_COMPARE=1 (as the smoke CTest
- * does), each batch additionally verifies that the parallel runner is
- * bit-identical to the serial path.
+ * count. That the parallel runner is bit-identical to the serial path
+ * is checked by BatchDeterminism.BitIdenticalAcrossWorkerCounts.
  */
 
 #include <cmath>
@@ -61,8 +60,8 @@ main()
     for (auto &c : cold)
         c.warmStartThermal = false;
 
-    const auto warmRes = bench::runBatch(batch, threads, configs);
-    const auto coldRes = bench::runBatch(batch, threads, cold);
+    const auto warmRes = runBatch(batch, threads, configs);
+    const auto coldRes = runBatch(batch, threads, cold);
 
     // The settle's residual is 0.01 C on ~70 C temperatures;
     // after averaging over hundreds of ticks the metric-level impact

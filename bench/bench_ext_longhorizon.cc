@@ -10,8 +10,9 @@
  *
  * Horizon override: VARSCHED_LONGHORIZON_MS (default 1,000,000 ms).
  * Sampling opt-out: VARSCHED_PHASE_SAMPLING=0 (be prepared to wait).
- * Guard: VARSCHED_BENCH_COMPARE=1 re-runs the exact reference and
- * aborts on divergence beyond the 1% default budget.
+ * The SamplingGuard.LongHorizon* tests replay this run at a 4000 ms
+ * horizon against the exact reference and hold it to the 1% default
+ * budget.
  */
 
 #include <cstdio>
@@ -52,7 +53,7 @@ main()
                 horizonMs, horizonMs, // tickMs = 1
                 config.phaseSampling.enabled ? "on" : "off");
 
-    const auto r = bench::runBatch(batch, 8, {config});
+    const auto r = runBatch(batch, 8, {config});
 
     const std::uint64_t total = r.exactTicks + r.sampledTicks;
     std::printf("avg MIPS            %12.1f\n",

@@ -42,7 +42,7 @@ main()
         config.dvfsIntervalMs = ivl;
         config.durationMs = 200.0;
         config.transitionUsPerStep = us;
-        const auto r = bench::runBatch(batch, 20, {config});
+        const auto r = runBatch(batch, 20, {config});
         return r.absolute[0].mips.mean();
     };
 

@@ -40,7 +40,7 @@ main()
     }
 
     const std::size_t threads = 8;
-    const auto r = bench::runBatch(batch, threads, configs);
+    const auto r = runBatch(batch, threads, configs);
 
     std::printf("%-14s %12s %14s %16s\n", "scheduler", "rel MIPS",
                 "worst aging", "lifetime (yr)");

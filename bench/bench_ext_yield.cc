@@ -30,10 +30,10 @@ yieldRow(double sigma, double abb, const std::vector<std::uint64_t> &seeds,
     params.variation.vthSigmaOverMu = sigma;
     params.abbStrength = abb;
 
-    const auto dies = bench::runDies(
+    const auto dies = runDiePopulation(
         params, seeds, [](const Die &die, std::size_t) {
             return bench::dieYield(die);
-        });
+        }).results;
 
     const std::size_t lot = seeds.size();
     std::vector<std::size_t> meets(targetsGHz.size(), 0);

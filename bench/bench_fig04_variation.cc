@@ -34,11 +34,11 @@ main()
     Histogram freqHist(1.0, 1.6, 12);
     Summary powerSummary, freqSummary;
 
-    const auto ratios = bench::runDies(
+    const auto ratios = runDiePopulation(
         params, diePopulationSeeds(numDies, 2026),
         [](const Die &die, std::size_t) {
             return bench::coreRatios(die);
-        });
+        }).results;
     for (const bench::DieRatios &r : ratios) {
         powerHist.add(r.power);
         freqHist.add(r.freq);

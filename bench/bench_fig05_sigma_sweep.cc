@@ -35,10 +35,10 @@ main()
     for (double sigma : {0.03, 0.06, 0.09, 0.12}) {
         DieParams params;
         params.variation.vthSigmaOverMu = sigma;
-        const auto ratios = bench::runDies(
+        const auto ratios = runDiePopulation(
             params, seeds, [](const Die &die, std::size_t) {
                 return bench::coreRatios(die);
-            });
+            }).results;
         Summary power, freq;
         for (const bench::DieRatios &r : ratios) {
             power.add(r.power);

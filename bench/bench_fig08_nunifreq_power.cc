@@ -40,7 +40,7 @@ main()
                 "Random", "VarP", "VarP&AppP", "Random", "VarP",
                 "VarP&AppP");
     for (std::size_t threads : bench::threadSweep(true)) {
-        const auto r = bench::runBatch(batch, threads, configs);
+        const auto r = runBatch(batch, threads, configs);
         std::printf("%-8zu | %8.3f %9.3f %9.3f | %8.3f %9.3f %9.3f\n",
                     threads, r.relative[0].powerW.mean(),
                     r.relative[1].powerW.mean(),

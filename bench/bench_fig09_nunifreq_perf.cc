@@ -42,7 +42,7 @@ main()
                 "Random", "VarF", "VarF&AppIPC", "Random", "VarF",
                 "VarF&AppIPC");
     for (std::size_t threads : bench::threadSweep(true)) {
-        const auto r = bench::runBatch(batch, threads, configs);
+        const auto r = runBatch(batch, threads, configs);
         std::printf(
             "%-8zu | %8.3f %9.3f %11.3f | %8.3f %9.3f %11.3f\n",
             threads, r.relative[0].freqHz.mean(),

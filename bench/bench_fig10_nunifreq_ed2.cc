@@ -36,7 +36,7 @@ main()
     std::printf("%-8s | %8s %9s %11s\n", "threads", "Random", "VarF",
                 "VarF&AppIPC");
     for (std::size_t threads : bench::threadSweep(true)) {
-        const auto r = bench::runBatch(batch, threads, configs);
+        const auto r = runBatch(batch, threads, configs);
         std::printf("%-8zu | %8.3f %9.3f %11.3f\n", threads,
                     r.relative[0].ed2.mean(),
                     r.relative[1].ed2.mean(),

@@ -44,7 +44,7 @@ main()
             c.sannEvals = envSize("VARSCHED_SANN_EVALS", 8000);
         }
 
-        const auto r = bench::runBatch(batch, threads, configs);
+        const auto r = runBatch(batch, threads, configs);
         std::printf("threads=%zu (Ptarget %.1f W)\n", threads,
                     configs[0].ptargetW);
         std::printf("  %-22s %10s %10s\n", "algorithm", "rel MIPS",

@@ -44,7 +44,7 @@ main()
             c.durationMs = 150.0;
             c.sannEvals = envSize("VARSCHED_SANN_EVALS", 8000);
         }
-        const auto r = bench::runBatch(batch, 20, configs);
+        const auto r = runBatch(batch, 20, configs);
         std::printf("%-10.0f | %14.3f %19.3f %18.3f %16.3f\n",
                     ptarget, r.relative[0].mips.mean(),
                     r.relative[1].mips.mean(),

@@ -50,14 +50,14 @@ main()
             if (envSize("VARSCHED_WEIGHTED_OBJ", 0) == 1)
                 c.pmObjective = PmObjective::Weighted;
             // Phase-sampled tick engine (default on; opt out with
-            // VARSCHED_PHASE_SAMPLING=0). With
-            // VARSCHED_BENCH_COMPARE=1 every run self-checks against
-            // the exact reference within the error budget.
+            // VARSCHED_PHASE_SAMPLING=0). The SamplingGuard.Fig13*
+            // tests replay these runs against the exact reference
+            // within the error budget.
             c.phaseSampling.enabled =
                 envFlag("VARSCHED_PHASE_SAMPLING", true);
         }
 
-        const auto r = bench::runBatch(batch, threads, configs);
+        const auto r = runBatch(batch, threads, configs);
         std::printf("threads=%zu\n", threads);
         std::printf("  %-22s %14s %14s %14s\n", "algorithm",
                     "rel wIPC", "rel wED^2", "rel progress");

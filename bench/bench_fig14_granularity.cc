@@ -46,7 +46,7 @@ main()
             config.phaseSampling.enabled =
                 envFlag("VARSCHED_PHASE_SAMPLING", true);
             const auto r =
-                bench::runBatch(batch, threadCounts[i], {config});
+                runBatch(batch, threadCounts[i], {config});
             dev[i] = r.absolute[0].deviation.mean() * 100.0;
         }
         std::printf("%-12.0f %16.2f %16.2f\n", interval, dev[0],

@@ -32,7 +32,7 @@ main()
         c.durationMs = 150.0;
     }
 
-    const auto r = bench::runBatch(batch, 20, configs);
+    const auto r = runBatch(batch, 20, configs);
     std::printf("NUniFreq relative to UniFreq (paper in parens):\n");
     std::printf("  frequency: %.3f  (+15%% -> 1.15)\n",
                 r.relative[1].freqHz.mean());

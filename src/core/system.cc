@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "solver/rng.hh"
 
-#include "runtime/env.hh"
 #include "runtime/trace.hh"
 
 #include "core/exhaustive.hh"
@@ -167,13 +163,6 @@ SystemSimulator::SystemSimulator(const Die &die,
             " threads exceed the die's " +
             std::to_string(die_.numCores()) + " cores");
     }
-    rebuildManager();
-}
-
-void
-SystemSimulator::rebuildManager()
-{
-    guard_ = nullptr;
     manager_ = makePowerManager(config_.pm, config_.sannEvals,
                                 config_.seed ^ 0x5A5A,
                                 config_.pmObjective);
@@ -195,133 +184,6 @@ relDiff(double a, double b)
     const double denom = std::max(std::abs(a), std::abs(b));
     return denom > 0.0 ? std::abs(a - b) / denom : 0.0;
 }
-
-/**
- * Process-wide accumulator for the exact-vs-sampled guard. A sampled
- * run's decision trajectory decorrelates from the exact run's the
- * moment one decision is skipped: both are draws of the same
- * sensor-noise process, worth a few tenths of a percent of throughput
- * either way. That noise is zero-mean only because runImpl's basis
- * carries workload drift, verifies reseeds and charges skipped
- * decisions' stalls; without any of those the sampled run is biased
- * toward higher MIPS. So each run is held to a loose cap (real extrapolation
- * failures blow well past it), and the *budget* is asserted on the
- * mean signed deviation over every guarded run of the process, the
- * number a bench actually reports.
- */
-struct CompareAccumulator
-{
-    std::mutex mutex;
-    /** Sums of signed per-run relative deviations. */
-    double powerRelSum = 0.0;
-    double energyRelSum = 0.0;
-    double ed2RelSum = 0.0;
-    double worstRunEd2Rel = 0.0;
-    double budget = 0.0;
-    std::uint64_t runs = 0;
-    bool exitHookArmed = false;
-};
-
-CompareAccumulator &
-compareAccumulator()
-{
-    static CompareAccumulator acc;
-    return acc;
-}
-
-// Per-run caps, in budgets. ED^2's follows from the power cap:
-// rel(ED^2) ~ rel(E) + 2 rel(M), so a throughput wobble the size of
-// the power cap shows up three- to four-fold in ED^2.
-constexpr double kRunCapBudgets = 3.0;
-constexpr double kEd2RunCapBudgets = 12.0;
-
-void
-compareExitCheck()
-{
-    CompareAccumulator &acc = compareAccumulator();
-    std::lock_guard<std::mutex> lock(acc.mutex);
-    if (acc.runs == 0)
-        return;
-    const double n = static_cast<double>(acc.runs);
-    const double meanPower = std::abs(acc.powerRelSum / n);
-    const double meanEnergy = std::abs(acc.energyRelSum / n);
-    const double meanEd2 = std::abs(acc.ed2RelSum / n);
-    const double worst =
-        std::max(meanPower, std::max(meanEnergy, meanEd2));
-    if (worst > acc.budget) {
-        std::fprintf(
-            stderr,
-            "VARSCHED_BENCH_COMPARE: mean deviation over %llu "
-            "phase-sampled runs diverged from the exact reference "
-            "beyond the error budget %.4g: power %.3g, energy %.3g, "
-            "ED2 %.3g (worst single-run ED2 %.3g)\n",
-            static_cast<unsigned long long>(acc.runs), acc.budget,
-            meanPower, meanEnergy, meanEd2, acc.worstRunEd2Rel);
-        std::abort();
-    }
-}
-
-} // namespace
-
-SystemResult
-SystemSimulator::run()
-{
-    if (!config_.phaseSampling.enabled)
-        return runImpl(false);
-    SystemResult sampled = runImpl(true);
-
-    // Exact-vs-sampled guard: under VARSCHED_BENCH_COMPARE=1, re-run
-    // with sampling off (the exact engine, on the same per-epoch RNG
-    // streams) and require the headline metrics to land
-    // within the error budget. Managers are rebuilt on both sides so
-    // warm internal state cannot leak between the runs.
-    if (benchCompare()) {
-        rebuildManager();
-        const SystemResult exact = runImpl(false);
-        rebuildManager();
-        const double budget =
-            std::max(config_.phaseSampling.errorBudget, 0.0);
-        const double dPower = relDiff(sampled.avgPowerW, exact.avgPowerW);
-        const double dEnergy = relDiff(sampled.energyJ, exact.energyJ);
-        const double dEd2 = relDiff(sampled.ed2, exact.ed2);
-        const double runCap = kRunCapBudgets * budget;
-        const double ed2Cap = kEd2RunCapBudgets * budget;
-        if (dPower > runCap || dEnergy > runCap || dEd2 > ed2Cap) {
-            std::fprintf(
-                stderr,
-                "VARSCHED_BENCH_COMPARE: phase-sampled run diverged "
-                "from the exact reference beyond the per-run cap "
-                "(budget %.4g): power %.6g vs %.6g (rel %.3g, cap "
-                "%.4g), energy %.6g vs %.6g (rel %.3g, cap %.4g), "
-                "ED2 %.6g vs %.6g (rel %.3g, cap %.4g)\n",
-                budget, sampled.avgPowerW, exact.avgPowerW, dPower,
-                runCap, sampled.energyJ, exact.energyJ, dEnergy,
-                runCap, sampled.ed2, exact.ed2, dEd2, ed2Cap);
-            std::abort();
-        }
-        const auto signedRel = [](double a, double b) {
-            const double denom = std::max(std::abs(a), std::abs(b));
-            return denom > 0.0 ? (a - b) / denom : 0.0;
-        };
-        CompareAccumulator &acc = compareAccumulator();
-        std::lock_guard<std::mutex> lock(acc.mutex);
-        acc.powerRelSum +=
-            signedRel(sampled.avgPowerW, exact.avgPowerW);
-        acc.energyRelSum += signedRel(sampled.energyJ, exact.energyJ);
-        acc.ed2RelSum += signedRel(sampled.ed2, exact.ed2);
-        acc.worstRunEd2Rel = std::max(acc.worstRunEd2Rel, dEd2);
-        acc.budget = std::max(acc.budget, budget);
-        ++acc.runs;
-        if (!acc.exitHookArmed) {
-            acc.exitHookArmed = true;
-            std::atexit(compareExitCheck);
-        }
-    }
-    return sampled;
-}
-
-namespace
-{
 
 /**
  * Apply @p op(field of @p into, same field of @p from) to every field
@@ -385,11 +247,11 @@ metricErr(const ChipCondition &a, double powerW, double mips)
  * churn.
  */
 PhaseSamplingConfig
-runSamplerConfig(const SystemConfig &config, const PowerManager &manager,
-                 bool sampled)
+runSamplerConfig(const SystemConfig &config, const PowerManager &manager)
 {
     PhaseSamplingConfig cfg = config.phaseSampling;
-    if (sampled && config.pm != PmKind::None && manager.cheapDecision()) {
+    if (cfg.enabled && config.pm != PmKind::None &&
+        manager.cheapDecision()) {
         cfg.maxChurnFraction = phaseChurnTolerance(cfg);
         cfg.errorBudget = 0.0;
     }
@@ -421,7 +283,7 @@ struct Tick
 
 /**
  * One run of the Fig 2 tick loop: the run-local state and the stages
- * SystemSimulator::runImpl drives every tick — faults and scheduling,
+ * SystemSimulator::run drives every tick — faults and scheduling,
  * the power manager's epoch, the settle (or the sampled engine's
  * extrapolation, with its basis upkeep), accumulation, and, once, the
  * final aggregation. Without @ref sampled no sampler work is done.
@@ -430,8 +292,7 @@ struct TickRun
 {
     TickRun(const Die &die, const std::vector<const AppProfile *> &apps,
             const SystemConfig &config, ChipEvaluator &evaluator,
-            PowerManager &manager, GuardedPowerManager *guard,
-            bool sampled);
+            PowerManager &manager, GuardedPowerManager *guard);
     // condFrom points into the run itself.
     TickRun(const TickRun &) = delete;
     TickRun &operator=(const TickRun &) = delete;
@@ -564,10 +425,10 @@ struct TickRun
 TickRun::TickRun(const Die &die,
                  const std::vector<const AppProfile *> &apps,
                  const SystemConfig &config, ChipEvaluator &evaluator,
-                 PowerManager &manager, GuardedPowerManager *guard,
-                 bool sampled)
+                 PowerManager &manager, GuardedPowerManager *guard)
     : die(die), apps(apps), config(config), evaluator(evaluator),
-      manager(manager), guard(guard), sampled(sampled),
+      manager(manager), guard(guard),
+      sampled(config.phaseSampling.enabled),
       numCores(die.numCores()), numThreads(apps.size()),
       totalTicks(static_cast<std::size_t>(
           std::llround(config.durationMs / config.tickMs))),
@@ -587,7 +448,7 @@ TickRun::TickRun(const Die &die,
       work(numCores), coreLevels(numCores,
                                  static_cast<int>(die.maxLevel())),
       coreOk(numCores, true),
-      samplerCfg(runSamplerConfig(config, manager, sampled)),
+      samplerCfg(runSamplerConfig(config, manager)),
       sampler(samplerCfg, numCores), sig(numCores, 0),
       wearout(wearoutModel, numCores), coreVdd(numCores, 0.0)
 {
@@ -1093,10 +954,9 @@ TickRun::finalise()
 } // namespace
 
 SystemResult
-SystemSimulator::runImpl(bool sampled)
+SystemSimulator::run()
 {
-    TickRun run(die_, apps_, config_, evaluator_, *manager_, guard_,
-                sampled);
+    TickRun run(die_, apps_, config_, evaluator_, *manager_, guard_);
     for (std::size_t i = 0; i < run.totalTicks; ++i) {
         Tick tick;
         tick.index = i;

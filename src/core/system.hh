@@ -128,11 +128,10 @@ struct SystemConfig
      * Phase-sampled engine (runtime/phase.hh): detect steady workload
      * phases online and evaluate only a sampled subset of DVFS epochs,
      * extrapolating the rest from the settled condition. Off by
-     * default (the exact tick loop). When enabled with
-     * VARSCHED_BENCH_COMPARE=1 in the environment, run() re-runs the
-     * exact reference and aborts if power/energy/ED^2 diverge beyond
-     * the error budget (PR 2 guard idiom). Requires steady-state
-     * thermal mode and no guardedPm (both need every tick settled).
+     * default (the exact tick loop). The SamplingGuard tests hold
+     * sampled runs' power/energy/ED^2 to the error budget against the
+     * same runs with sampling off. Requires steady-state thermal mode
+     * and no guardedPm (both need every tick settled).
      */
     PhaseSamplingConfig phaseSampling;
 };
@@ -209,7 +208,9 @@ struct SystemResult
     /** Cores permanently failed during the run. */
     std::size_t coresFailed = 0;
 
-    // Phase-sampling telemetry (zero when phaseSampling is off).
+    // Phase-sampling telemetry. With phaseSampling off, exactTicks
+    // and evaluatedEpochs count every tick and epoch, and the other
+    // four fields read zero.
 
     /** Ticks settled exactly (all ticks when sampling is off). */
     std::uint64_t exactTicks = 0;
@@ -246,24 +247,14 @@ class SystemSimulator
     /**
      * Run the configured duration and aggregate the metrics. The run
      * with phaseSampling off is the exact reference: every tick
-     * settled, every DVFS epoch decided. With phaseSampling enabled
-     * this is the sampled engine; additionally setting
-     * VARSCHED_BENCH_COMPARE=1 re-runs with sampling off and aborts
-     * when the sampled power/energy/ED^2 fall outside the error
-     * budget (with a budget of 0 they must be bit-identical).
+     * settled, every DVFS epoch decided, and no sampler work done.
+     * With phaseSampling enabled this is the sampled engine
+     * (signatures, epoch verdicts, basis upkeep); with a budget of 0
+     * it is bit-identical to the exact reference.
      */
     SystemResult run();
 
   private:
-    /**
-     * The tick loop. @p sampled runs the phase sampler (signatures,
-     * epoch verdicts, basis upkeep); without it every tick settles and
-     * no sampler work is done.
-     */
-    SystemResult runImpl(bool sampled);
-    /** Fresh manager/guard, so guard reference runs start clean. */
-    void rebuildManager();
-
     const Die &die_;
     std::vector<const AppProfile *> apps_;
     SystemConfig config_;

@@ -10,8 +10,8 @@
  * through parallelFor and still produce results bit-identical at any
  * worker count: the result vector is ordered by die index (ordered
  * reduction), and no worker ever touches another die's state. The
- * VARSCHED_BENCH_COMPARE=1 guard in bench::runDies re-runs the lot on
- * one worker and aborts on any divergence.
+ * DiePopulation tests check the lot bit-identical across worker
+ * counts.
  */
 
 #ifndef VARSCHED_RUNTIME_DIEPOP_HH
@@ -56,9 +56,9 @@ struct DiePopulationRun
  * perDie(die, i), fanning the lot across VARSCHED_THREADS workers.
  *
  * @param perDie Callable (const Die &, std::size_t index) -> R. Must
- *        be a pure function of its arguments (it runs concurrently
- *        and its results are compared against a serial re-run by the
- *        bench determinism guard).
+ *        be a pure function of its arguments: it runs concurrently,
+ *        and only a pure one gives the same results at every worker
+ *        count.
  * @param workerOverride Worker count; 0 means configuredThreads().
  */
 template <typename Fn>

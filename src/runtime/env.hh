@@ -3,7 +3,7 @@
  * The environment-knob parsers: VARSCHED_THREADS, VARSCHED_DIES,
  * VARSCHED_TRIALS, VARSCHED_TRACE_BUFFER and the other size-valued
  * overrides read through envSize(); on/off knobs read through
- * envFlag(); the VARSCHED_BENCH_COMPARE guards read benchCompare().
+ * envFlag().
  */
 
 #ifndef VARSCHED_RUNTIME_ENV_HH
@@ -54,19 +54,6 @@ envFlag(const char *name, bool fallback)
     if (value == nullptr || *value == '\0')
         return fallback;
     return !(value[0] == '0' && value[1] == '\0');
-}
-
-/**
- * Whether VARSCHED_BENCH_COMPARE turns on the self-checking re-runs:
- * the benches' parallel-vs-serial bit-identity guards and
- * SystemSimulator::run's sampled-vs-exact guard. On when the value
- * parses (parseSize) to 1, so "1" and "01" both enable every guard;
- * unset, "0" or anything else leaves them all off.
- */
-inline bool
-benchCompare()
-{
-    return envSize("VARSCHED_BENCH_COMPARE", 0) == 1;
 }
 
 } // namespace varsched

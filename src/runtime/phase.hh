@@ -29,8 +29,8 @@
  * the meantime. A budget of 0 (errorBudget <= 0) *is* the exact
  * engine: the sampler never extrapolates, so every tick settles and
  * every epoch is decided, exactly as with sampling off — the
- * reference the system harness's VARSCHED_BENCH_COMPARE=1 guard
- * checks sampled runs against.
+ * reference the SamplingGuard tests (tests/test_phase.cc) check
+ * sampled runs against.
  *
  * Header-only and dependency-free: the sampler knows nothing about
  * chips, only signatures, epochs, and error feedback.
@@ -56,8 +56,8 @@ struct PhaseSamplingConfig
     /**
      * Target relative error on run-level power/energy/ED^2. Governs
      * the derived churn tolerance and the checkpoint adaptation; the
-     * VARSCHED_BENCH_COMPARE guard asserts the realised error stays
-     * within it. <= 0 never extrapolates (the exact engine).
+     * SamplingGuard tests assert the realised error stays within it.
+     * <= 0 never extrapolates (the exact engine).
      */
     double errorBudget = 0.01;
 

@@ -13,8 +13,6 @@
 #ifndef VARSCHED_SOLVER_RNG_HH
 #define VARSCHED_SOLVER_RNG_HH
 
-#include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -157,21 +155,6 @@ class Rng
     fork(std::uint64_t tag)
     {
         return Rng(next() ^ (tag * 0xd1342543de82ef95ull + 0x2545f4914f6cdd1dull));
-    }
-
-    /**
-     * Complete generator state — the xoshiro words plus the cached
-     * Box-Muller spare — packed into an ordered, comparable array.
-     * Two generators with equal captured states produce identical
-     * draw sequences, so tests compare captured states to show that
-     * two code paths consumed the same stream.
-     */
-    std::array<std::uint64_t, 6>
-    captureState() const
-    {
-        return {state_[0], state_[1], state_[2], state_[3],
-                std::bit_cast<std::uint64_t>(spare_),
-                static_cast<std::uint64_t>(haveSpare_)};
     }
 
   private:

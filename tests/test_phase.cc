@@ -4,18 +4,21 @@
  * state machine in isolation (single-tick phases, churn at the
  * hysteresis boundary, adaptive period, budget-zero exactness) and
  * its integration into SystemSimulator (fault invalidation, sampled
- * runs tracking the exact reference, traffic workload plumbing).
+ * runs tracking the exact reference, traffic workload plumbing), and
+ * the sampled-vs-exact guard over the phase-sampled bench runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <vector>
-
-#include <cstdlib>
 
 #include "cmpsim/workload.hh"
 #include "core/experiment.hh"
@@ -361,6 +364,14 @@ TEST(PhaseSampler, BudgetZeroNeverExtrapolates)
 // System integration
 // ---------------------------------------------------------------------
 
+/** (a - b) relative to the larger magnitude (0 when both are 0). */
+double
+signedRel(double a, double b)
+{
+    const double denom = std::max(std::abs(a), std::abs(b));
+    return denom > 0.0 ? (a - b) / denom : 0.0;
+}
+
 class PhaseSystemFixture : public ::testing::Test
 {
   protected:
@@ -426,7 +437,7 @@ TEST_F(PhaseSystemFixture, BudgetZeroMatchesExactReferenceBitwise)
 {
     // With a zero budget the sampler never extrapolates, so the
     // sampled engine must reproduce the exact reference bit for bit —
-    // the invariant the VARSCHED_BENCH_COMPARE guard relies on.
+    // the invariant the SamplingGuard tests rely on.
     SystemConfig sampled = baseConfig();
     sampled.phaseSampling.errorBudget = 0.0;
     SystemConfig exact = baseConfig();
@@ -538,8 +549,7 @@ TEST_F(PhaseSystemFixture, SampledRunTracksExactWithinBudget)
               rb.exactTicks + rb.sampledTicks);
 
     const auto rel = [](double x, double y) {
-        const double d = std::max(std::abs(x), std::abs(y));
-        return d > 0.0 ? std::abs(x - y) / d : 0.0;
+        return std::abs(signedRel(x, y));
     };
     const double budget = sampled.phaseSampling.errorBudget;
     EXPECT_LE(rel(ra.avgPowerW, rb.avgPowerW), budget);
@@ -570,8 +580,7 @@ TEST_F(PhaseSystemFixture, SampledEd2IsUnbiasedAcrossRuns)
         SystemSimulator b(die_, workload(8), exact);
         const auto ra = a.run();
         const auto rb = b.run();
-        const double d = std::max(std::abs(ra.ed2), std::abs(rb.ed2));
-        relSum += d > 0.0 ? (ra.ed2 - rb.ed2) / d : 0.0;
+        relSum += signedRel(ra.ed2, rb.ed2);
     }
     EXPECT_LE(std::abs(relSum) / kRuns,
               baseConfig().phaseSampling.errorBudget);
@@ -643,6 +652,195 @@ TEST(PhaseBatch, SamplingOffBatchExtrapolatesNoTick)
     EXPECT_GT(r.exactTicks, 0u);
     EXPECT_EQ(r.sampledTicks, 0u);
 }
+
+// ---------------------------------------------------------------------
+// Sampled-vs-exact guard
+// ---------------------------------------------------------------------
+
+// Per-run caps, in budgets. ED^2's follows from the power cap:
+// rel(ED^2) ~ rel(E) + 2 rel(M), so a throughput wobble the size of
+// the power cap shows up three- to four-fold in ED^2.
+constexpr double kRunCapBudgets = 3.0;
+constexpr double kEd2RunCapBudgets = 12.0;
+
+/**
+ * The bench runs of one guard set, each replayed phase-sampled and
+ * with sampling off. A sampled run's decision trajectory decorrelates
+ * from the exact run's the moment one decision is skipped: both are
+ * draws of the same sensor-noise process, worth a few tenths of a
+ * percent of throughput either way. That noise is zero-mean only
+ * because the sampled engine's basis carries workload drift, verifies
+ * reseeds and charges skipped decisions' stalls; without any of those
+ * the sampled run is biased toward higher MIPS. So each run is held to
+ * a loose cap (real extrapolation failures blow well past it), and the
+ * budget is asserted on the mean signed deviation over the set, the
+ * number a bench reports.
+ */
+class SamplingGuardSet
+{
+  public:
+    /**
+     * Replay tuple (die @p d, trial 0) of @p batch under @p proto the
+     * way runBatch does, sampled and exact, and check the per-run caps.
+     * @p label names the run in failure messages.
+     */
+    void
+    run(const BatchConfig &batch, const Die &die, std::size_t d,
+        std::size_t numThreads, const SystemConfig &proto,
+        const std::string &label)
+    {
+        Rng workloadRng = workloadRngFor(batch, d, 0);
+        const auto apps =
+            randomWorkload(numThreads, workloadRng, batch.workloadPool);
+        SystemConfig config = proto;
+        config.seed = workloadRng.next();
+        SystemConfig exactConfig = config;
+        exactConfig.phaseSampling.enabled = false;
+        const SystemResult sampled =
+            SystemSimulator(die, apps, config).run();
+        const SystemResult exact =
+            SystemSimulator(die, apps, exactConfig).run();
+
+        budget_ = std::max(config.phaseSampling.errorBudget, 0.0);
+        const double power = signedRel(sampled.avgPowerW, exact.avgPowerW);
+        const double energy = signedRel(sampled.energyJ, exact.energyJ);
+        const double ed2 = signedRel(sampled.ed2, exact.ed2);
+        const double runCap = kRunCapBudgets * budget_;
+        const double ed2Cap = kEd2RunCapBudgets * budget_;
+        const std::string where = label + " die " + std::to_string(d);
+        EXPECT_LE(std::abs(power), runCap)
+            << where << ": power deviation " << power << ", cap "
+            << runCap;
+        EXPECT_LE(std::abs(energy), runCap)
+            << where << ": energy deviation " << energy << ", cap "
+            << runCap;
+        EXPECT_LE(std::abs(ed2), ed2Cap)
+            << where << ": ED^2 deviation " << ed2 << ", cap " << ed2Cap;
+
+        powerSum_ += power;
+        energySum_ += energy;
+        ed2Sum_ += ed2;
+        worstEd2_ = std::max(worstEd2_, std::abs(ed2));
+        ++runs_;
+    }
+
+    /** The budget on the set's mean deviations, and the report. */
+    void
+    expectUnbiased() const
+    {
+        ASSERT_GT(runs_, 0u);
+        const double n = static_cast<double>(runs_);
+        const double ed2Cap = kEd2RunCapBudgets * budget_;
+        ::testing::Test::RecordProperty(
+            "worst_run_ed2_deviation", std::to_string(worstEd2_));
+        ::testing::Test::RecordProperty("worst_run_ed2_cap",
+                                        std::to_string(ed2Cap));
+        std::printf("%zu sampled runs: worst ED^2 deviation %.4g (cap "
+                    "%.4g); mean power %.3g, energy %.3g, ED^2 %.3g "
+                    "(budget %.4g)\n",
+                    runs_, worstEd2_, ed2Cap, powerSum_ / n,
+                    energySum_ / n, ed2Sum_ / n, budget_);
+        EXPECT_LE(std::abs(powerSum_ / n), budget_)
+            << "mean power deviation over " << runs_ << " runs";
+        EXPECT_LE(std::abs(energySum_ / n), budget_)
+            << "mean energy deviation over " << runs_ << " runs";
+        EXPECT_LE(std::abs(ed2Sum_ / n), budget_)
+            << "mean ED^2 deviation over " << runs_ << " runs";
+    }
+
+  private:
+    double powerSum_ = 0.0;
+    double energySum_ = 0.0;
+    double ed2Sum_ = 0.0;
+    double worstEd2_ = 0.0;
+    double budget_ = 0.0;
+    std::size_t runs_ = 0;
+};
+
+/** One trial per die on the default seed, as the bench smokes ran. */
+BatchConfig
+guardBatch(std::size_t numDies)
+{
+    BatchConfig batch;
+    batch.numDies = numDies;
+    batch.numTrials = 1;
+    return batch;
+}
+
+/**
+ * Fig 13's sweep (bench_fig13_weighted): four configs at 4-20 threads,
+ * 150 ms, SAnn at 60 evaluations.
+ */
+void
+guardFig13(std::size_t numDies)
+{
+    struct Fig13Config
+    {
+        SchedAlgo sched;
+        PmKind pm;
+        const char *name;
+    };
+    const Fig13Config configs[] = {
+        {SchedAlgo::Random, PmKind::FoxtonStar, "Random+Foxton*"},
+        {SchedAlgo::VarFAppIPC, PmKind::FoxtonStar, "VarF&AppIPC+Foxton*"},
+        {SchedAlgo::VarFAppIPC, PmKind::LinOpt, "VarF&AppIPC+LinOpt"},
+        {SchedAlgo::VarFAppIPC, PmKind::SAnn, "VarF&AppIPC+SAnn"},
+    };
+    const BatchConfig batch = guardBatch(numDies);
+    SamplingGuardSet set;
+    for (std::size_t d = 0; d < numDies; ++d) {
+        const Die die(batch.dieParams, dieSeedFor(batch, d));
+        for (const std::size_t threads : {4u, 8u, 16u, 20u}) {
+            for (const Fig13Config &f : configs) {
+                SystemConfig c;
+                c.sched = f.sched;
+                c.pm = f.pm;
+                c.ptargetW = 75.0 * static_cast<double>(threads) / 20.0;
+                c.durationMs = 150.0;
+                c.sannEvals = 60;
+                c.phaseSampling.enabled = true;
+                set.run(batch, die, d, threads, c,
+                        "threads=" + std::to_string(threads) + " " +
+                            f.name);
+            }
+        }
+    }
+    set.expectUnbiased();
+}
+
+/**
+ * The long-horizon bench (bench_ext_longhorizon) at a 4000 ms horizon:
+ * LinOpt at 30 W, 8 threads of service traffic, basis blend 0.5.
+ */
+void
+guardLongHorizon(std::size_t numDies)
+{
+    BatchConfig batch = guardBatch(numDies);
+    batch.workloadPool = &trafficApplications();
+    SystemConfig c;
+    c.sched = SchedAlgo::VarFAppIPC;
+    c.pm = PmKind::LinOpt;
+    c.ptargetW = 75.0 * 8.0 / 20.0;
+    c.durationMs = 4000.0;
+    c.phaseSampling.enabled = true;
+    c.phaseSampling.basisBlend = 0.5;
+    SamplingGuardSet set;
+    for (std::size_t d = 0; d < numDies; ++d) {
+        const Die die(batch.dieParams, dieSeedFor(batch, d));
+        set.run(batch, die, d, 8, c, "threads=8 VarF&AppIPC+LinOpt");
+    }
+    set.expectUnbiased();
+}
+
+TEST(SamplingGuard, Fig13OneDie) { guardFig13(1); }
+
+// Over four dies: the budget holds on the mean, so one die alone
+// cannot show a bias that is consistent across dies.
+TEST(SamplingGuard, Fig13FourDies) { guardFig13(4); }
+
+TEST(SamplingGuard, LongHorizonOneDie) { guardLongHorizon(1); }
+
+TEST(SamplingGuard, LongHorizonFourDies) { guardLongHorizon(4); }
 
 // ---------------------------------------------------------------------
 // Traffic workload plumbing

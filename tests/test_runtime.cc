@@ -282,22 +282,6 @@ TEST(EnvKnob, StrictParserRejectsTrailingNegativeAndOverflow)
     EXPECT_EQ(envSize("VARSCHED_TEST_SIZE", 7), 7u);
 }
 
-TEST(EnvKnob, BenchCompareIsOneParseForEveryGuard)
-{
-    // The benches' serial-rerun guards and SystemSimulator::run's
-    // sampled-vs-exact guard all read the knob through benchCompare(),
-    // so a value either turns every guard on or none of them.
-    unsetenv("VARSCHED_BENCH_COMPARE");
-    EXPECT_FALSE(benchCompare());
-    setenv("VARSCHED_BENCH_COMPARE", "0", 1);
-    EXPECT_FALSE(benchCompare());
-    setenv("VARSCHED_BENCH_COMPARE", "1", 1);
-    EXPECT_TRUE(benchCompare());
-    setenv("VARSCHED_BENCH_COMPARE", "01", 1);
-    EXPECT_TRUE(benchCompare());
-    unsetenv("VARSCHED_BENCH_COMPARE");
-}
-
 // ---------------------------------------------------------------------
 // Batch determinism.
 
@@ -389,13 +373,22 @@ expectIdentical(const BatchResult &a, const BatchResult &b)
 TEST(BatchDeterminism, BitIdenticalAcrossWorkerCounts)
 {
     const BatchConfig base = smallBatch();
-    const auto configs = smallConfigs();
+    auto configs = smallConfigs();
+    // A phase-sampled SAnn run: the sampled engine's verdicts and
+    // SAnn's seeded chain must not depend on the worker either.
+    SystemConfig sampledSAnn = configs[1];
+    sampledSAnn.pm = PmKind::SAnn;
+    sampledSAnn.sannEvals = 60;
+    sampledSAnn.durationMs = 150.0;
+    sampledSAnn.phaseSampling.enabled = true;
+    configs.push_back(sampledSAnn);
 
     BatchConfig serial = base;
     serial.workerThreads = 1;
     const BatchResult reference = runBatch(serial, 6, configs);
     ASSERT_EQ(reference.absolute[0].mips.count(),
               base.numDies * base.numTrials);
+    EXPECT_GT(reference.sampledTicks, 0u);
 
     for (std::size_t workers : {2u, 7u}) {
         BatchConfig parallel = base;

@@ -24,10 +24,13 @@ cmake -B "$build" -S "$repo"
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j
 
-# Explicit pass over the sampled-vs-exact guard tier: every sampled
-# bench re-runs against its exact reference (VARSCHED_BENCH_COMPARE=1
-# aborts beyond the error budget).
-ctest --test-dir "$build" -L sampling_guard --output-on-failure
+# Explicit pass over the sampled-vs-exact guard tier: the SamplingGuard
+# tests replay Fig 13's and the long-horizon bench's sampled runs
+# against the same runs with sampling off and fail beyond the error
+# budget. Verbose, so each set's worst ED^2 deviation and its cap show
+# in the log.
+ctest --test-dir "$build" -L sampling_guard --output-on-failure \
+    --verbose
 
 # Physics contracts: the leakage kernel against its per-sample oracle
 # (1e-12) and the settle's 0.01 C residual and round-count pins.
