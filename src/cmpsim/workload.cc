@@ -197,4 +197,13 @@ PhaseSequencer::advance(double dtMs)
     }
 }
 
+std::size_t
+PhaseSequencer::ticksToBoundary(double dtMs) const
+{
+    std::size_t ticks = 1;
+    for (double left = remainingMs_ - dtMs; left > 0.0; left -= dtMs)
+        ++ticks;
+    return ticks;
+}
+
 } // namespace varsched

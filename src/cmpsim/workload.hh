@@ -133,6 +133,13 @@ class PhaseSequencer
     /** Advance simulated time; may transition between phases. */
     void advance(double dtMs);
 
+    /**
+     * advance(dtMs) calls until the one that draws the next phase,
+     * counting that one (>= 1): the same subtractions, one by one, so
+     * the count holds where they round (dtMs = 0.1).
+     */
+    std::size_t ticksToBoundary(double dtMs) const;
+
   private:
     const AppProfile *app_;
     Rng rng_;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "solver/rng.hh"
 
+#include "runtime/metrics.hh"
 #include "runtime/trace.hh"
 
 #include "core/exhaustive.hh"
@@ -283,9 +283,10 @@ struct Tick
 
 /**
  * One run of the Fig 2 tick loop: the run-local state and the stages
- * SystemSimulator::run drives every tick — faults and scheduling,
- * the power manager's epoch, the settle (or the sampled engine's
- * extrapolation, with its basis upkeep), accumulation, and, once, the
+ * SystemSimulator::run drives on every event tick — faults and
+ * scheduling, the power manager's epoch, the settle (or the sampled
+ * engine's extrapolation, with its basis upkeep), accumulation — the
+ * replay of the quiet ticks up to the next event, and, once, the
  * final aggregation. Without @ref sampled no sampler work is done.
  */
 struct TickRun
@@ -303,7 +304,12 @@ struct TickRun
     void basisUpkeep(const Tick &t, bool resettled, double prePowerW,
                      double preMips);
     void accumulateStage(const Tick &t);
+    std::size_t quietTicksAfter(const Tick &t) const;
+    void replay(const Tick &t, std::size_t ticks);
     SystemResult finalise();
+
+    void addTicks(std::size_t ticks, double mips, bool extrap);
+    std::size_t firstTickAtOrAfter(double ms) const;
 
     bool settleSteady();
     void hold(const ChipCondition &src);
@@ -335,6 +341,8 @@ struct TickRun
     ChipSnapshot snap;
     /** Per-thread phase sequencers. */
     std::vector<PhaseSequencer> phases;
+    /** Per thread, the tick whose phase advance draws its next phase. */
+    std::vector<std::size_t> phaseDrawTick;
 
     std::vector<std::size_t> assignment; // thread -> core (or kNoCore)
     std::vector<CoreWork> work;
@@ -363,9 +371,13 @@ struct TickRun
     // contributions are recomputed then and re-added on other ticks.
     bool tickDirty = true;
     // cond is an untouched copy of *condFrom (nullptr: of nothing, as
-    // after a transient step or a transition stall); holding the same
-    // source again skips the copy.
+    // after a transient step); holding the same source again skips the
+    // copy.
     const ChipCondition *condFrom = nullptr;
+    // The MIPS the last tick reported: cond's, less its transition
+    // stall. The stall is charged here and to the sums, never to cond,
+    // so the held condition stays a clean copy.
+    double reportedMips = 0.0;
 
     // Phase sampler and its extrapolation basis.
     const PhaseSamplingConfig samplerCfg;
@@ -412,8 +424,9 @@ struct TickRun
     double tickMinThread = 0.0, tickWeighted = 0.0, tickProgress = 0.0,
            tickFreq = 0.0, tickDev = 0.0;
 
-    // Core failures are polled from the first scheduled one on.
-    double firstFailureMs = std::numeric_limits<double>::infinity();
+    // Ticks on which a scheduled core failure falls due, ascending;
+    // failures are polled from the first of them on.
+    std::vector<std::size_t> failureTicks;
 
     // Guard-tier bookkeeping (recovery-latency metric).
     int prevTier = 0;
@@ -456,11 +469,38 @@ TickRun::TickRun(const Die &die,
     // every recorded result was drawn from.
     (void)rng.fork(0xDEAD);
     phases.reserve(numThreads);
-    for (std::size_t t = 0; t < numThreads; ++t)
+    for (std::size_t t = 0; t < numThreads; ++t) {
         phases.emplace_back(*apps[t], rng.fork(100 + t));
-    for (const CoreFailureSpec &f : config.faults.coreFailures)
-        firstFailureMs = std::min(firstFailureMs, f.atMs);
+        // Tick 0 ends with the first advance.
+        phaseDrawTick.push_back(phases[t].ticksToBoundary(config.tickMs) -
+                                1);
+    }
+    for (const CoreFailureSpec &f : config.faults.coreFailures) {
+        const std::size_t tick = firstTickAtOrAfter(f.atMs);
+        if (tick < totalTicks)
+            failureTicks.push_back(tick);
+    }
+    std::sort(failureTicks.begin(), failureTicks.end());
     result.powerTrace.reserve(totalTicks);
+}
+
+/** The first tick whose start time reaches @p ms (totalTicks: none). */
+std::size_t
+TickRun::firstTickAtOrAfter(double ms) const
+{
+    if (std::isnan(ms))
+        return totalTicks;
+    if (!(ms > 0.0))
+        return 0;
+    // The estimate, then the exact comparison the loop makes.
+    std::size_t tick = static_cast<std::size_t>(std::min(
+        std::ceil(ms / config.tickMs), static_cast<double>(totalTicks)));
+    while (tick > 0 && static_cast<double>(tick - 1) * config.tickMs >= ms)
+        --tick;
+    while (tick < totalTicks &&
+           static_cast<double>(tick) * config.tickMs < ms)
+        ++tick;
+    return tick;
 }
 
 void
@@ -555,8 +595,9 @@ void
 TickRun::scheduleStage(const Tick &t)
 {
     injector.advanceTo(t.nowMs);
-    for (std::size_t c = 0; t.nowMs >= firstFailureMs && c < numCores;
-         ++c) {
+    const bool failuresDue =
+        !failureTicks.empty() && t.index >= failureTicks.front();
+    for (std::size_t c = 0; failuresDue && c < numCores; ++c) {
         if (coreOk[c] && injector.coreFailed(c)) {
             coreOk[c] = false;
             workDirty = true;
@@ -650,7 +691,7 @@ TickRun::epochStage(Tick &t)
     // condition-cache hit — free.
     if (sampled && wasExtrapolating && !config.transientThermal) {
         preBasisPowerW = cond.totalPowerW;
-        preBasisMips = cond.totalMips;
+        preBasisMips = reportedMips;
         haveBasisForEst = true;
         settleSteady();
     }
@@ -692,15 +733,14 @@ TickRun::settleStage(Tick &t)
     t.extrap = sampled && sampler.extrapolating();
     if (t.extrap) {
         // Replay the statistical basis, which changes only on
-        // evaluated ticks. It is pristine, so a fresh copy also
-        // undoes any transition-stall mutation left on cond.
+        // evaluated ticks.
         hold(extrapCond);
-        sampler.noteExtrapolatedTick();
+        sampler.noteExtrapolatedTicks(1);
         return;
     }
     const double prePowerW =
         haveBasisForEst ? preBasisPowerW : cond.totalPowerW;
-    const double preMips = haveBasisForEst ? preBasisMips : cond.totalMips;
+    const double preMips = haveBasisForEst ? preBasisMips : reportedMips;
     haveBasisForEst = false;
     bool resettled = false;
     if (config.transientThermal) {
@@ -834,18 +874,17 @@ TickRun::accumulateStage(const Tick &t)
     // every decision, so a skipped one is charged the learned mean.
     if (t.dvfsBoundary && !t.epochEval && config.pm != PmKind::None)
         transitionSteps += meanDecisionSteps;
+    double mips = cond.totalMips;
     if (transitionSteps > 0 && config.transitionUsPerStep > 0.0) {
         const double stallMs = std::min(
             config.tickMs, static_cast<double>(transitionSteps) *
                                config.transitionUsPerStep * 1e-3 /
                                static_cast<double>(numThreads));
-        transitionLostMipsMs += cond.totalMips * stallMs;
-        cond.totalMips *= 1.0 - stallMs / config.tickMs;
-        condFrom = nullptr;
+        transitionLostMipsMs += mips * stallMs;
+        mips *= 1.0 - stallMs / config.tickMs;
     }
     transitionSteps = 0.0;
 
-    // None of these reads the stalled totalMips.
     if (tickDirty) {
         tickDirty = false;
         tickMinThread = 1e300;
@@ -869,13 +908,7 @@ TickRun::accumulateStage(const Tick &t)
     } else {
         wearout.repeat(config.tickMs);
     }
-    sumMinThread += tickMinThread;
-    sumMips += cond.totalMips;
-    sumWeighted += tickWeighted;
-    sumProgress += tickProgress;
-    sumPower += cond.totalPowerW;
-    sumFreq += tickFreq;
-    sumDev += tickDev;
+    addTicks(1, mips, t.extrap);
 
     // Close the guard's loop on the settled (regulator-side) power
     // and track its tier for the recovery metrics.
@@ -892,18 +925,119 @@ TickRun::accumulateStage(const Tick &t)
             result.degradedTimeMs += config.tickMs;
         prevTier = tier;
     }
-    result.powerTrace.push_back(cond.totalPowerW);
-    result.energyJ += cond.totalPowerW * config.tickMs * 1e-3;
-    result.instructions += cond.totalMips * 1.0e6 * config.tickMs * 1e-3;
-    ++(t.extrap ? result.sampledTicks : result.exactTicks);
     wasExtrapolating = t.extrap;
 
-    // Phase drift.
-    for (auto &seq : phases) {
+    // Phase drift. A thread's draw tick is the one whose advance draws
+    // its next phase; runs of quiet ticks stop short of it.
+    for (std::size_t th = 0; th < numThreads; ++th) {
+        PhaseSequencer &seq = phases[th];
         const std::size_t phaseBefore = seq.currentIndex();
         seq.advance(config.tickMs);
         workDirty = workDirty || seq.currentIndex() != phaseBefore;
+        if (phaseDrawTick[th] == t.index)
+            phaseDrawTick[th] =
+                t.index + seq.ticksToBoundary(config.tickMs);
     }
+}
+
+/**
+ * Add @p ticks ticks of the held condition, each reporting @p mips,
+ * to the run's sums and trace: one add per tick and sum, in tick
+ * order, as ticks run one by one would. Never a product with the tick
+ * count, which rounds differently.
+ */
+void
+TickRun::addTicks(std::size_t ticks, double mips, bool extrap)
+{
+    const double powerW = cond.totalPowerW;
+    const double energyJ = powerW * config.tickMs * 1e-3;
+    const double instructions = mips * 1.0e6 * config.tickMs * 1e-3;
+    for (std::size_t n = 0; n < ticks; ++n) {
+        sumMinThread += tickMinThread;
+        sumMips += mips;
+        sumWeighted += tickWeighted;
+        sumProgress += tickProgress;
+        sumPower += powerW;
+        sumFreq += tickFreq;
+        sumDev += tickDev;
+        result.energyJ += energyJ;
+        result.instructions += instructions;
+    }
+    result.powerTrace.insert(result.powerTrace.end(), ticks, powerW);
+    (extrap ? result.sampledTicks : result.exactTicks) += ticks;
+    reportedMips = mips;
+}
+
+/**
+ * Ticks after @p t that repeat it. Until the next event nothing the
+ * stages read changes: the work, the levels and the held condition
+ * are fixed, no stall is charged, and the sampler keeps its verdict.
+ * The events are the next DVFS boundary or OS interval, a thread's
+ * phase draw, a core failure falling due, and the end of the run.
+ * Transient thermal integrates every tick, and the guard keeps
+ * per-tick violation and recovery streaks
+ * (GuardedPowerManager::observeSettled scores every settled tick), so
+ * those runs repeat no tick.
+ */
+std::size_t
+TickRun::quietTicksAfter(const Tick &t) const
+{
+    // A phase drawn in this tick's drift changes the next tick's work;
+    // a sampler that switched between settling and extrapolating
+    // changes what the next tick reports.
+    if (config.transientThermal || guard != nullptr || workDirty ||
+        (sampled && sampler.extrapolating() != t.extrap))
+        return 0;
+    std::size_t next =
+        std::min({totalTicks, (t.index / dvfsPeriod + 1) * dvfsPeriod,
+                  (t.index / osPeriod + 1) * osPeriod});
+    for (std::size_t tick : phaseDrawTick)
+        next = std::min(next, tick);
+    const auto failure = std::upper_bound(failureTicks.begin(),
+                                          failureTicks.end(), t.index);
+    if (failure != failureTicks.end())
+        next = std::min(next, *failure);
+    return next - t.index - 1;
+}
+
+/**
+ * Replay the @p ticks quiet ticks after @p t (see quietTicksAfter):
+ * their sums, trace samples, wear and tick counts, the phase
+ * sequencers' drift, and the sampler's per-tick work — its observe
+ * and, on settled ticks, the basis upkeep, which repeats the same
+ * refreeze each tick and so runs once.
+ *
+ * The observes may complete the hysteresis window partway through the
+ * run. One upkeep at its end still leaves the per-tick state: an
+ * Unstable sampler never has its epoch's extrapolation verdict set
+ * (invalidate() and beginEpochEvaluate() clear it), so the refreeze
+ * that arms it cannot turn extrapolation on, the upkeep reseeds the
+ * basis from the same held condition, and the upkeeps after it change
+ * nothing.
+ */
+void
+TickRun::replay(const Tick &t, std::size_t ticks)
+{
+    if (ticks == 0)
+        return;
+    wearout.repeat(config.tickMs, ticks);
+    addTicks(ticks, cond.totalMips, t.extrap);
+    // No sequencer draws before the next event.
+    for (PhaseSequencer &seq : phases) {
+        for (std::size_t n = 0; n < ticks; ++n)
+            seq.advance(config.tickMs);
+    }
+    Tick last;
+    last.index = t.index + ticks;
+    last.nowMs = static_cast<double>(last.index) * config.tickMs;
+    injector.advanceTo(last.nowMs);
+    if (!sampled)
+        return;
+    sampler.observeTicks(sig, ticks);
+    if (t.extrap)
+        sampler.noteExtrapolatedTicks(ticks);
+    else
+        basisUpkeep(last, false, 0.0, 0.0);
 }
 
 /** Turn the accumulated sums into the run's result. */
@@ -956,8 +1090,11 @@ TickRun::finalise()
 SystemResult
 SystemSimulator::run()
 {
+    static metrics::Counter &iterations =
+        metrics::Registry::global().counter("core.tick.iterations");
     TickRun run(die_, apps_, config_, evaluator_, *manager_, guard_);
-    for (std::size_t i = 0; i < run.totalTicks; ++i) {
+    std::uint64_t events = 0;
+    for (std::size_t i = 0; i < run.totalTicks; ++events) {
         Tick tick;
         tick.index = i;
         tick.nowMs = static_cast<double>(i) * config_.tickMs;
@@ -966,7 +1103,11 @@ SystemSimulator::run()
         run.epochStage(tick);
         run.settleStage(tick);
         run.accumulateStage(tick);
+        const std::size_t quiet = run.quietTicksAfter(tick);
+        run.replay(tick, quiet);
+        i += 1 + quiet;
     }
+    iterations.add(events);
     return run.finalise();
 }
 

@@ -4,8 +4,12 @@
  * interval the supervisor revisits the thread-to-core mapping with
  * one of the Table 1 algorithms; at every (shorter) DVFS interval the
  * power manager re-reads the sensors and re-selects per-core (V, f)
- * pairs. Between decision points, application phases drift, the chip
- * is settled physically every millisecond, and metrics accumulate.
+ * pairs. Metrics accumulate per tick (tickMs). The chip is settled
+ * and the metrics recomputed only on event ticks: a decision point,
+ * an application phase change, a core failure. Between events the
+ * work, the levels and the settled chip are fixed, so the loop replays
+ * each quiet tick's sums instead of running it, bit-identical to
+ * running it (see SystemSimulator::run).
  *
  * Supports all three configurations of Table 2:
  *  - UniFreq        (uniform frequency, no DVFS)
@@ -245,9 +249,14 @@ class SystemSimulator
                     const SystemConfig &config);
 
     /**
-     * Run the configured duration and aggregate the metrics. The run
-     * with phaseSampling off is the exact reference: every tick
-     * settled, every DVFS epoch decided, and no sampler work done.
+     * Run the configured duration and aggregate the metrics. The loop
+     * runs once per event, not once per tick: after the stages run on
+     * an event tick, the quiet ticks up to the next event (DVFS
+     * boundary, OS interval, phase draw, core failure, end of run)
+     * are replayed with the same adds in the same order. Transient-thermal and guarded runs have
+     * no quiet ticks. The run with phaseSampling off is the exact
+     * reference: every tick settled, every DVFS epoch decided, and no
+     * sampler work done.
      * With phaseSampling enabled this is the sampled engine
      * (signatures, epoch verdicts, basis upkeep); with a budget of 0
      * it is bit-identical to the exact reference.

@@ -96,7 +96,7 @@ class FaultInjector : public SensorTamper
   public:
     FaultInjector(const FaultSpec &spec, std::uint64_t seed);
 
-    /** Advance the injector's clock (call once per tick). */
+    /** Advance the injector's clock to @p nowMs. */
     void advanceTo(double nowMs) { nowMs_ = nowMs; }
 
     /** SensorTamper: corrupt one power reading per the schedule. */

@@ -52,11 +52,13 @@ WearoutTracker::accumulate(const std::vector<double> &coreTempC,
 }
 
 void
-WearoutTracker::repeat(double dtMs)
+WearoutTracker::repeat(double dtMs, std::size_t ticks)
 {
-    for (std::size_t c = 0; c < damageMs_.size(); ++c)
-        damageMs_[c] += lastRate_[c] * dtMs;
-    elapsedMs_ += dtMs;
+    for (std::size_t n = 0; n < ticks; ++n) {
+        for (std::size_t c = 0; c < damageMs_.size(); ++c)
+            damageMs_[c] += lastRate_[c] * dtMs;
+        elapsedMs_ += dtMs;
+    }
 }
 
 std::vector<double>

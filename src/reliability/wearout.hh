@@ -82,10 +82,11 @@ class WearoutTracker
                     const std::vector<double> &coreVdd, double dtMs);
 
     /**
-     * accumulate() at the operating point of the last accumulate()
-     * call, which must exist: the same per-core adds, bit for bit.
+     * @p ticks accumulate() calls at the operating point of the last
+     * accumulate() call, which must exist: the same per-core adds in
+     * the same order, bit for bit.
      */
-    void repeat(double dtMs);
+    void repeat(double dtMs, std::size_t ticks = 1);
 
     /**
      * Consumed reference-lifetime per core, as a fraction of the

@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -219,7 +220,10 @@ phaseDistance(const std::vector<std::uint64_t> &a,
  *        state as the basis;
  *      else extrapolate from the frozen condition.
  *
- * Structural events call invalidate(cause) at any point.
+ * Structural events call invalidate(cause) at any point. A caller
+ * that knows the next ticks repeat this one (same signature, no epoch
+ * boundary) may fold their step 1 into observeTicks(sig, n) and their
+ * extrapolated-tick counts into one noteExtrapolatedTicks(n).
  */
 class PhaseSampler
 {
@@ -263,6 +267,42 @@ class PhaseSampler
             matchTicks_ = 0;
             state_ = State::Unstable;
         }
+        return false;
+    }
+
+    /**
+     * @p ticks observeTick(sig) calls in a row, at the cost of one:
+     * the same state and counters afterwards, and the last call's
+     * return value (false when @p ticks is 0).
+     */
+    bool
+    observeTicks(const std::vector<std::uint64_t> &sig, std::size_t ticks)
+    {
+        if (ticks == 0)
+            return false;
+        if (state_ == State::Steady) {
+            // Every call sees the same distance to the same basis.
+            if (phaseDistance(sig, basis_) <= churnTol_)
+                return false;
+            stats_.invalidations[static_cast<std::size_t>(
+                PhaseInvalidation::PhaseChange)] += ticks;
+            extrapolating_ = false;
+            return true;
+        }
+        if (!candidateValid_ ||
+            phaseDistance(sig, candidate_) > churnTol_) {
+            // The first call adopts sig as the candidate; the rest
+            // match it.
+            observeTick(sig);
+            --ticks;
+        }
+        // Only whether the count has reached the window matters.
+        matchTicks_ = static_cast<int>(std::min<std::size_t>(
+            static_cast<std::size_t>(matchTicks_) + ticks,
+            kPhaseHysteresisTicks));
+        if (matchTicks_ >= kPhaseHysteresisTicks &&
+            state_ == State::Unstable)
+            state_ = State::Armed;
         return false;
     }
 
@@ -408,12 +448,12 @@ class PhaseSampler
      *  just reseeded from one decision. */
     void verifyNextEpoch() { verifyNext_ = true; }
 
-    /** Count one tick extrapolated from the frozen basis. */
+    /** Count @p ticks ticks extrapolated from the frozen basis. */
     void
-    noteExtrapolatedTick()
+    noteExtrapolatedTicks(std::uint64_t ticks)
     {
-        ++stats_.extrapolatedTicks;
-        ++ticksSinceCheckpoint_;
+        stats_.extrapolatedTicks += ticks;
+        ticksSinceCheckpoint_ += ticks;
     }
 
     const PhaseSamplerStats &stats() const { return stats_; }

@@ -64,8 +64,9 @@ TEST(Fft, KnownSineBin)
     fft(v, false);
     EXPECT_NEAR(std::abs(v[3]), static_cast<double>(n), 1e-9);
     for (std::size_t i = 0; i < n; ++i) {
-        if (i != 3)
+        if (i != 3) {
             EXPECT_NEAR(std::abs(v[i]), 0.0, 1e-9);
+        }
     }
 }
 

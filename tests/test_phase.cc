@@ -147,7 +147,7 @@ TEST(PhaseSampler, SteadyPhaseSamplesAtThePeriod)
             sampler.freezeBasis(sig);
         } else {
             ++extrapolated;
-            sampler.noteExtrapolatedTick();
+            sampler.noteExtrapolatedTicks(1);
         }
     }
     EXPECT_EQ(evaluated, 4);
@@ -325,7 +325,7 @@ TEST(PhaseSampler, ResampleKeepsSteadinessAndSchedulesAnEval)
     for (int e = 1; e < kPhaseSamplePeriodEpochs; ++e) {
         sampler.observeTick(sig);
         EXPECT_FALSE(sampler.beginEpochEvaluate()) << "epoch " << e;
-        sampler.noteExtrapolatedTick();
+        sampler.noteExtrapolatedTicks(1);
     }
     sampler.observeTick(sig);
     EXPECT_TRUE(sampler.beginEpochEvaluate());
@@ -337,7 +337,7 @@ TEST(PhaseSampler, EstErrAccountsTicksSinceCheckpoint)
     const auto sig = sigOf({7, 8});
     driveSteady(sampler, sig);
     for (int t = 0; t < 9; ++t)
-        sampler.noteExtrapolatedTick();
+        sampler.noteExtrapolatedTicks(1);
     sampler.checkpoint(0.004, 0.0, true);
     EXPECT_NEAR(sampler.stats().estErrSum, 0.004 * 9.0, 1e-15);
     // The tick counter reset: a second checkpoint adds nothing.

@@ -50,8 +50,9 @@ TEST_F(ThermalFixture, HeatedCoreIsHottest)
     cores[12] = 8.0;
     const auto r = model_.solve(cores, zeroL2_);
     for (std::size_t c = 0; c < 20; ++c) {
-        if (c != 12)
+        if (c != 12) {
             EXPECT_LT(r.coreTempC[c], r.coreTempC[12]);
+        }
     }
 }
 
