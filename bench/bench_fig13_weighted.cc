@@ -45,10 +45,8 @@ main()
             // assumption both objectives reduce to maximising
             // sum(w_i ipc_i f_i); empirically the throughput weights
             // track the paper's reported weighted gains far better in
-            // our model (see EXPERIMENTS.md), and the Weighted
-            // objective can be selected with VARSCHED_WEIGHTED_OBJ=1.
-            if (envSize("VARSCHED_WEIGHTED_OBJ", 0) == 1)
-                c.pmObjective = PmObjective::Weighted;
+            // our model (see EXPERIMENTS.md); `varsched_sim
+            // --objective weighted` runs the Weighted objective.
             // Phase-sampled tick engine (default on; opt out with
             // VARSCHED_PHASE_SAMPLING=0). The SamplingGuard.Fig13*
             // tests replay these runs against the exact reference

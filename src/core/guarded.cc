@@ -36,26 +36,24 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
     // point, so a healthy sensor agrees to within noise and phase
     // drift; a plausible-but-wrong one (stuck at yesterday's curve)
     // is caught here even though its shape passes every check.
-    if (haveSettled_) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t coreId = snap.cores[i].coreId;
-            int commanded = -1;
-            for (const auto &[id, level] : lastDecision_) {
-                if (id == coreId) {
-                    commanded = level;
-                    break;
-                }
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t coreId = snap.cores[i].coreId;
+        int commanded = -1;
+        for (const auto &[id, level] : lastDecision_) {
+            if (id == coreId) {
+                commanded = level;
+                break;
             }
-            if (commanded < 0 || coreId >= lastSettled_.corePowerW.size())
-                continue;
-            const double actual = lastSettled_.corePowerW[coreId];
-            const auto level = static_cast<std::size_t>(commanded);
-            if (actual <= 0.0 || level >= snap.numLevels())
-                continue;
-            if (std::abs(snap.powerRow(i)[level] - actual) >
-                kMistrustFraction * std::max(actual, 1.0))
-                validator_.reportMismatch(coreId);
         }
+        if (commanded < 0 || coreId >= settledPowerW_.size())
+            continue;
+        const double actual = settledPowerW_[coreId];
+        const auto level = static_cast<std::size_t>(commanded);
+        if (actual <= 0.0 || level >= snap.numLevels())
+            continue;
+        if (std::abs(snap.powerRow(i)[level] - actual) >
+            kMistrustFraction * std::max(actual, 1.0))
+            validator_.reportMismatch(coreId);
     }
 
     validated_ = snap;
@@ -120,10 +118,13 @@ GuardedPowerManager::selectLevels(const ChipSnapshot &snap)
 
 void
 GuardedPowerManager::observeSettled(const ChipCondition &cond,
-                                    double ptargetW, double pcoreMaxW)
+                                    double ptargetW, double pcoreMaxW,
+                                    std::size_t firstTick,
+                                    std::size_t ticks, double tickMs)
 {
-    lastSettled_ = cond;
-    haveSettled_ = true;
+    if (ticks == 0)
+        return;
+    settledPowerW_ = cond.corePowerW;
 
     // Score the last decision's power prediction against the first
     // settle after it; the (clamped-positive) bias shaves future
@@ -147,40 +148,56 @@ GuardedPowerManager::observeSettled(const ChipCondition &cond,
         }
     }
 
-    if (violated) {
-        ++stats_.violations;
-        cleanStreak_ = 0;
-        // A freshly changed tier needs one applied decision before
-        // the chip can react; don't punish it for stale violations.
-        if (!awaitingDecision_) {
-            ++violationStreak_;
-            if (violationStreak_ >= kDegradeAfter &&
-                tier_ != GuardTier::SafeMode) {
-                tier_ = static_cast<GuardTier>(
-                    static_cast<int>(tier_) + 1);
-                ++stats_.fallbackEngagements;
-                violationStreak_ = 0;
-                awaitingDecision_ = true;
+    // Every tick gets the same verdict; the streaks it feeds still
+    // move one tick at a time.
+    for (std::size_t tick = firstTick; tick < firstTick + ticks; ++tick) {
+        if (violated) {
+            ++stats_.violations;
+            cleanStreak_ = 0;
+            // A freshly changed tier needs one applied decision before
+            // the chip can react; don't punish it for stale violations.
+            if (!awaitingDecision_) {
+                ++violationStreak_;
+                if (violationStreak_ >= kDegradeAfter &&
+                    tier_ != GuardTier::SafeMode) {
+                    tier_ = static_cast<GuardTier>(
+                        static_cast<int>(tier_) + 1);
+                    ++stats_.fallbackEngagements;
+                    violationStreak_ = 0;
+                    awaitingDecision_ = true;
+                }
+            }
+        } else {
+            violationStreak_ = 0;
+            ++cleanStreak_;
+            if (cleanStreak_ >= kRecoverAfter &&
+                tier_ != GuardTier::Primary) {
+                // The final step back to the primary additionally
+                // requires every sensor to be trusted again.
+                const bool sensorsOk = tier_ != GuardTier::Fallback ||
+                    validator_.allTrusted();
+                if (sensorsOk) {
+                    tier_ = static_cast<GuardTier>(
+                        static_cast<int>(tier_) - 1);
+                    cleanStreak_ = 0;
+                    awaitingDecision_ = true;
+                    if (tier_ == GuardTier::Primary)
+                        ++stats_.recoveries;
+                }
             }
         }
-    } else {
-        violationStreak_ = 0;
-        ++cleanStreak_;
-        if (cleanStreak_ >= kRecoverAfter &&
-            tier_ != GuardTier::Primary) {
-            // The final step back to the primary additionally
-            // requires every sensor to be trusted again.
-            const bool sensorsOk = tier_ != GuardTier::Fallback ||
-                validator_.allTrusted();
-            if (sensorsOk) {
-                tier_ = static_cast<GuardTier>(
-                    static_cast<int>(tier_) - 1);
-                cleanStreak_ = 0;
-                awaitingDecision_ = true;
-                if (tier_ == GuardTier::Primary)
-                    ++stats_.recoveries;
-            }
-        }
+
+        // Tier time. A recovery takes kRecoverAfter clean ticks and
+        // selectLevels only degrades, so each one ends a timed episode.
+        const double nowMs = static_cast<double>(tick) * tickMs;
+        const bool degraded = tier_ != GuardTier::Primary;
+        if (degraded && !observedDegraded_)
+            degradeStartMs_ = nowMs;
+        if (!degraded && observedDegraded_)
+            stats_.recoveryMs += nowMs - degradeStartMs_;
+        if (degraded)
+            stats_.degradedTimeMs += tickMs;
+        observedDegraded_ = degraded;
     }
 }
 

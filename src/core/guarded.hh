@@ -61,8 +61,14 @@ struct GuardStats
     std::size_t recoveries = 0;
     /** Primary decisions overridden for predicted infeasibility. */
     std::size_t decisionOverrides = 0;
-    /** Settled-power violations observed. */
+    /** Settled-power violations observed (one per violated tick). */
     std::size_t violations = 0;
+    /** Time spent below the primary tier, ms. */
+    double degradedTimeMs = 0.0;
+    /** Summed degrade-to-primary latency over the recoveries, ms. */
+    double recoveryMs = 0.0;
+
+    bool operator==(const GuardStats &) const = default;
 };
 
 /** Decorator enforcing the power budget under faulty inputs. */
@@ -102,14 +108,21 @@ class GuardedPowerManager : public PowerManager
 
     /**
      * Feedback path: report the physically settled chip state (the
-     * regulator-side measurement, assumed trustworthy) once per tick.
+     * regulator-side measurement, assumed trustworthy) of @p ticks
+     * identical ticks, ticks @p firstTick onwards of a run stepping
+     * @p tickMs. Leaves exactly what that many one-tick calls leave:
+     * the violation and clean streaks advance tick by tick, so a
+     * degrade or recovery can land partway through, and the tier is
+     * timed at tick n's start, n * tickMs. The defaults score one
+     * tick, at time 0.
      *
-     * @param cond Settled condition of this tick.
+     * @param cond Settled condition of the ticks.
      * @param ptargetW Chip budget in force.
      * @param pcoreMaxW Per-core cap in force.
      */
     void observeSettled(const ChipCondition &cond, double ptargetW,
-                        double pcoreMaxW);
+                        double pcoreMaxW, std::size_t firstTick = 0,
+                        std::size_t ticks = 1, double tickMs = 1.0);
 
     GuardTier tier() const { return tier_; }
     const GuardStats &stats() const { return stats_; }
@@ -137,9 +150,11 @@ class GuardedPowerManager : public PowerManager
     /** (coreId, level) pairs of the last decision, for the settled
      *  cross-check at the next snapshot. */
     std::vector<std::pair<std::size_t, int>> lastDecision_;
-    /** Most recent settled condition reported back. */
-    ChipCondition lastSettled_;
-    bool haveSettled_ = false;
+    /** Per-core power of the last settle reported back, W. */
+    std::vector<double> settledPowerW_;
+    /** Below the primary at the last observed tick, since when. */
+    bool observedDegraded_ = false;
+    double degradeStartMs_ = 0.0;
     /** Chip power the last decision predicted; < 0 when none. */
     double lastPredictedW_ = -1.0;
     /** The prediction above has been scored against a settle. */

@@ -270,7 +270,6 @@ periodTicks(double ms, double tickMs)
 struct Tick
 {
     std::size_t index = 0;
-    double nowMs = 0.0;
     /** A DVFS epoch starts on this tick. */
     bool dvfsBoundary = false;
     /** The epoch is decided and settled, not extrapolated. */
@@ -294,7 +293,7 @@ struct TickRun
     TickRun(const Die &die, const std::vector<const AppProfile *> &apps,
             const SystemConfig &config, ChipEvaluator &evaluator,
             PowerManager &manager, GuardedPowerManager *guard);
-    // condFrom points into the run itself.
+    // cond points into the run itself.
     TickRun(const TickRun &) = delete;
     TickRun &operator=(const TickRun &) = delete;
 
@@ -308,11 +307,12 @@ struct TickRun
     void replay(const Tick &t, std::size_t ticks);
     SystemResult finalise();
 
-    void addTicks(std::size_t ticks, double mips, bool extrap);
+    void addTicks(std::size_t first, std::size_t ticks, double mips,
+                  bool extrap);
     std::size_t firstTickAtOrAfter(double ms) const;
 
     bool settleSteady();
-    void hold(const ChipCondition &src);
+    void hold(const ChipCondition &src, bool fresh = false);
     void refreshWork();
     void buildSignature();
 
@@ -348,8 +348,11 @@ struct TickRun
     std::vector<CoreWork> work;
     std::vector<int> coreLevels;
     std::vector<bool> coreOk;
-    ChipCondition cond;
-    bool haveCondition = false;
+    /** The condition the run holds: steady, extrapCond or transient
+     *  (null before the first settle). */
+    const ChipCondition *cond = nullptr;
+    /** The transient-thermal run's chip, stepped every tick. */
+    ChipCondition transient;
     // The per-core work, and the signature built from it, change only
     // when a thread changes phase or core, a core dies or a level
     // moves: rebuild them then, not on every tick.
@@ -367,16 +370,13 @@ struct TickRun
     std::vector<int> cachedLevels;
     bool cacheValid = false;
 
-    // Set when cond, work or levels change: the tick's metric
-    // contributions are recomputed then and re-added on other ticks.
+    // Set when the held source changes, a settle lands in it, or the
+    // work or levels change: the tick's metric contributions are
+    // recomputed then and re-added on other ticks.
     bool tickDirty = true;
-    // cond is an untouched copy of *condFrom (nullptr: of nothing, as
-    // after a transient step); holding the same source again skips the
-    // copy.
-    const ChipCondition *condFrom = nullptr;
-    // The MIPS the last tick reported: cond's, less its transition
-    // stall. The stall is charged here and to the sums, never to cond,
-    // so the held condition stays a clean copy.
+    // The MIPS the last tick reported: the held condition's, less its
+    // transition stall. The stall is charged here and to the sums,
+    // never to the held condition.
     double reportedMips = 0.0;
 
     // Phase sampler and its extrapolation basis.
@@ -427,12 +427,6 @@ struct TickRun
     // Ticks on which a scheduled core failure falls due, ascending;
     // failures are polled from the first of them on.
     std::vector<std::size_t> failureTicks;
-
-    // Guard-tier bookkeeping (recovery-latency metric).
-    int prevTier = 0;
-    double degradeStartMs = 0.0;
-    double totalRecoveryMs = 0.0;
-    std::size_t recoveryEpisodes = 0;
 };
 
 TickRun::TickRun(const Die &die,
@@ -504,13 +498,10 @@ TickRun::firstTickAtOrAfter(double ms) const
 }
 
 void
-TickRun::hold(const ChipCondition &src)
+TickRun::hold(const ChipCondition &src, bool fresh)
 {
-    if (condFrom != &src) {
-        cond = src;
-        condFrom = &src;
-        tickDirty = true;
-    }
+    tickDirty = tickDirty || fresh || cond != &src;
+    cond = &src;
 }
 
 /** Settle the steady state; true when the settle replaced an earlier
@@ -529,8 +520,7 @@ TickRun::settleSteady()
     std::swap(steady, prevSteady);
     cachedWork = work;
     cachedLevels = coreLevels;
-    condFrom = nullptr;
-    hold(steady);
+    hold(steady, true);
     return std::exchange(cacheValid, true);
 }
 
@@ -594,7 +584,7 @@ TickRun::buildSignature()
 void
 TickRun::scheduleStage(const Tick &t)
 {
-    injector.advanceTo(t.nowMs);
+    injector.advanceTo(static_cast<double>(t.index) * config.tickMs);
     const bool failuresDue =
         !failureTicks.empty() && t.index >= failureTicks.front();
     for (std::size_t c = 0; failuresDue && c < numCores; ++c) {
@@ -615,8 +605,8 @@ TickRun::scheduleStage(const Tick &t)
     // remapped here (failed cores are masked out of the pools).
     if (t.index % osPeriod == 0) {
         TRACE_SCOPE("sched.place");
-        if (config.sched == SchedAlgo::ThermalAware && haveCondition) {
-            assignment = scheduleThreadsThermal(die, apps, cond.coreTempC,
+        if (config.sched == SchedAlgo::ThermalAware && cond != nullptr) {
+            assignment = scheduleThreadsThermal(die, apps, cond->coreTempC,
                                                 rng, &coreOk);
         } else {
             assignment =
@@ -642,18 +632,10 @@ TickRun::scheduleStage(const Tick &t)
         sigDirty = true;
         tickDirty = true;
     }
-    if (!haveCondition) {
-        // First tick: settle once before the power manager reads
-        // its sensors.
-        if (config.transientThermal) {
-            TRACE_SCOPE("physics.settle");
-            cond = evaluator.evaluate(work, coreLevels, uniFreq);
-            tickDirty = true;
-        } else {
-            settleSteady();
-        }
-        haveCondition = true;
-    }
+    // First tick: settle once before the power manager reads its
+    // sensors (a transient run steps on from this settle).
+    if (cond == nullptr)
+        settleSteady();
 }
 
 /**
@@ -690,7 +672,7 @@ TickRun::epochStage(Tick &t)
     // unchanged since the last evaluated settle, so this restore is a
     // condition-cache hit — free.
     if (sampled && wasExtrapolating && !config.transientThermal) {
-        preBasisPowerW = cond.totalPowerW;
+        preBasisPowerW = cond->totalPowerW;
         preBasisMips = reportedMips;
         haveBasisForEst = true;
         settleSteady();
@@ -700,7 +682,7 @@ TickRun::epochStage(Tick &t)
     TRACE_INSTANT("pm.epoch", "epoch", static_cast<double>(epochIndex));
     Rng epochNoise(deriveSeed(config.seed, 0x4E01, epochIndex));
     manager.beginEpoch(epochIndex);
-    buildSnapshotInto(snap, evaluator, work, cond, config.ptargetW,
+    buildSnapshotInto(snap, evaluator, work, *cond, config.ptargetW,
                       pcoreMax, &epochNoise, tamper);
     const std::vector<int> &active = manager.selectLevels(snap);
     std::size_t decisionSteps = 0;
@@ -739,15 +721,15 @@ TickRun::settleStage(Tick &t)
         return;
     }
     const double prePowerW =
-        haveBasisForEst ? preBasisPowerW : cond.totalPowerW;
+        haveBasisForEst ? preBasisPowerW : cond->totalPowerW;
     const double preMips = haveBasisForEst ? preBasisMips : reportedMips;
     haveBasisForEst = false;
     bool resettled = false;
     if (config.transientThermal) {
         TRACE_SCOPE("physics.transient");
-        cond = evaluator.evaluateTransient(work, coreLevels, cond,
-                                           config.tickMs, uniFreq);
-        tickDirty = true;
+        transient = evaluator.evaluateTransient(work, coreLevels, *cond,
+                                                config.tickMs, uniFreq);
+        hold(transient, true);
     } else {
         resettled = settleSteady();
     }
@@ -781,7 +763,7 @@ TickRun::basisUpkeep(const Tick &t, bool resettled, double prePowerW,
     double ctlErr = 0.0;
     bool ctlScored = false;
     if (!steadyBefore || t.forcedResample) {
-        extrapCond = cond;
+        extrapCond = *cond;
         // The noise floor survives same-phase reseeds (signature
         // churn, remap): the controller's jitter amplitude belongs to
         // the phase, not to any one basis, and wiping it would
@@ -808,7 +790,7 @@ TickRun::basisUpkeep(const Tick &t, bool resettled, double prePowerW,
         }
     } else if (samplerCfg.errorBudget > 0.0) {
         const double jump =
-            metricErr(cond, extrapCond.totalPowerW, extrapCond.totalMips);
+            metricErr(*cond, extrapCond.totalPowerW, extrapCond.totalMips);
         const double floorRef =
             std::max(noiseFloorValid ? noiseFloor : 0.0,
                      samplerCfg.errorBudget);
@@ -824,12 +806,12 @@ TickRun::basisUpkeep(const Tick &t, bool resettled, double prePowerW,
             // so steadiness is kept and no warmup is paid.
             sampler.resample(PhaseInvalidation::DvfsChange);
             TRACE_INSTANT("phase.resample.regime", "jump", jump);
-            extrapCond = cond;
+            extrapCond = *cond;
             ctlErr = samplerCfg.basisBlend * jump;
             ctlScored = true;
         } else {
             const double w = samplerCfg.basisBlend;
-            combineCondition(extrapCond, cond, [w](double &a, double b) {
+            combineCondition(extrapCond, *cond, [w](double &a, double b) {
                 a += w * (b - a);
             });
             if (noiseFloorValid)
@@ -847,7 +829,7 @@ TickRun::basisUpkeep(const Tick &t, bool resettled, double prePowerW,
     if (wasExtrapolating) {
         // Score the extrapolation just ended: the point error funds
         // est_err, the basis drift drives the period adaptation.
-        const double estErr = metricErr(cond, prePowerW, preMips);
+        const double estErr = metricErr(*cond, prePowerW, preMips);
         TRACE_INSTANT("phase.checkpoint", "est_err", estErr);
         sampler.checkpoint(estErr, ctlErr, t.dvfsBoundary);
     } else if (ctlScored) {
@@ -862,8 +844,8 @@ TickRun::basisUpkeep(const Tick &t, bool resettled, double prePowerW,
 
 /**
  * Accumulate the tick: charge the voltage-transition stall, add the
- * tick's metric contributions, close the guard's loop, and let the
- * application phases drift.
+ * tick's metric contributions (and close the guard's loop), and let
+ * the application phases drift.
  */
 void
 TickRun::accumulateStage(const Tick &t)
@@ -874,7 +856,7 @@ TickRun::accumulateStage(const Tick &t)
     // every decision, so a skipped one is charged the learned mean.
     if (t.dvfsBoundary && !t.epochEval && config.pm != PmKind::None)
         transitionSteps += meanDecisionSteps;
-    double mips = cond.totalMips;
+    double mips = cond->totalMips;
     if (transitionSteps > 0 && config.transitionUsPerStep > 0.0) {
         const double stallMs = std::min(
             config.tickMs, static_cast<double>(transitionSteps) *
@@ -890,41 +872,25 @@ TickRun::accumulateStage(const Tick &t)
         tickMinThread = 1e300;
         for (std::size_t c = 0; c < numCores; ++c) {
             result.maxCoreTempC =
-                std::max(result.maxCoreTempC, cond.coreTempC[c]);
+                std::max(result.maxCoreTempC, cond->coreTempC[c]);
             coreVdd[c] = 0.0;
             if (work[c].app == nullptr)
                 continue;
-            tickMinThread = std::min(tickMinThread, cond.coreMips[c]);
+            tickMinThread = std::min(tickMinThread, cond->coreMips[c]);
             coreVdd[c] =
                 die.voltage(static_cast<std::size_t>(coreLevels[c]));
         }
-        tickWeighted = weightedThroughput(cond, work);
-        tickProgress = weightedProgress(cond, work);
-        tickFreq = averageActiveFrequency(cond, work);
+        tickWeighted = weightedThroughput(*cond, work);
+        tickProgress = weightedProgress(*cond, work);
+        tickFreq = averageActiveFrequency(*cond, work);
         if (config.pm != PmKind::None)
-            tickDev = std::abs(cond.totalPowerW - config.ptargetW) /
+            tickDev = std::abs(cond->totalPowerW - config.ptargetW) /
                 config.ptargetW;
-        wearout.accumulate(cond.coreTempC, coreVdd, config.tickMs);
+        wearout.accumulate(cond->coreTempC, coreVdd, config.tickMs);
     } else {
         wearout.repeat(config.tickMs);
     }
-    addTicks(1, mips, t.extrap);
-
-    // Close the guard's loop on the settled (regulator-side) power
-    // and track its tier for the recovery metrics.
-    if (guard != nullptr) {
-        guard->observeSettled(cond, config.ptargetW, pcoreMax);
-        const int tier = static_cast<int>(guard->tier());
-        if (prevTier == 0 && tier > 0)
-            degradeStartMs = t.nowMs;
-        if (prevTier > 0 && tier == 0) {
-            totalRecoveryMs += t.nowMs - degradeStartMs;
-            ++recoveryEpisodes;
-        }
-        if (tier > 0)
-            result.degradedTimeMs += config.tickMs;
-        prevTier = tier;
-    }
+    addTicks(t.index, 1, mips, t.extrap);
     wasExtrapolating = t.extrap;
 
     // Phase drift. A thread's draw tick is the one whose advance draws
@@ -941,15 +907,17 @@ TickRun::accumulateStage(const Tick &t)
 }
 
 /**
- * Add @p ticks ticks of the held condition, each reporting @p mips,
- * to the run's sums and trace: one add per tick and sum, in tick
- * order, as ticks run one by one would. Never a product with the tick
- * count, which rounds differently.
+ * Add @p ticks ticks of the held condition from tick @p first on, each
+ * reporting @p mips, to the run's sums and trace: one add per tick and
+ * sum, in tick order, as ticks run one by one would. Never a product
+ * with the tick count, which rounds differently. The guard scores the
+ * same ticks on the settled (regulator-side) power.
  */
 void
-TickRun::addTicks(std::size_t ticks, double mips, bool extrap)
+TickRun::addTicks(std::size_t first, std::size_t ticks, double mips,
+                  bool extrap)
 {
-    const double powerW = cond.totalPowerW;
+    const double powerW = cond->totalPowerW;
     const double energyJ = powerW * config.tickMs * 1e-3;
     const double instructions = mips * 1.0e6 * config.tickMs * 1e-3;
     for (std::size_t n = 0; n < ticks; ++n) {
@@ -966,6 +934,9 @@ TickRun::addTicks(std::size_t ticks, double mips, bool extrap)
     result.powerTrace.insert(result.powerTrace.end(), ticks, powerW);
     (extrap ? result.sampledTicks : result.exactTicks) += ticks;
     reportedMips = mips;
+    if (guard != nullptr)
+        guard->observeSettled(*cond, config.ptargetW, pcoreMax, first,
+                              ticks, config.tickMs);
 }
 
 /**
@@ -974,10 +945,8 @@ TickRun::addTicks(std::size_t ticks, double mips, bool extrap)
  * are fixed, no stall is charged, and the sampler keeps its verdict.
  * The events are the next DVFS boundary or OS interval, a thread's
  * phase draw, a core failure falling due, and the end of the run.
- * Transient thermal integrates every tick, and the guard keeps
- * per-tick violation and recovery streaks
- * (GuardedPowerManager::observeSettled scores every settled tick), so
- * those runs repeat no tick.
+ * Transient thermal integrates every tick, so those runs repeat no
+ * tick.
  */
 std::size_t
 TickRun::quietTicksAfter(const Tick &t) const
@@ -985,7 +954,7 @@ TickRun::quietTicksAfter(const Tick &t) const
     // A phase drawn in this tick's drift changes the next tick's work;
     // a sampler that switched between settling and extrapolating
     // changes what the next tick reports.
-    if (config.transientThermal || guard != nullptr || workDirty ||
+    if (config.transientThermal || workDirty ||
         (sampled && sampler.extrapolating() != t.extrap))
         return 0;
     std::size_t next =
@@ -1021,7 +990,7 @@ TickRun::replay(const Tick &t, std::size_t ticks)
     if (ticks == 0)
         return;
     wearout.repeat(config.tickMs, ticks);
-    addTicks(ticks, cond.totalMips, t.extrap);
+    addTicks(t.index + 1, ticks, cond->totalMips, t.extrap);
     // No sequencer draws before the next event.
     for (PhaseSequencer &seq : phases) {
         for (std::size_t n = 0; n < ticks; ++n)
@@ -1029,8 +998,7 @@ TickRun::replay(const Tick &t, std::size_t ticks)
     }
     Tick last;
     last.index = t.index + ticks;
-    last.nowMs = static_cast<double>(last.index) * config.tickMs;
-    injector.advanceTo(last.nowMs);
+    injector.advanceTo(static_cast<double>(last.index) * config.tickMs);
     if (!sampled)
         return;
     sampler.observeTicks(sig, ticks);
@@ -1074,13 +1042,15 @@ TickRun::finalise()
     result.dvfsFaultsInjected = injector.dvfsFaultsInjected();
     result.coresFailed = injector.coresFailed();
     if (guard != nullptr) {
-        result.fallbackEngagements = guard->stats().fallbackEngagements;
-        result.guardRecoveries = guard->stats().recoveries;
+        const GuardStats &gstats = guard->stats();
+        result.fallbackEngagements = gstats.fallbackEngagements;
+        result.guardRecoveries = gstats.recoveries;
         result.finalGuardTier = static_cast<int>(guard->tier());
         result.sensorQuarantines = guard->sensorQuarantines();
-        result.meanRecoveryMs = recoveryEpisodes > 0
-            ? totalRecoveryMs / static_cast<double>(recoveryEpisodes)
+        result.meanRecoveryMs = gstats.recoveries > 0
+            ? gstats.recoveryMs / static_cast<double>(gstats.recoveries)
             : 0.0;
+        result.degradedTimeMs = gstats.degradedTimeMs;
     }
     return std::move(result);
 }
@@ -1097,7 +1067,6 @@ SystemSimulator::run()
     for (std::size_t i = 0; i < run.totalTicks; ++events) {
         Tick tick;
         tick.index = i;
-        tick.nowMs = static_cast<double>(i) * config_.tickMs;
         tick.dvfsBoundary = i % run.dvfsPeriod == 0;
         run.scheduleStage(tick);
         run.epochStage(tick);

@@ -8,8 +8,8 @@
  * and the metrics recomputed only on event ticks: a decision point,
  * an application phase change, a core failure. Between events the
  * work, the levels and the settled chip are fixed, so the loop replays
- * each quiet tick's sums instead of running it, bit-identical to
- * running it (see SystemSimulator::run).
+ * each quiet tick's sums (and the guard's scoring of it) instead of
+ * running it, bit-identical to running it (see SystemSimulator::run).
  *
  * Supports all three configurations of Table 2:
  *  - UniFreq        (uniform frequency, no DVFS)
@@ -253,8 +253,9 @@ class SystemSimulator
      * runs once per event, not once per tick: after the stages run on
      * an event tick, the quiet ticks up to the next event (DVFS
      * boundary, OS interval, phase draw, core failure, end of run)
-     * are replayed with the same adds in the same order. Transient-thermal and guarded runs have
-     * no quiet ticks. The run with phaseSampling off is the exact
+     * are replayed with the same adds in the same order; a guard
+     * scores them in one call. Transient-thermal runs have no quiet
+     * ticks. The run with phaseSampling off is the exact
      * reference: every tick settled, every DVFS epoch decided, and no
      * sampler work done.
      * With phaseSampling enabled this is the sampled engine

@@ -122,11 +122,10 @@ enum class PhaseInvalidation
     Remap,          ///< Scheduler moved threads across cores.
     DvfsChange,     ///< Power manager swung many levels at once.
     Fault,          ///< Injected fault event (core death etc.).
-    WearDrift,      ///< Reliability state drifted (reserved hook).
     BudgetExceeded, ///< Checkpoint error exceeded the budget.
 };
 
-inline constexpr std::size_t kNumPhaseInvalidations = 6;
+inline constexpr std::size_t kNumPhaseInvalidations = 5;
 
 /**
  * Checkpoint drift beyond this multiple of the error budget drops the
@@ -141,10 +140,7 @@ inline constexpr double kPhaseHardBudgetFactor = 3.0;
 /** Counters the sampler keeps for telemetry. */
 struct PhaseSamplerStats
 {
-    std::uint64_t evaluatedEpochs = 0;
     std::uint64_t extrapolatedEpochs = 0;
-    /** Ticks extrapolated from a frozen basis. */
-    std::uint64_t extrapolatedTicks = 0;
     std::uint64_t invalidations[kNumPhaseInvalidations] = {};
     /**
      * Sum over checkpoints of (observed relative error x ticks the
@@ -320,7 +316,6 @@ class PhaseSampler
                 ++warmup_;
             epochExtrapolate_ = false;
             extrapolating_ = false;
-            ++stats_.evaluatedEpochs;
             return true;
         }
         if (verifyNext_ || ++sinceEval_ >= period_) {
@@ -329,7 +324,6 @@ class PhaseSampler
             sinceEval_ = 0;
             epochExtrapolate_ = false;
             extrapolating_ = false;
-            ++stats_.evaluatedEpochs;
             return true;
         }
         epochExtrapolate_ = true;
@@ -448,16 +442,12 @@ class PhaseSampler
      *  just reseeded from one decision. */
     void verifyNextEpoch() { verifyNext_ = true; }
 
-    /** Count @p ticks ticks extrapolated from the frozen basis. */
-    void
-    noteExtrapolatedTicks(std::uint64_t ticks)
-    {
-        stats_.extrapolatedTicks += ticks;
-        ticksSinceCheckpoint_ += ticks;
-    }
+    /** Count @p ticks ticks extrapolated from the frozen basis, for
+     *  the next checkpoint's est_err weight. */
+    void noteExtrapolatedTicks(std::uint64_t ticks)
+    { ticksSinceCheckpoint_ += ticks; }
 
     const PhaseSamplerStats &stats() const { return stats_; }
-    double churnTolerance() const { return churnTol_; }
     int currentPeriod() const { return period_; }
 
   private:

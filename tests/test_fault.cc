@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "chip/sensors.hh"
 #include "core/guarded.hh"
@@ -423,6 +424,60 @@ TEST(GuardedPm, PerCoreCapViolationAlsoCountsAsViolated)
     EXPECT_EQ(guarded.tier(), GuardTier::Fallback);
     EXPECT_EQ(guarded.stats().violations,
               static_cast<std::size_t>(GuardedPowerManager::kDegradeAfter));
+}
+
+TEST(GuardedPm, OneCallOverTicksEqualsSingleTickCalls)
+{
+    constexpr double kPtargetW = 75.0, kPcoreMaxW = 6.0, kTickMs = 0.1;
+    constexpr auto kRecover =
+        static_cast<std::size_t>(GuardedPowerManager::kRecoverAfter);
+    const auto snap = syntheticSnapshot(3, 100.0, 100.0);
+    const auto overBudget = settledCondition(3, 90.0);
+    auto overCoreCap = settledCondition(3, 40.0);
+    overCoreCap.corePowerW[1] = 9.0;
+    // Per-core readings of 0 W opt out of the settled-vs-sensed
+    // cross-check, so the sensors stay trusted and the guard can
+    // climb all the way back to the primary.
+    const auto clean = settledCondition(3, 70.0, 0.0);
+
+    // Runs of k identical ticks, the streaks carried from one run to
+    // the next: k = 2 degrades at the first tick of a run, k >= 3
+    // inside one, k > 30 recovers inside one.
+    for (std::size_t k : {1u, 2u, 3u, 4u, 29u, 31u, 61u}) {
+        GuardedPowerManager batched(std::make_unique<MaxLevelManager>());
+        GuardedPowerManager single(std::make_unique<MaxLevelManager>());
+        std::size_t tick = 7;
+        const auto observe = [&](const ChipCondition &cond,
+                                 std::size_t ticks) {
+            batched.observeSettled(cond, kPtargetW, kPcoreMaxW, tick,
+                                   ticks, kTickMs);
+            for (std::size_t n = 0; n < ticks; ++n)
+                single.observeSettled(cond, kPtargetW, kPcoreMaxW,
+                                      tick + n, 1, kTickMs);
+            tick += ticks;
+            EXPECT_EQ(batched.tier(), single.tier()) << k;
+            EXPECT_EQ(batched.stats(), single.stats()) << k;
+            EXPECT_EQ(batched.settleBiasW(), single.settleBiasW()) << k;
+        };
+        for (int round = 0; round < 3; ++round) {
+            batched.selectLevels(snap);
+            single.selectLevels(snap);
+            for (const ChipCondition *cond :
+                 {&overBudget, &std::as_const(overCoreCap), &clean, &clean})
+                observe(*cond, k);
+        }
+        // From safe mode (k = 2 to 4) one run climbs both tiers back.
+        if (k >= 2 && k <= 4) {
+            EXPECT_EQ(single.tier(), GuardTier::SafeMode) << k;
+        }
+        observe(clean, 2 * kRecover + 5);
+        EXPECT_EQ(single.tier(), GuardTier::Primary) << k;
+        if (k >= 2) {
+            EXPECT_GT(single.stats().recoveries, 0u) << k;
+            EXPECT_GT(single.stats().degradedTimeMs, 0.0) << k;
+            EXPECT_GT(single.stats().recoveryMs, 0.0) << k;
+        }
+    }
 }
 
 TEST(GuardedPm, QuarantinedSensorDropsToFallbackTier)

@@ -46,7 +46,8 @@ ctest --test-dir "$tsan" --output-on-failure \
     -R "ParallelFor|ThreadPool|BatchDeterminism|FieldFactorCache"
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass over the fault
-# injector, sensor validator, guard, phase sampler, config validation,
+# injector, sensor validator, guard and guarded system runs
+# (FaultSystemFixture), phase sampler, config validation,
 # sweep orchestrator, trace-driven core and CMP models, simplex, the
 # sensor snapshot and its fill, LinOpt, Foxton*, SAnn and Exhaustive,
 # and the tick loop, whose quiet-tick replay does index arithmetic on
@@ -60,7 +61,7 @@ cmake -B "$asan" -S "$repo" -DVARSCHED_SANITIZE=ON
 cmake --build "$asan" -j --target varsched_tests
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir "$asan" --output-on-failure -R \
-    "GuardedPm|SensorValidator|FaultInjector|Phase|SystemConfigValidation|RetryPolicy|Orchestrator|CmpModel|CoreModel|TraceGen|Simplex|LinOpt|Sensors|Snapshot|FoxtonStar|FoxtonDeep|SAnn|Exhaustive|SystemGolden|TickReplay|SystemIncremental"
+    "GuardedPm|FaultSystemFixture|SensorValidator|FaultInjector|Phase|SystemConfigValidation|RetryPolicy|Orchestrator|CmpModel|CoreModel|TraceGen|Simplex|LinOpt|Sensors|Snapshot|FoxtonStar|FoxtonDeep|SAnn|Exhaustive|SystemGolden|TickReplay|SystemIncremental"
 
 # The benchmark's correctness checks on all four workloads, shrunk to
 # seconds (run.sh exits nonzero when any check fails).
