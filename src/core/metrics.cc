@@ -1,5 +1,6 @@
 #include "core/metrics.hh"
 
+#include <bit>
 #include <cassert>
 
 namespace varsched
@@ -56,20 +57,33 @@ averageActiveFrequency(const ChipCondition &cond,
     return active ? sum / static_cast<double>(active) : 0.0;
 }
 
+void
+appendPowerRun(std::vector<PowerRun> &trace, double powerW,
+               std::uint64_t ticks)
+{
+    assert(ticks > 0);
+    if (!trace.empty() &&
+        std::bit_cast<std::uint64_t>(trace.back().powerW) ==
+            std::bit_cast<std::uint64_t>(powerW))
+        trace.back().ticks += ticks;
+    else
+        trace.push_back({powerW, ticks});
+}
+
 double
-capViolationFraction(const std::vector<double> &powerTrace,
+capViolationFraction(const std::vector<PowerRun> &powerTrace,
                      double ptargetW, double tolFraction)
 {
     if (powerTrace.empty() || !(ptargetW > 0.0))
         return 0.0;
-    std::size_t violated = 0;
+    std::uint64_t violated = 0, ticks = 0;
     const double limit = ptargetW * (1.0 + tolFraction);
-    for (double p : powerTrace) {
-        if (p > limit)
-            ++violated;
+    for (const PowerRun &run : powerTrace) {
+        if (run.powerW > limit)
+            violated += run.ticks;
+        ticks += run.ticks;
     }
-    return static_cast<double>(violated) /
-        static_cast<double>(powerTrace.size());
+    return static_cast<double>(violated) / static_cast<double>(ticks);
 }
 
 } // namespace varsched

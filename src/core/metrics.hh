@@ -13,6 +13,7 @@
 #ifndef VARSCHED_CORE_METRICS_HH
 #define VARSCHED_CORE_METRICS_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "chip/sensors.hh"
@@ -52,16 +53,38 @@ double weightedProgress(const ChipCondition &cond,
 double averageActiveFrequency(const ChipCondition &cond,
                               const std::vector<CoreWork> &work);
 
+/** @p ticks consecutive ticks of settled chip power @p powerW. */
+struct PowerRun
+{
+    double powerW = 0.0;
+    std::uint64_t ticks = 0;
+
+    bool operator==(const PowerRun &) const = default;
+};
+
 /**
- * Robustness metric: fraction of power samples that exceeded the
+ * Append @p ticks (> 0) ticks of power @p powerW to @p trace: the last
+ * run grows when its power is bit-equal to @p powerW (not ==: +0 and
+ * -0 stay apart, a NaN joins its own bits), else a new run starts. A
+ * trace built only by this function is canonical: no empty run and no
+ * two adjacent runs of the same bits, so two traces are equal exactly
+ * when their per-tick samples are.
+ */
+void appendPowerRun(std::vector<PowerRun> &trace, double powerW,
+                    std::uint64_t ticks);
+
+/**
+ * Robustness metric: fraction of ticks whose power exceeded the
  * budget by more than @p tolFraction — time the chip spent in cap
- * violation despite the power manager.
+ * violation despite the power manager. One integer tick count over
+ * the other, so the result does not depend on how the ticks are cut
+ * into runs.
  *
- * @param powerTrace Per-tick settled chip power, W.
+ * @param powerTrace Settled chip power, W, as runs of ticks.
  * @param ptargetW Chip-wide budget.
  * @param tolFraction Overshoot tolerance (default 5%).
  */
-double capViolationFraction(const std::vector<double> &powerTrace,
+double capViolationFraction(const std::vector<PowerRun> &powerTrace,
                             double ptargetW,
                             double tolFraction = 0.05);
 

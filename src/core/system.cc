@@ -163,15 +163,6 @@ SystemSimulator::SystemSimulator(const Die &die,
             " threads exceed the die's " +
             std::to_string(die_.numCores()) + " cores");
     }
-    manager_ = makePowerManager(config_.pm, config_.sannEvals,
-                                config_.seed ^ 0x5A5A,
-                                config_.pmObjective);
-    if (config_.guardedPm && config_.pm != PmKind::None) {
-        auto guarded =
-            std::make_unique<GuardedPowerManager>(std::move(manager_));
-        guard_ = guarded.get();
-        manager_ = std::move(guarded);
-    }
 }
 
 namespace
@@ -475,7 +466,6 @@ TickRun::TickRun(const Die &die,
             failureTicks.push_back(tick);
     }
     std::sort(failureTicks.begin(), failureTicks.end());
-    result.powerTrace.reserve(totalTicks);
 }
 
 /** The first tick whose start time reaches @p ms (totalTicks: none). */
@@ -931,7 +921,7 @@ TickRun::addTicks(std::size_t first, std::size_t ticks, double mips,
         result.energyJ += energyJ;
         result.instructions += instructions;
     }
-    result.powerTrace.insert(result.powerTrace.end(), ticks, powerW);
+    appendPowerRun(result.powerTrace, powerW, ticks);
     (extrap ? result.sampledTicks : result.exactTicks) += ticks;
     reportedMips = mips;
     if (guard != nullptr)
@@ -971,7 +961,7 @@ TickRun::quietTicksAfter(const Tick &t) const
 
 /**
  * Replay the @p ticks quiet ticks after @p t (see quietTicksAfter):
- * their sums, trace samples, wear and tick counts, the phase
+ * their sums, power-trace ticks, wear and tick counts, the phase
  * sequencers' drift, and the sampler's per-tick work — its observe
  * and, on settled ticks, the basis upkeep, which repeats the same
  * refreeze each tick and so runs once.
@@ -1062,7 +1052,19 @@ SystemSimulator::run()
 {
     static metrics::Counter &iterations =
         metrics::Registry::global().counter("core.tick.iterations");
-    TickRun run(die_, apps_, config_, evaluator_, *manager_, guard_);
+    // A fresh manager (and guard) per run: their state is the run's,
+    // so a second run() repeats the first.
+    std::unique_ptr<PowerManager> manager =
+        makePowerManager(config_.pm, config_.sannEvals,
+                         config_.seed ^ 0x5A5A, config_.pmObjective);
+    GuardedPowerManager *guard = nullptr;
+    if (config_.guardedPm && config_.pm != PmKind::None) {
+        auto guarded =
+            std::make_unique<GuardedPowerManager>(std::move(manager));
+        guard = guarded.get();
+        manager = std::move(guarded);
+    }
+    TickRun run(die_, apps_, config_, evaluator_, *manager, guard);
     std::uint64_t events = 0;
     for (std::size_t i = 0; i < run.totalTicks; ++events) {
         Tick tick;

@@ -25,6 +25,7 @@
 
 #include "chip/sensors.hh"
 #include "core/guarded.hh"
+#include "core/metrics.hh"
 #include "core/pmalgo.hh"
 #include "core/sched.hh"
 #include "fault/fault.hh"
@@ -176,8 +177,17 @@ struct SystemResult
      * tick (Fig 14's deviation metric). 0 when pm == None.
      */
     double powerDeviation = 0.0;
-    /** Per-tick chip power trace, W. */
-    std::vector<double> powerTrace;
+    /**
+     * Settled chip power, W, tick by tick as runs: a run's ticks all
+     * read its power, and adjacent runs differ in power bit for bit,
+     * so two traces are equal exactly when their per-tick samples are.
+     * Its ticks sum to exactTicks + sampledTicks. A steady-state
+     * simulation holds one PowerRun per change of power (~0.03 per
+     * tick on a phase-sampled long horizon); a transient-thermal one
+     * changes power every tick and holds one 16-byte PowerRun per
+     * tick.
+     */
+    std::vector<PowerRun> powerTrace;
     /**
      * Worst core's time-averaged aging rate (1.0 = nominal wear at
      * the 60 C / 1 V reference; see reliability/wearout.hh).
@@ -261,6 +271,8 @@ class SystemSimulator
      * With phaseSampling enabled this is the sampled engine
      * (signatures, epoch verdicts, basis upkeep); with a budget of 0
      * it is bit-identical to the exact reference.
+     * Each call builds its own power manager (and guard), so calls
+     * on one simulator return the same result.
      */
     SystemResult run();
 
@@ -269,9 +281,6 @@ class SystemSimulator
     std::vector<const AppProfile *> apps_;
     SystemConfig config_;
     ChipEvaluator evaluator_;
-    std::unique_ptr<PowerManager> manager_;
-    /** Set when config_.guardedPm wrapped manager_ (not owning). */
-    GuardedPowerManager *guard_ = nullptr;
 };
 
 /** Instantiate a power manager by kind (seeded where relevant). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace varsched
 {
@@ -21,6 +22,12 @@ WearoutModel::WearoutModel(const WearoutParams &params) : params_(params)
 double
 WearoutModel::agingRate(double tempC, double v) const
 {
+    return agingRate(tempC, v, v > 0.0 ? voltageFactor(v) : 0.0);
+}
+
+double
+WearoutModel::agingRate(double tempC, double v, double voltage) const
+{
     const double tK = tempC + 273.15;
     const double tRefK = params_.refTempC + 273.15;
     const double thermal = std::exp(params_.activationEnergyEv /
@@ -28,14 +35,20 @@ WearoutModel::agingRate(double tempC, double v) const
                                     (1.0 / tRefK - 1.0 / tK));
     if (v <= 0.0)
         return thermal * 0.05; // gated core: residual thermal stress
-    const double voltage =
-        std::pow(v / params_.refVdd, params_.voltageExponent);
     return thermal * voltage;
+}
+
+double
+WearoutModel::voltageFactor(double v) const
+{
+    return std::pow(v / params_.refVdd, params_.voltageExponent);
 }
 
 WearoutTracker::WearoutTracker(const WearoutModel &model,
                                std::size_t numCores)
-    : model_(&model), damageMs_(numCores, 0.0), lastRate_(numCores, 0.0)
+    : model_(&model), damageMs_(numCores, 0.0), lastRate_(numCores, 0.0),
+      factorVdd_(numCores, std::numeric_limits<double>::quiet_NaN()),
+      voltageFactor_(numCores, 0.0)
 {
 }
 
@@ -46,8 +59,16 @@ WearoutTracker::accumulate(const std::vector<double> &coreTempC,
 {
     assert(coreTempC.size() == damageMs_.size());
     assert(coreVdd.size() == damageMs_.size());
-    for (std::size_t c = 0; c < damageMs_.size(); ++c)
-        lastRate_[c] = model_->agingRate(coreTempC[c], coreVdd[c]);
+    for (std::size_t c = 0; c < damageMs_.size(); ++c) {
+        // A core's Vdd moves only with its level: the pow runs then.
+        const double v = coreVdd[c];
+        if (v > 0.0 && v != factorVdd_[c]) {
+            factorVdd_[c] = v;
+            voltageFactor_[c] = model_->voltageFactor(v);
+        }
+        lastRate_[c] =
+            model_->agingRate(coreTempC[c], v, voltageFactor_[c]);
+    }
     repeat(dtMs);
 }
 

@@ -58,6 +58,16 @@ class WearoutModel
      */
     double agingRate(double tempC, double v) const;
 
+    /**
+     * agingRate() with the voltage factor voltageFactor(v) supplied
+     * by the caller, who may keep it while @p v holds (it is unused
+     * for a gated core).
+     */
+    double agingRate(double tempC, double v, double voltage) const;
+
+    /** Voltage acceleration (v / refVdd)^voltageExponent, v > 0. */
+    double voltageFactor(double v) const;
+
     /** Parameters in use. */
     const WearoutParams &params() const { return params_; }
 
@@ -108,6 +118,10 @@ class WearoutTracker
     std::vector<double> damageMs_; ///< rate-weighted milliseconds
     double elapsedMs_ = 0.0;
     std::vector<double> lastRate_; ///< Per core, of the last accumulate.
+    /** Per core: the Vdd its voltageFactor_ was computed at (NaN:
+     *  none yet), and that factor. */
+    std::vector<double> factorVdd_;
+    std::vector<double> voltageFactor_;
 };
 
 } // namespace varsched

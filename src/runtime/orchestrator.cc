@@ -20,6 +20,9 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 namespace varsched
 {
@@ -542,10 +545,21 @@ SweepOrchestrator::launchEligible(std::vector<Child> &running,
 
         const std::string attemptEnv =
             std::to_string(record.attempts + 1);
+        const ::pid_t parent = ::getpid();
         const ::pid_t pid = ::fork();
         if (pid < 0)
             return; // EAGAIN etc: try again next poll
         if (pid == 0) {
+#ifdef __linux__
+            // Die with the orchestrator: a killed orchestrator leaves
+            // no worker behind. The signal follows the forking thread,
+            // the orchestrator's one loop thread. An orchestrator that
+            // died before the prctl took hold has already reparented
+            // the child.
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() != parent)
+                ::_exit(127);
+#endif
             // Child: own process group so the watchdog can kill the
             // worker and anything it spawned in one shot.
             ::setpgid(0, 0);

@@ -453,7 +453,7 @@ TEST_F(PhaseSystemFixture, BudgetZeroMatchesExactReferenceBitwise)
     EXPECT_EQ(ra.powerDeviation, rb.powerDeviation);
     ASSERT_EQ(ra.powerTrace.size(), rb.powerTrace.size());
     for (std::size_t i = 0; i < ra.powerTrace.size(); ++i)
-        EXPECT_EQ(ra.powerTrace[i], rb.powerTrace[i]) << "tick " << i;
+        EXPECT_EQ(ra.powerTrace[i], rb.powerTrace[i]) << "run " << i;
     EXPECT_EQ(ra.sampledTicks, 0u);
     EXPECT_EQ(rb.sampledTicks, 0u);
 }
@@ -481,7 +481,7 @@ expectSameRun(const SystemResult &a, const SystemResult &b)
     EXPECT_EQ(a.powerDeviation, b.powerDeviation);
     ASSERT_EQ(a.powerTrace.size(), b.powerTrace.size());
     for (std::size_t i = 0; i < a.powerTrace.size(); ++i)
-        EXPECT_EQ(a.powerTrace[i], b.powerTrace[i]) << "tick " << i;
+        EXPECT_EQ(a.powerTrace[i], b.powerTrace[i]) << "run " << i;
     EXPECT_EQ(a.worstAgingRate, b.worstAgingRate);
     EXPECT_EQ(a.projectedLifetimeYears, b.projectedLifetimeYears);
     EXPECT_EQ(a.transitionLossFraction, b.transitionLossFraction);

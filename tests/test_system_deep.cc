@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/system.hh"
 
@@ -119,7 +120,7 @@ TEST_F(SystemDeepFixture, DvfsIntervalLongerThanRunStillWorks)
     SystemSimulator sim(die_, apps, c);
     const auto r = sim.run();
     EXPECT_GT(r.avgMips, 0.0);
-    EXPECT_EQ(r.powerTrace.size(), 30u);
+    EXPECT_EQ(r.exactTicks + r.sampledTicks, 30u);
 }
 
 TEST_F(SystemDeepFixture, SingleTickRun)
@@ -131,7 +132,7 @@ TEST_F(SystemDeepFixture, SingleTickRun)
     c.durationMs = 1.0;
     SystemSimulator sim(die_, apps, c);
     const auto r = sim.run();
-    EXPECT_EQ(r.powerTrace.size(), 1u);
+    EXPECT_EQ(r.exactTicks + r.sampledTicks, 1u);
     EXPECT_GT(r.avgMips, 0.0);
 }
 
@@ -146,10 +147,12 @@ TEST_F(SystemDeepFixture, PowerTraceMatchesAverage)
     SystemSimulator sim(die_, apps, c);
     const auto r = sim.run();
     double sum = 0.0;
-    for (double p : r.powerTrace)
-        sum += p;
-    EXPECT_NEAR(sum / static_cast<double>(r.powerTrace.size()),
-                r.avgPowerW, 1e-9);
+    std::uint64_t ticks = 0;
+    for (const PowerRun &run : r.powerTrace) {
+        sum += run.powerW * static_cast<double>(run.ticks);
+        ticks += run.ticks;
+    }
+    EXPECT_NEAR(sum / static_cast<double>(ticks), r.avgPowerW, 1e-9);
 }
 
 TEST_F(SystemDeepFixture, ThermalAwareKeepsThroughputCompetitive)

@@ -1,15 +1,15 @@
 /**
  * @file
  * Golden bits for the tick loop. Each case runs one SystemSimulator
- * configuration and hashes every SystemResult field and every
- * powerTrace sample bit for bit (FNV-1a over the IEEE-754 bytes, as
- * the benchmark's digests do). The matrix covers the run shapes the
- * loop treats differently: the exact engine under every manager and
- * UniFreq, the phase-sampled engine with and without an error budget,
- * transient thermal, each fault class, the guarded manager,
- * temperature-aware scheduling, and odd timings (a decision every
- * tick, half- and tenth-millisecond ticks, no transition stall,
- * intervals that do not nest). A changed hash means the loop no
+ * configuration and hashes every SystemResult field bit for bit, the
+ * run-length power trace expanded to one sample per tick (FNV-1a over
+ * the IEEE-754 bytes, as the benchmark's digests do). The matrix
+ * covers the run shapes the loop treats differently: the exact engine
+ * under every manager and UniFreq, the phase-sampled engine with and
+ * without an error budget, transient thermal, each fault class, the
+ * guarded manager, temperature-aware scheduling, and odd timings (a
+ * decision every tick, half- and tenth-millisecond ticks, no
+ * transition stall, intervals that do not nest). A changed hash means the loop no
  * longer reproduces the recorded run; a deliberate numerical change
  * records new hashes and says why.
  *
@@ -19,13 +19,22 @@
  * simd_forced_scalar ctest) checks the scalar one. The hashes are
  * those of the default RelWithDebInfo build; a Release build (-O3)
  * computes other bits, and most cases fail there.
+ *
+ * SystemRerun checks that a second run() on one simulator repeats the
+ * first. PowerTrace checks the run-length trace on these shapes: it is
+ * canonical, its ticks add up, capViolationFraction over its runs
+ * equals the per-tick count, and a long horizon holds few runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chip/die.hh"
@@ -58,7 +67,10 @@ struct Fnv
     void add(std::uint64_t v) { bytes(&v, sizeof v); }
 };
 
-/** Every field of @p r, powerTrace sample by sample. */
+/**
+ * Every field of @p r, the power trace tick by tick: its runs are
+ * expanded, so the bytes hashed are those of one sample per tick.
+ */
 std::uint64_t
 digest(const SystemResult &r)
 {
@@ -71,9 +83,14 @@ digest(const SystemResult &r)
                      r.capViolationFraction, r.meanRecoveryMs,
                      r.degradedTimeMs, r.estErr})
         h.add(v);
-    h.add(static_cast<std::uint64_t>(r.powerTrace.size()));
-    for (double p : r.powerTrace)
-        h.add(p);
+    std::uint64_t ticks = 0;
+    for (const PowerRun &run : r.powerTrace)
+        ticks += run.ticks;
+    h.add(ticks);
+    for (const PowerRun &run : r.powerTrace) {
+        for (std::uint64_t n = 0; n < run.ticks; ++n)
+            h.add(run.powerW);
+    }
     for (std::uint64_t v :
          {static_cast<std::uint64_t>(r.fallbackEngagements),
           static_cast<std::uint64_t>(r.guardRecoveries),
@@ -135,6 +152,66 @@ sampledConfig(double errorBudget)
     c.phaseSampling.enabled = true;
     c.phaseSampling.errorBudget = errorBudget;
     c.phaseSampling.basisBlend = 0.5;
+    return c;
+}
+
+/** Sampled with two core failures. */
+SystemConfig
+sampledFailureConfig()
+{
+    SystemConfig c = sampledConfig(0.01);
+    c.faults.coreFailures = {{3, 4321.5}, {7, 12000.0}};
+    return c;
+}
+
+SystemConfig
+transientConfig()
+{
+    SystemConfig c = exactConfig();
+    c.transientThermal = true;
+    return c;
+}
+
+/** One sensor fault of each kind. */
+SystemConfig
+sensorFaultConfig()
+{
+    SystemConfig c = exactConfig();
+    c.faults.sensorFaults = {
+        {SensorFaultKind::StuckAt, 1, 50.0, 200.0, 0.5, 1.0},
+        {SensorFaultKind::Spike, 4, 0.0, -1.0, 3.0, 0.3},
+        {SensorFaultKind::Drift, 9, 100.0, -1.0, 0.02, 1.0},
+        {SensorFaultKind::Dropout, 12, 150.0, 250.0, 0.0, 1.0}};
+    return c;
+}
+
+SystemConfig
+dvfsFaultConfig()
+{
+    SystemConfig c = exactConfig();
+    c.faults.dvfs.failRate = 0.2;
+    c.faults.dvfs.shortStepRate = 0.2;
+    return c;
+}
+
+/** Two core failures, one scheduled twice (run on 20 threads). */
+SystemConfig
+coreFailureConfig()
+{
+    SystemConfig c = exactConfig();
+    c.faults.coreFailures = {{2, 55.5}, {5, 120.0}, {5, 200.0}};
+    return c;
+}
+
+/** The guarded manager under a stuck and a dropped-out sensor. */
+SystemConfig
+guardedConfig()
+{
+    SystemConfig c = exactConfig();
+    c.guardedPm = true;
+    c.faults.sensorFaults = {
+        {SensorFaultKind::StuckAt, 1, 50.0, -1.0, 0.1, 1.0},
+        {SensorFaultKind::Dropout, 6, 80.0, -1.0, 0.0, 1.0}};
     return c;
 }
 
@@ -210,60 +287,40 @@ TEST(SystemGolden, SampledBudgetZero)
 
 TEST(SystemGolden, SampledCoreFailure)
 {
-    SystemConfig c = sampledConfig(0.01);
-    c.faults.coreFailures = {{3, 4321.5}, {7, 12000.0}};
-    const SystemResult r = runGolden(c, 8, true);
+    const SystemResult r = runGolden(sampledFailureConfig(), 8, true);
     EXPECT_GT(r.sampledTicks, 0u);
     expectGolden(r, 0x08c314d275e9c522ull, 0xd6adce1fd6e28b99ull);
 }
 
 TEST(SystemGolden, TransientThermal)
 {
-    SystemConfig c = exactConfig();
-    c.transientThermal = true;
-    expectGolden(runGolden(c),
+    expectGolden(runGolden(transientConfig()),
                  0x1aa25ecde7aa38edull, 0x17c482f32cf650ceull);
 }
 
 TEST(SystemGolden, SensorFaults)
 {
-    SystemConfig c = exactConfig();
-    c.faults.sensorFaults = {
-        {SensorFaultKind::StuckAt, 1, 50.0, 200.0, 0.5, 1.0},
-        {SensorFaultKind::Spike, 4, 0.0, -1.0, 3.0, 0.3},
-        {SensorFaultKind::Drift, 9, 100.0, -1.0, 0.02, 1.0},
-        {SensorFaultKind::Dropout, 12, 150.0, 250.0, 0.0, 1.0}};
-    expectGolden(runGolden(c),
+    expectGolden(runGolden(sensorFaultConfig()),
                  0x44d50a7b84db1f03ull, 0x1cfa275127b1799dull);
 }
 
 TEST(SystemGolden, DvfsFaults)
 {
-    SystemConfig c = exactConfig();
-    c.faults.dvfs.failRate = 0.2;
-    c.faults.dvfs.shortStepRate = 0.2;
-    const SystemResult r = runGolden(c);
+    const SystemResult r = runGolden(dvfsFaultConfig());
     EXPECT_GT(r.dvfsFaultsInjected, 0u);
     expectGolden(r, 0xad849e1fd30d3ddaull, 0xcae1c18d731b913full);
 }
 
 TEST(SystemGolden, CoreFailures)
 {
-    SystemConfig c = exactConfig();
-    c.faults.coreFailures = {{2, 55.5}, {5, 120.0}, {5, 200.0}};
-    const SystemResult r = runGolden(c, 20);
+    const SystemResult r = runGolden(coreFailureConfig(), 20);
     EXPECT_EQ(r.coresFailed, 2u);
     expectGolden(r, 0x27573f2033afc945ull, 0x589e4d436ec0fcabull);
 }
 
 TEST(SystemGolden, GuardedPm)
 {
-    SystemConfig c = exactConfig();
-    c.guardedPm = true;
-    c.faults.sensorFaults = {
-        {SensorFaultKind::StuckAt, 1, 50.0, -1.0, 0.1, 1.0},
-        {SensorFaultKind::Dropout, 6, 80.0, -1.0, 0.0, 1.0}};
-    const SystemResult r = runGolden(c);
+    const SystemResult r = runGolden(guardedConfig());
     EXPECT_GT(r.sensorQuarantines, 0u);
     expectGolden(r, 0x25a83e1cb43e316bull, 0x884f4a0f20a60fa6ull);
 }
@@ -290,7 +347,7 @@ TEST(SystemGolden, HalfMillisecondTick)
     SystemConfig c = exactConfig();
     c.tickMs = 0.5;
     const SystemResult r = runGolden(c);
-    EXPECT_EQ(r.powerTrace.size(), 600u);
+    EXPECT_EQ(r.exactTicks + r.sampledTicks, 600u);
     expectGolden(r, 0x31d1955c2c9f6574ull, 0xf06605a31b168a2full);
 }
 
@@ -302,7 +359,7 @@ TEST(SystemGolden, TenthMillisecondTick)
     c.tickMs = 0.1;
     c.durationMs = 200.0;
     const SystemResult r = runGolden(c);
-    EXPECT_EQ(r.powerTrace.size(), 2000u);
+    EXPECT_EQ(r.exactTicks + r.sampledTicks, 2000u);
     expectGolden(r, 0x6653b3d946f6601full, 0x8929c8d75dc0c7a4ull);
 }
 
@@ -322,6 +379,153 @@ TEST(SystemGolden, IntervalsThatDoNotNest)
     c.dvfsIntervalMs = 7.0;
     expectGolden(runGolden(c),
                  0xfb3dfb2775c3038eull, 0x3f4c9bf780520adbull);
+}
+
+TEST(SystemRerun, SecondRunRepeatsFirst)
+{
+    // The manager and the guard are the run's: a second run() on the
+    // same simulator starts from the same state as the first.
+    const std::pair<const char *, SystemConfig> shapes[] = {
+        {"GuardedPm", guardedConfig()},
+        {"ExactSAnn", exactConfig(PmKind::SAnn)},
+        {"ExactLinOpt", exactConfig()}};
+    for (const auto &[name, c] : shapes) {
+        SCOPED_TRACE(name);
+        SystemSimulator sim(goldenDie(), goldenApps(16), c);
+        const SystemResult first = sim.run();
+        const SystemResult second = sim.run();
+        EXPECT_EQ(digest(first), digest(second));
+        EXPECT_EQ(first.fallbackEngagements, second.fallbackEngagements);
+        EXPECT_EQ(first.guardRecoveries, second.guardRecoveries);
+        EXPECT_EQ(first.finalGuardTier, second.finalGuardTier);
+        EXPECT_EQ(first.sensorQuarantines, second.sensorQuarantines);
+        EXPECT_EQ(first.meanRecoveryMs, second.meanRecoveryMs);
+        EXPECT_EQ(first.degradedTimeMs, second.degradedTimeMs);
+    }
+}
+
+/** A run shape of the golden matrix, for the power-trace checks. */
+struct Shape
+{
+    const char *name;
+    SystemConfig config;
+    std::size_t threads = 16;
+    bool traffic = false;
+};
+
+std::vector<Shape>
+traceShapes()
+{
+    SystemConfig halfTick = exactConfig();
+    halfTick.tickMs = 0.5;
+    return {{"ExactNone", exactConfig(PmKind::None)},
+            {"ExactLinOpt", exactConfig()},
+            {"ExactSAnn", exactConfig(PmKind::SAnn)},
+            {"SampledWithBudget", sampledConfig(0.01), 8, true},
+            {"SampledBudgetZero", sampledConfig(0.0), 8, true},
+            {"SampledCoreFailure", sampledFailureConfig(), 8, true},
+            {"TransientThermal", transientConfig()},
+            {"SensorFaults", sensorFaultConfig()},
+            {"DvfsFaults", dvfsFaultConfig()},
+            {"CoreFailures", coreFailureConfig(), 20},
+            {"GuardedPm", guardedConfig()},
+            {"HalfMillisecondTick", halfTick}};
+}
+
+/** The trace's runs expanded to one sample per tick. */
+std::vector<double>
+perTick(const std::vector<PowerRun> &trace)
+{
+    std::vector<double> samples;
+    for (const PowerRun &run : trace)
+        samples.insert(samples.end(), run.ticks, run.powerW);
+    return samples;
+}
+
+TEST(PowerTrace, AppendMergesBitEqualPowerOnly)
+{
+    std::vector<PowerRun> trace;
+    appendPowerRun(trace, 1.5, 3);
+    appendPowerRun(trace, 1.5, 2);
+    EXPECT_EQ(trace, (std::vector<PowerRun>{{1.5, 5}}));
+    // +0 == -0, but their bits differ: two runs.
+    appendPowerRun(trace, 0.0, 1);
+    appendPowerRun(trace, -0.0, 1);
+    ASSERT_EQ(trace.size(), 3u);
+    EXPECT_FALSE(std::signbit(trace[1].powerW));
+    EXPECT_TRUE(std::signbit(trace[2].powerW));
+    // A NaN is != itself, but its bits repeat: one run.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    appendPowerRun(trace, nan, 1);
+    appendPowerRun(trace, nan, 4);
+    ASSERT_EQ(trace.size(), 4u);
+    EXPECT_EQ(trace[3].ticks, 5u);
+}
+
+TEST(PowerTrace, CanonicalOnGoldenShapes)
+{
+    for (const Shape &s : traceShapes()) {
+        SCOPED_TRACE(s.name);
+        const SystemResult r = runGolden(s.config, s.threads, s.traffic);
+        std::uint64_t ticks = 0;
+        for (std::size_t i = 0; i < r.powerTrace.size(); ++i) {
+            EXPECT_GT(r.powerTrace[i].ticks, 0u) << "run " << i;
+            if (i > 0) {
+                EXPECT_NE(std::bit_cast<std::uint64_t>(
+                              r.powerTrace[i - 1].powerW),
+                          std::bit_cast<std::uint64_t>(
+                              r.powerTrace[i].powerW))
+                    << "runs " << i - 1 << " and " << i;
+            }
+            ticks += r.powerTrace[i].ticks;
+        }
+        EXPECT_EQ(ticks, r.exactTicks + r.sampledTicks);
+        EXPECT_EQ(ticks, static_cast<std::uint64_t>(std::llround(
+                             s.config.durationMs / s.config.tickMs)));
+    }
+}
+
+TEST(PowerTrace, CapViolationMatchesPerTickReference)
+{
+    std::size_t withViolations = 0;
+    for (const Shape &s : traceShapes()) {
+        SCOPED_TRACE(s.name);
+        const SystemResult r = runGolden(s.config, s.threads, s.traffic);
+        const std::vector<double> samples = perTick(r.powerTrace);
+        ASSERT_FALSE(samples.empty());
+        // Tolerances around the run's spread, so some ticks violate.
+        for (double tol : {0.05, 0.0, -0.05, -0.2}) {
+            const double limit = s.config.ptargetW * (1.0 + tol);
+            std::size_t violated = 0;
+            for (double p : samples)
+                violated += p > limit ? 1 : 0;
+            const double reference = static_cast<double>(violated) /
+                static_cast<double>(samples.size());
+            EXPECT_EQ(capViolationFraction(r.powerTrace,
+                                           s.config.ptargetW, tol),
+                      reference)
+                << "tol " << tol;
+            withViolations += violated > 0 ? 1 : 0;
+        }
+        if (s.config.pm != PmKind::None) {
+            EXPECT_EQ(r.capViolationFraction,
+                      capViolationFraction(r.powerTrace,
+                                           s.config.ptargetW));
+        }
+    }
+    EXPECT_GT(withViolations, 0u);
+}
+
+TEST(PowerTrace, LongHorizonStaysSparse)
+{
+    // The long-horizon shape, 50k ticks: the trace holds one run per
+    // change of power, not one sample per tick.
+    SystemConfig c = sampledConfig(0.01);
+    c.durationMs = 50000.0;
+    const SystemResult r = runGolden(c, 8, true);
+    const double ticks = static_cast<double>(r.exactTicks + r.sampledTicks);
+    EXPECT_EQ(ticks, 50000.0);
+    EXPECT_LT(static_cast<double>(r.powerTrace.size()) / ticks, 0.05);
 }
 
 } // namespace

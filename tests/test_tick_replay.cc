@@ -198,7 +198,7 @@ iterationsPerTick(const SystemConfig &config, std::size_t threads,
     const std::uint64_t before = iterations.value();
     const SystemResult r = sim.run();
     return static_cast<double>(iterations.value() - before) /
-        static_cast<double>(r.powerTrace.size());
+        static_cast<double>(r.exactTicks + r.sampledTicks);
 }
 
 TEST(TickReplay, LongHorizonRunsAFewIterationsPerTick)

@@ -124,6 +124,32 @@ TEST(Wearout, RepeatMatchesAccumulateBitForBit)
               repeated.projectedLifetimeYears());
 }
 
+TEST(Wearout, KeptVoltageFactorMatchesAgingRate)
+{
+    // The tracker keeps each core's voltage factor across ticks; its
+    // damage must be the sum of agingRate() calls, bit for bit, across
+    // Vdd changes, gating and a return to an earlier Vdd.
+    WearoutModel model;
+    WearoutTracker tracker(model, 2);
+    const std::vector<std::vector<double>> vdds = {
+        {0.85, 1.0}, {0.85, 0.0}, {0.9, 0.0}, {0.85, 1.0}, {0.0, 1.05}};
+    std::vector<double> damage(2, 0.0);
+    double elapsed = 0.0;
+    for (std::size_t step = 0; step < vdds.size(); ++step) {
+        for (int tick = 0; tick < 5; ++tick) {
+            const std::vector<double> temps = {
+                55.0 + 3.5 * step + tick, 80.25 - 2.0 * tick};
+            tracker.accumulate(temps, vdds[step], 0.5);
+            for (std::size_t c = 0; c < 2; ++c)
+                damage[c] += model.agingRate(temps[c], vdds[step][c]) * 0.5;
+            elapsed += 0.5;
+        }
+    }
+    const auto rates = tracker.averageRates();
+    for (std::size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(rates[c], damage[c] / elapsed) << "core " << c;
+}
+
 TEST(Wearout, EmptyTrackerIsNominal)
 {
     WearoutModel model;

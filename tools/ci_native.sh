@@ -5,8 +5,8 @@
 # sampled-vs-exact tier and the physics_contract tier), the pool's
 # tests under ThreadSanitizer in a second tree (<build-dir>-tsan), the
 # fault, guard, phase-sampling, orchestrator, core/CMP-model, simplex,
-# snapshot, power-manager and tick-loop (golden, replay, incremental)
-# tests under ASan+UBSan, asserts kept, in a third
+# snapshot, power-manager and tick-loop (golden, power trace, rerun,
+# replay, incremental) tests under ASan+UBSan, asserts kept, in a third
 # (<build-dir>-asan), then the correctness checks of every
 # benchmark/ workload at smoke scale. Given a base tree (a checkout of the parent commit), it also
 # compares the benchmark's end-to-end metrics in paired runs against
@@ -50,10 +50,10 @@ ctest --test-dir "$tsan" --output-on-failure \
 # (FaultSystemFixture), phase sampler, config validation,
 # sweep orchestrator, trace-driven core and CMP models, simplex, the
 # sensor snapshot and its fill, LinOpt, Foxton*, SAnn and Exhaustive,
-# and the tick loop, whose quiet-tick replay does index arithmetic on
-# the power trace and the phase sequencers (SystemGolden, TickReplay,
-# SystemIncremental): the test binary alone, in its own tree, with
-# asserts kept. The build
+# and the tick loop, whose quiet-tick replay grows the run-length power
+# trace and does index arithmetic on the phase sequencers (SystemGolden,
+# PowerTrace, SystemRerun, TickReplay, SystemIncremental): the test
+# binary alone, in its own tree, with asserts kept. The build
 # aborts on a UBSan report (-fno-sanitize-recover); halt_on_error says
 # so again.
 asan="$build-asan"
@@ -61,7 +61,7 @@ cmake -B "$asan" -S "$repo" -DVARSCHED_SANITIZE=ON
 cmake --build "$asan" -j --target varsched_tests
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir "$asan" --output-on-failure -R \
-    "GuardedPm|FaultSystemFixture|SensorValidator|FaultInjector|Phase|SystemConfigValidation|RetryPolicy|Orchestrator|CmpModel|CoreModel|TraceGen|Simplex|LinOpt|Sensors|Snapshot|FoxtonStar|FoxtonDeep|SAnn|Exhaustive|SystemGolden|TickReplay|SystemIncremental"
+    "GuardedPm|FaultSystemFixture|SensorValidator|FaultInjector|Phase|SystemConfigValidation|RetryPolicy|Orchestrator|CmpModel|CoreModel|TraceGen|Simplex|LinOpt|Sensors|Snapshot|FoxtonStar|FoxtonDeep|SAnn|Exhaustive|SystemGolden|PowerTrace|SystemRerun|TickReplay|SystemIncremental"
 
 # The benchmark's correctness checks on all four workloads, shrunk to
 # seconds (run.sh exits nonzero when any check fails).

@@ -11,6 +11,8 @@
 #     total_attempts - prior_attempts == launches, summed over both
 #     chaos runs, and total_attempts must exceed the task count
 #     (i.e. the chaos schedule really injected retries)
+#  5. no orchestrator or worker of this sweep outlives it: the killed
+#     orchestrator's workers die with it
 #
 # Usage: sweep_chaos_test.sh <varsched_sweep-binary> <scratch-dir>
 set -eu
@@ -21,6 +23,26 @@ GRID="--grid fig05 --dies 2 --gridsize 32"
 rm -rf "$DIR"
 mkdir -p "$DIR"
 
+# Every orchestrator and worker of this test has "--out $DIR/..." on
+# its command line; this script's own command line does not.
+sweep_pids() {
+    pgrep -f -- "--out $DIR/" || true
+}
+OWN_PGID=$(ps -o pgid= -p $$ | tr -d ' ')
+# Kill whatever is left, however the script ends: a worker's process
+# group (its own), or a process in this script's group by itself.
+reap() {
+    for pid in $(sweep_pids); do
+        pgid=$(ps -o pgid= -p "$pid" | tr -d ' ')
+        if [ -n "$pgid" ] && [ "$pgid" != "$OWN_PGID" ]; then
+            kill -KILL "-$pgid" 2>/dev/null || true
+        else
+            kill -KILL "$pid" 2>/dev/null || true
+        fi
+    done
+}
+trap reap EXIT
+
 echo "== reference: undisturbed serial sweep"
 "$BIN" $GRID --out "$DIR/ref" --workers 1
 
@@ -30,9 +52,8 @@ echo "== chaos sweep, orchestrator killed mid-run"
 # so the watchdog path is exercised without serialising on timeouts.
 export VARSCHED_CHAOS=121
 # Short timeout: hung chaos workers must die by watchdog, not ctest.
-# The killed run logs to a file: its workers (which survive the kill
-# as orphans until they exit or self-expire) would otherwise hold the
-# test harness's output pipe open and stall ctest.
+# The killed run logs to a file, so no process that outlives it can
+# hold the test harness's output pipe open and stall ctest.
 set +e
 "$BIN" $GRID --out "$DIR/chaos" --workers 4 \
        --timeout 15 --grace 1 --retry-base 0.05 --retry-cap 0.2 \
@@ -55,6 +76,14 @@ echo "== resume after kill"
        --timeout 15 --grace 1 --retry-base 0.05 --retry-cap 0.2 \
        --strict
 unset VARSCHED_CHAOS
+
+echo "== no process of the sweep outlives it"
+LEFT=$(sweep_pids)
+if [ -n "$LEFT" ]; then
+    echo "FAIL: processes left running after the resume:"
+    ps -o pid,ppid,pgid,args -p "$(echo $LEFT | tr ' ' ',')"
+    exit 1
+fi
 
 echo "== merged results must be byte-identical to the serial run"
 cmp "$DIR/ref/sweep.json" "$DIR/chaos/sweep.json" || {

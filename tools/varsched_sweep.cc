@@ -335,8 +335,9 @@ maybeInjectChaos(const std::string &taskId,
     }
     case 2:
         // Hang until the watchdog escalates. The alarm is a backstop
-        // for workers orphaned by a SIGKILLed orchestrator — nobody
-        // is left to time them out, so they time themselves out.
+        // for a worker that outlives a SIGKILLed orchestrator where
+        // the parent-death signal is unavailable (not Linux): nobody
+        // is left to time it out, so it times itself out.
         std::fprintf(stderr, "[chaos] %s attempt %zu: hang\n",
                      taskId.c_str(), attempt);
         ::alarm(30);
